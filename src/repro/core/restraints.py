@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro import profiling
 from repro.cdfg.dfg import DFG
@@ -135,13 +135,21 @@ class RestraintLog:
 
     def record(self, restraint: Restraint) -> None:
         """Append one restraint (same-object repeats just bump a count)."""
-        idx = self._index.get(id(restraint))
-        if idx is not None:
-            self._counts[idx] += 1
-            return
-        self._index[id(restraint)] = len(self.restraints)
-        self.restraints.append(restraint)
-        self._counts.append(1)
+        self.record_many((restraint,))
+
+    def record_many(self, restraints: Iterable[Restraint]) -> None:
+        """:meth:`record` each restraint in order (one call per walk)."""
+        index = self._index
+        counts = self._counts
+        log = self.restraints
+        for restraint in restraints:
+            idx = index.get(id(restraint))
+            if idx is not None:
+                counts[idx] += 1
+            else:
+                index[id(restraint)] = len(log)
+                log.append(restraint)
+                counts.append(1)
 
     def mark_failed(self, op_uid: int) -> None:
         """Mark an operation as terminally failed in this pass."""

@@ -257,6 +257,10 @@ class _Pass:
         #: the pool's mutation log -- only mutations of a group's own
         #: members force a re-sort.
         self._cand_cache: Dict[Tuple[OpKind, int], List] = {}
+        #: the driver's forbidden pairs per op uid (fixed for the pass).
+        self._forbidden: Dict[int, Set[str]] = {}
+        for uid, name in state.forbidden:
+            self._forbidden.setdefault(uid, set()).add(name)
         self._n_priority_keys = 0
 
     # ------------------------------------------------------------------
@@ -459,12 +463,11 @@ class _Pass:
                 order.sort(key=_cand_key)
                 self._cand_cache[ckey] = [
                     epoch, order, {i.name for i in base}]
-            forbidden = self.state.forbidden
-            if forbidden:
+            banned = self._forbidden.get(op.uid)
+            if banned:
                 # the sort key is a unique total order, so filtering the
                 # sorted list equals sorting the filtered list
-                return [inst for inst in order
-                        if (op.uid, inst.name) not in forbidden]
+                return [inst for inst in order if inst.name not in banned]
             # callers only iterate the returned list
             return order
         # cheapest grade first; within a grade prefer instances already
@@ -555,12 +558,12 @@ class _Pass:
         """Attempt to bind ``op`` at state ``e``; returns (bound, restraints)."""
         restraints: List[Restraint] = []
         needs_resource = self._type_key(op) is not None
-        # the input-arrival probe only feeds restraint payloads; it reads
-        # (never mutates) the netlist, and every consumer below runs with
-        # the netlist in exactly the state it has here (failed commits
-        # are rolled back, successful ones return early), so computing it
-        # on demand is bit-exact while skipping the probe entirely on the
-        # overwhelmingly common successful binds
+        # the input-arrival probe feeds restraint payloads and the
+        # bound-first walk's raw arrival; it reads (never mutates) the
+        # netlist, and every consumer below runs with the netlist in
+        # exactly the state it has here (failed commits are rolled back,
+        # successful ones return early), so computing it on demand is
+        # bit-exact while skipping it on binds that need neither
         probe_memo: List[float] = []
 
         def arrival_probe() -> float:
@@ -640,7 +643,8 @@ class _Pass:
         # SCC window depends only on the op, and the equivalence class of
         # a single-cycle binding only on (state, latency, ii)
         window = self._window_of(op.uid)
-        eq_single: Optional[List[int]] = None
+        single = [e]
+        eq_single = _equivalent_states(single, self.latency, self.ii)
         # identical in-walk failures re-record ONE Restraint object (the
         # log counts repeats); constructing a fresh copy per candidate
         # was pure allocation overhead with the same analysis outcome
@@ -649,12 +653,11 @@ class _Pass:
         last_broken: Optional[Tuple[Tuple, Restraint]] = None
         # raw input arrivals are candidate-independent and the netlist
         # is restored between candidates, so one profile serves the walk
-        prof = self.netlist.input_profile(op, e) \
-            if self.cache is not None else None
+        fast = self.cache is not None
+        prof = self.netlist.input_profile(op, e) if fast else None
         # chained-producer names are likewise walk-invariant; only the
         # destination node differs per candidate
-        chain_srcs = self._chain_sources(op, e) \
-            if self.cache is not None else None
+        chain_srcs = self._chain_sources(op, e) if fast else None
         # within one candidate walk, every still-empty instance of one
         # grade is indistinguishable to the timing model (no occupants
         # means no sources and no sharing mux), so evaluate once per
@@ -668,46 +671,64 @@ class _Pass:
         # empty sibling is itself in the walk (it then contributes the
         # grade's dominant best_slack), and never under accept_violation
         # (the fallback choice needs the per-instance timings).
-        empty_eval: Dict[int, CandidateTiming] = {}
-        empty_member: Dict[int, ResourceInstance] = {}
-        if self.cache is not None and not accept_violation:
+        #
+        # Bound-first: an occupied candidate whose conservative
+        # single-cycle bound meets the clock provably passes timing with
+        # cycles == 1, so everything up to the commit (window, busy,
+        # comb-cycle, cached doom) is decided without evaluating it;
+        # ``timing`` stays None until a commit needs the numbers.  The
+        # bound splits into a per-grade fanin limit and the instance's
+        # widest committed port fanin, kept current by the engine.
+        #
+        # The walk's per-grade table, keyed by ``id(rtype)``: [first
+        # empty member, its memoized timing, fanin limit (None: not yet
+        # computed; -1: nothing proven, always under accept_violation)].
+        grades: Dict[int, List] = {}
+        if fast:
+            no_proof = -1 if accept_violation else None
             for inst in candidates:
-                if not inst._ops_map:
-                    empty_member.setdefault(id(inst.rtype), inst)
+                row = grades.get(id(inst.rtype))
+                if row is None:
+                    row = grades[id(inst.rtype)] = [None, None, no_proof]
+                if inst._ops_map:
+                    if row[2] is None:
+                        row[2] = self.netlist.single_cycle_bound(
+                            op, inst.rtype, arrival_probe())
+                elif row[0] is None:
+                    row[0] = inst
+            fanin_of = self.netlist.max_fanin.get
+        allow_mc = self.options.allow_multicycle
         for inst in candidates:
-            if self.cache is not None and not inst._ops_map:
-                ekey = id(inst.rtype)
-                timing = empty_eval.get(ekey)
-                if timing is None:
-                    timing = self.netlist.evaluate(
-                        op, inst, e,
-                        allow_multicycle=self.options.allow_multicycle,
-                        profile=prof)
-                    empty_eval[ekey] = timing
-            else:
-                em = empty_member.get(id(inst.rtype))
-                if em is not None:
-                    ekey = id(inst.rtype)
-                    base = empty_eval.get(ekey)
-                    if base is None:
-                        base = self.netlist.evaluate(
-                            op, em, e,
-                            allow_multicycle=self.options.allow_multicycle,
-                            profile=prof)
-                        empty_eval[ekey] = base
-                    if not base.ok:
-                        continue
+            if not fast:
                 timing = self.netlist.evaluate(
-                    op, inst, e,
-                    allow_multicycle=self.options.allow_multicycle,
-                    profile=prof)
-            if not timing.ok:
+                    op, inst, e, allow_multicycle=allow_mc)
+            elif not inst._ops_map:
+                row = grades[id(inst.rtype)]
+                timing = row[1]
+                if timing is None:
+                    timing = row[1] = self.netlist.evaluate(
+                        op, inst, e, allow_multicycle=allow_mc,
+                        profile=prof)
+            else:
+                row = grades[id(inst.rtype)]
+                if fanin_of(inst.name, 0) <= row[2]:
+                    timing = None
+                else:
+                    if row[0] is not None and not accept_violation:
+                        base = row[1]
+                        if base is None:
+                            base = row[1] = self.netlist.evaluate(
+                                op, row[0], e, allow_multicycle=allow_mc,
+                                profile=prof)
+                        if not base.ok:
+                            continue
+                    timing = self.netlist.evaluate(
+                        op, inst, e, allow_multicycle=allow_mc,
+                        profile=prof)
+            if timing is not None and not timing.ok:
                 if best_slack is None or timing.slack_ps > best_slack:
                     best_slack = timing.slack_ps
                 if accept_violation:
-                    if eq_single is None:
-                        eq_single = _equivalent_states(
-                            [e], self.latency, self.ii)
                     if inst.is_free(op, eq_single) \
                             and not self.guard.would_cycle(
                                 self._chain_edges(op, inst, e)):
@@ -715,12 +736,9 @@ class _Pass:
                                 or timing.slack_ps > fallback[1].slack_ps):
                             fallback = (inst, timing)
                 continue
-            if timing.cycles == 1:
-                needed = [e]
+            if timing is None or timing.cycles == 1:
+                needed = single
                 last = e
-                if eq_single is None:
-                    eq_single = _equivalent_states([e], self.latency,
-                                                   self.ii)
                 eq_states = eq_single
             else:
                 needed = list(range(e, e + timing.cycles))
@@ -761,11 +779,13 @@ class _Pass:
                 if not free:
                     busy += 1
                     continue
-            if chain_srcs is not None:
-                dst_name = _node_name(op, inst) if chain_srcs else ""
+            if chain_srcs is None:
+                chain = self._chain_edges(op, inst, e)
+            elif chain_srcs:
+                dst_name = _node_name(op, inst)
                 chain = [(src, dst_name) for src in chain_srcs]
             else:
-                chain = self._chain_edges(op, inst, e)
+                chain = ()
             if chain and self.guard.would_cycle(chain):
                 restraints.append(Restraint(
                     kind=RestraintKind.COMB_CYCLE, op_uid=op.uid, state=e,
@@ -773,9 +793,19 @@ class _Pass:
                 continue
             # the commit re-times every binding the new sharing mux (or
             # chain) disturbs; rolled back (inside try_commit, which also
-            # memoizes the doomed outcomes) if a neighbour's path breaks
-            result, broken_info = self.netlist.try_commit(op, inst, e,
-                                                          timing)
+            # memoizes the doomed outcomes) if a neighbour's path breaks.
+            # A bound-first candidate probes that memo before paying for
+            # its evaluation: a known doom needs no timing numbers
+            broken_info = None
+            if timing is None:
+                _key, broken_info = self.netlist.cached_doom(op, inst, e)
+                if broken_info is None:
+                    timing = self.netlist.evaluate(
+                        op, inst, e, allow_multicycle=allow_mc,
+                        profile=prof)
+            if broken_info is None:
+                _result, broken_info = self.netlist.try_commit(
+                    op, inst, e, timing)
             if broken_info is not None:
                 if last_broken is not None \
                         and last_broken[0] == broken_info:
@@ -1067,8 +1097,7 @@ class _Pass:
                         kind=RestraintKind.LATENCY, op_uid=uid, state=e))
                     continue
                 ok, restraints = self._try_bind(op, e)
-                for r in restraints:
-                    self.log.record(r)
+                self.log.record_many(restraints)
                 if ok:
                     bound.add(uid)
                     continue

@@ -352,6 +352,7 @@ def _execute_grid(
     misses0 = cache.misses if cache is not None else 0
     ffwd0 = profiling.counters.get("scheduler.ffwd", 0)
     reject0 = profiling.counters.get("scheduler.ffwd_reject", 0)
+    pickle0 = profiling.counters.get("sweep.pickle_bytes", 0)
     profile: Dict[str, object] = {}
     start = time.perf_counter()
 
@@ -414,7 +415,8 @@ def _execute_grid(
     profile["warm_accepts"] = counters.get("scheduler.ffwd", 0) - ffwd0
     profile["warm_fallbacks"] = \
         counters.get("scheduler.ffwd_reject", 0) - reject0
-    profile["pickle_bytes"] = counters.get("sweep.pickle_bytes", 0)
+    profile["pickle_bytes"] = \
+        counters.get("sweep.pickle_bytes", 0) - pickle0
     workers = profile.get("workers")
     if workers and elapsed > 0:
         busy = sum(w["busy_s"] for w in workers)

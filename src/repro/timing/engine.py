@@ -69,8 +69,9 @@ class CandidateTiming:
     """Outcome of evaluating one candidate binding.
 
     Treated as immutable by convention; not ``frozen=True`` because the
-    scheduler constructs one per candidate evaluation (millions per
-    pass) and a frozen dataclass pays ``object.__setattr__`` per field.
+    scheduler constructs one per candidate evaluation (hundreds of
+    thousands per pass) and a frozen dataclass pays
+    ``object.__setattr__`` per field.
     """
 
     ok: bool
@@ -78,7 +79,6 @@ class CandidateTiming:
     capture_ps: float
     slack_ps: float
     cycles: int = 1
-    reason: str = ""
 
 
 @dataclass(slots=True)
@@ -182,7 +182,11 @@ class TimingStatics:
         self.op_flags: Dict[int, Tuple[bool, float]] = {}
         #: static chaining fanout: root uid -> uids that read it at distance 0.
         self.chain_consumers: Dict[int, Tuple[int, ...]] = {}
+        #: the part of ``chain_consumers`` a same-state producer actually
+        #: chains into: port reads and other I/O launch registered.
+        self.chain_out: Dict[int, Tuple[int, ...]] = {}
         self._topo_index: Optional[Dict[int, int]] = None
+        self._mux_steps: Optional[List[Tuple[int, float]]] = None
         self._build()
 
     def _build(self) -> None:
@@ -196,6 +200,10 @@ class TimingStatics:
                         self.resolve_source(edge.src), []).append(op.uid)
         self.chain_consumers = {root: tuple(uids)
                                 for root, uids in consumers.items()}
+        for root, uids in self.chain_consumers.items():
+            producer = dfg.op(root)
+            if producer.kind is not OpKind.READ and not producer.is_io:
+                self.chain_out[root] = uids
         for op in dfg.ops:
             self.op_flags[op.uid] = (op.is_mux, self.capture_overhead(op))
 
@@ -278,6 +286,23 @@ class TimingStatics:
             return self._ff_setup
         return self._mux2 + self._ff_setup
 
+    def mux_steps(self) -> List[Tuple[int, float]]:
+        """``(last fanin, delay)`` per run of equal sharing-mux delays,
+        from fanin 2 up to the widest fanin the region can produce (one
+        source per op plus one synthetic address per op), built on first
+        use."""
+        if self._mux_steps is None:
+            steps: List[Tuple[int, float]] = []
+            mux = self.library.mux
+            for fanin in range(2, 2 * len(self.dfg.ops) + 2):
+                delay = mux.delay(fanin)
+                if steps and steps[-1][1] == delay:
+                    steps[-1] = (fanin, delay)
+                else:
+                    steps.append((fanin, delay))
+            self._mux_steps = steps
+        return self._mux_steps
+
     def topo(self) -> Dict[int, int]:
         """Topological index per uid, built on first use."""
         if self._topo_index is None:
@@ -337,6 +362,10 @@ class TimingEngine:
         self._mux_step: Dict[Tuple[bool, int], bool] = {}
         #: committed non-mux op uids hosted per instance name.
         self._inst_ops: Dict[str, Set[int]] = {}
+        #: widest port fanin per instance name (absent = no sources),
+        #: kept current by commit/rollback/uncommit; the per-instance
+        #: half of :meth:`single_cycle_bound`.  Read-only outside.
+        self.max_fanin: Dict[str, int] = {}
         if statics is None:
             statics = TimingStatics(dfg, library)
         self._statics = statics
@@ -349,6 +378,7 @@ class TimingEngine:
         self._fresh = statics.fresh
         self._op_flags = statics.op_flags
         self._chain_consumers = statics.chain_consumers
+        self._chain_out = statics.chain_out
         # -- commit-outcome cache ---------------------------------------
         #: serve repeated doomed commits (the ~96%-rollback candidate
         #: walks) from a memo instead of re-propagating the netlist; see
@@ -551,15 +581,12 @@ class TimingEngine:
               ) -> Tuple[float, float, bool]:
         """(out arrival, capture, chained?) of ``op`` on ``inst`` at ``state``.
 
-        The innermost loop of every scheduling pass: candidate
+        The one implementation of the path arithmetic: candidate
         evaluation, committed re-propagation and the sign-off audit all
-        land here, which is why the structure lookups are pre-flattened
-        and the loop body is inlined.  ``profile`` optionally supplies
-        the raw input arrivals (see :meth:`input_profile`) so a candidate
-        walk resolves producers once instead of once per candidate.
-
-        :meth:`evaluate` carries an inlined copy of this body (the call
-        frame is measurable at millions of calls) -- keep them in sync.
+        land here, which is why the structure lookups are pre-flattened.
+        ``profile`` optionally supplies the raw input arrivals (see
+        :meth:`input_profile`) so a candidate walk resolves producers
+        once instead of once per candidate.
         """
         uid = op.uid
         flags = self._op_flags.get(uid)
@@ -609,86 +636,35 @@ class TimingEngine:
     # ------------------------------------------------------------------
     # candidate evaluation
     # ------------------------------------------------------------------
+    def _access_cycles(self, rtype: ResourceType) -> int:
+        """Fixed access latency of a grade (1 unless a registered macro)."""
+        fixed = self._fixed_lat.get(id(rtype))
+        if fixed is None:
+            fixed = self._fixed_lat[id(rtype)] = getattr(
+                rtype, "access_cycles", 1)
+        return fixed
+
     def evaluate(self, op: Operation, inst: Optional[ResourceInstance],
                  state: int, allow_multicycle: bool = True,
                  profile: Optional[List[Tuple[int, int, float, bool]]] = None,
                  ) -> CandidateTiming:
         """Timing of binding ``op`` to ``inst`` at ``state``.
 
-        Returns a failed :class:`CandidateTiming` (with the violation in
-        ``reason``) instead of raising, so the scheduler can try the next
-        resource and record restraints.
+        Returns a failed :class:`CandidateTiming` instead of raising, so
+        the scheduler can try the next resource and record restraints.
         """
         self.n_evaluate += 1
-        # --- inlined copy of :meth:`_path` (keep the two in sync): this
-        # pair is the hottest call in a pass (one per candidate
-        # evaluation), and the call frame alone is measurable ---
-        uid = op.uid
-        flags = self._op_flags.get(uid)
-        if flags is None:  # op added after engine construction
-            flags = self._op_flags[uid] = (op.is_mux,
-                                           self._capture_overhead(op))
-        is_mux, overhead = flags
-        clk_q = self._ff_clk_q
-        if profile is None:
-            profile = self.input_profile(op, state)
-        worst_in = clk_q if not profile else 0.0
-        chained = False
-        if inst is not None and not is_mux:
-            iname = inst.name
-            by_port = self._port_sources.get(iname)
-            anticipated = self._ant_cache.get(iname)
-            if anticipated is None:
-                anticipated = self._anticipated(inst)
-            mux_delays = self._mux_delay
-            for port, root, arr, ch in profile:
-                if ch:
-                    chained = True
-                sources = by_port.get(port) if by_port is not None else None
-                if sources is None:
-                    fanin = 1
-                elif root in sources:
-                    fanin = len(sources)
-                else:
-                    fanin = len(sources) + 1
-                if anticipated and fanin < 2:
-                    fanin = 2
-                if fanin > 1:
-                    delay = mux_delays.get(fanin)
-                    arr += delay if delay is not None else self._mux(fanin)
-                if arr > worst_in:
-                    worst_in = arr
-            out = worst_in + inst.rtype.delay_ps
-        else:
-            for _port, _root, arr, ch in profile:
-                if ch:
-                    chained = True
-                if arr > worst_in:
-                    worst_in = arr
-            out = worst_in + (self._mux2 if is_mux else 0.0)
-        capture = out + overhead
-        # --- end inlined _path ---
-        if inst is None:
-            fixed = 1
-        else:
-            rt = inst.rtype
-            fixed = self._fixed_lat.get(id(rt))
-            if fixed is None:
-                fixed = self._fixed_lat[id(rt)] = getattr(
-                    rt, "access_cycles", 1)
+        out, capture, chained = self._path(op, inst, state, profile)
+        fixed = 1 if inst is None else self._access_cycles(inst.rtype)
         if fixed > 1:
             # fixed-latency macro (registered-read RAM): occupies its
             # port for ``fixed`` states and needs registered inputs
             if chained:
-                return CandidateTiming(
-                    False, out, capture, self.clock_ps - capture,
-                    reason="chained input into a fixed-latency macro")
+                return CandidateTiming(False, out, capture,
+                                       self.clock_ps - capture)
             budget = fixed * self.clock_ps
-            return CandidateTiming(
-                capture <= budget, out, capture, budget - capture,
-                cycles=fixed,
-                reason="" if capture <= budget
-                else f"negative slack {budget - capture:.0f}ps")
+            return CandidateTiming(capture <= budget, out, capture,
+                                   budget - capture, cycles=fixed)
         if capture <= self.clock_ps:
             return CandidateTiming(True, out, capture, self.clock_ps - capture)
         # try a multi-cycle binding: inputs must be registered
@@ -698,9 +674,36 @@ class TimingEngine:
             budget = cycles * self.clock_ps
             return CandidateTiming(
                 True, out, capture, budget - capture, cycles=cycles)
-        return CandidateTiming(
-            False, out, capture, self.clock_ps - capture,
-            reason=f"negative slack {self.clock_ps - capture:.0f}ps")
+        return CandidateTiming(False, out, capture, self.clock_ps - capture)
+
+    def single_cycle_bound(self, op: Operation, rtype: ResourceType,
+                           raw_arrival: float) -> int:
+        """The widest committed port fanin (see :attr:`max_fanin`) an
+        instance of ``rtype`` may have for ``op`` to provably fit one
+        clock period; -1 when no instance provably fits.
+
+        A conservative admission bound that reads no per-port state:
+        ``raw_arrival`` must bound the op's worst raw input arrival from
+        above (:meth:`worst_input_arrival` does), and a port of an
+        instance whose widest port has ``F`` sources sees at most
+        ``F + 1`` once the candidate joins.  ``MuxSpec.delay`` is
+        monotone in fanin and float ``+`` is monotone in each operand,
+        so ``((raw + mux(max(2, F + 1))) + delay) + overhead`` bounds the
+        capture :meth:`_path` computes from above.  When that bound meets
+        the clock, :meth:`evaluate` returns ``ok`` with ``cycles == 1``.
+        """
+        flags = self._op_flags.get(op.uid)
+        if flags is None or flags[0] or self._access_cycles(rtype) != 1:
+            return -1  # late-added op, steering mux or fixed macro
+        delay = rtype.delay_ps
+        overhead = flags[1]
+        clock = self.clock_ps
+        limit = -1
+        for last_fanin, mux in self._statics.mux_steps():
+            if raw_arrival + mux + delay + overhead > clock:
+                break
+            limit = last_fanin - 1
+        return limit
 
     def worst_input_arrival(self, op: Operation, state: int) -> float:
         """Worst raw input arrival (no sharing muxes) at a state.
@@ -737,9 +740,8 @@ class TimingEngine:
             multicycle_ok = False
         else:
             fastest = self._fastest(op.kind, op.resource_width)
-            if fastest is None:
-                return CandidateTiming(False, worst_in, worst_in, 0.0,
-                                       reason="no resource family")
+            if fastest is None:  # no resource family
+                return CandidateTiming(False, worst_in, worst_in, 0.0)
             delay = fastest.delay_ps
             multicycle_ok = fastest.multicycle_ok
         out = worst_in + delay
@@ -753,8 +755,7 @@ class TimingEngine:
                                    cycles * self.clock_ps - capture,
                                    cycles=cycles)
         return CandidateTiming(False, out, capture,
-                               self.clock_ps - capture,
-                               reason="fresh instance fails")
+                               self.clock_ps - capture)
 
     # ------------------------------------------------------------------
     # committed-binding queries
@@ -840,6 +841,8 @@ class TimingEngine:
                 before = self._port_mux_delay(inst, len(sources))
                 sources.add(root)
                 added.append(((iname, port), root))
+                if len(sources) > self.max_fanin.get(iname, 0):
+                    self.max_fanin[iname] = len(sources)
                 if self._port_mux_delay(inst, len(sources)) != before:
                     dirty.update(hosted)
             hosted.add(op.uid)
@@ -847,9 +850,8 @@ class TimingEngine:
         # a single-cycle producer now chains combinationally into any
         # committed same-state consumer that previously assumed it
         # registered
-        if (timing.cycles == 1 and op.kind is not OpKind.READ
-                and not op.is_io):
-            for cons in self._chain_consumers.get(op.uid, ()):
+        if timing.cycles == 1:
+            for cons in self._chain_out.get(op.uid, ()):
                 cb = self._bound.get(cons)
                 if cb is not None and cb.state == state:
                     dirty.add(cons)
@@ -902,11 +904,21 @@ class TimingEngine:
                 del by_port[port]
                 if not by_port:
                     del self._port_sources[iname]
+        if result.undo_sources:
+            self._refresh_max_fanin(bound.inst.name)
         for other, out, capture in result.undo_timing:
             other.out_arrival_ps = out
             other.capture_ps = capture
             uid = other.op.uid
             uid_ver[uid] = uid_ver.get(uid, 0) - 1
+
+    def _refresh_max_fanin(self, iname: str) -> None:
+        """Recompute an instance's widest port fanin after sources left."""
+        by_port = self._port_sources.get(iname)
+        if by_port:
+            self.max_fanin[iname] = max(len(s) for s in by_port.values())
+        else:
+            self.max_fanin.pop(iname, None)
 
     # ------------------------------------------------------------------
     # speculative commit with the commit-outcome cache
@@ -988,6 +1000,44 @@ class TimingEngine:
             sig.append((port, final))
         return tuple(sig)
 
+    def cached_doom(self, op: Operation, inst: Optional[ResourceInstance],
+                    state: int, cycles: int = 1,
+                    ) -> Tuple[Optional[Tuple],
+                               Optional[Tuple[int, int, float, float]]]:
+        """Probe the commit-outcome cache for a ``cycles``-long binding.
+
+        Returns ``(cache key, broken info)``: the key under which
+        :meth:`try_commit` memoizes a doomed outcome (None when the
+        binding bypasses the cache), and the memoized broken info when a
+        commit is already known to break a neighbour.  Reads only
+        sources, versions and committed states -- never the candidate's
+        own timing -- so a caller holding a proof that the candidate
+        passes can skip evaluating it when the probe hits.
+        """
+        if not self.use_commit_cache or inst is None or op.is_mux:
+            return None, None
+        if cycles == 1:
+            for cons in self._chain_out.get(op.uid, ()):
+                cb = self._bound.get(cons)
+                if cb is not None and cb.state == state:
+                    return None, None  # chain dirt: candidate-specific
+        iname = inst.name
+        skey = (op.uid, iname)
+        iver = self._inst_ver.get(iname, 0)
+        cached_sig = self._sig_cache.get(skey)
+        if cached_sig is not None and cached_sig[0] == iver:
+            sig = cached_sig[1]
+        else:
+            sig = self._growth_signature(op, inst)
+            self._sig_cache[skey] = (iver, sig)
+        if not sig:
+            return None, None
+        cache_key = (iname, sig)
+        info = self._broken_cache.get(cache_key)
+        if info is not None:
+            self.n_cache_hits += 1
+        return cache_key, info
+
     def try_commit(self, op: Operation, inst: Optional[ResourceInstance],
                    state: int, timing: CandidateTiming,
                    ) -> Tuple[Optional[CommitResult],
@@ -1007,37 +1057,15 @@ class TimingEngine:
         Each entry records the read footprint of the walk that produced
         it in reverse dependency maps, and every *kept* commit eagerly
         deletes the entries it touches -- so a probe is a single dict
-        lookup.  Provisional commit/rollback pairs restore the netlist
-        exactly and never invalidate.  Bindings whose producer would
-        newly chain into a committed same-state consumer bypass the
-        cache: their disturbance depends on the candidate itself.
+        lookup (:meth:`cached_doom`).  Provisional commit/rollback pairs
+        restore the netlist exactly and never invalidate.  Bindings whose
+        producer would newly chain into a committed same-state consumer
+        bypass the cache: their disturbance depends on the candidate
+        itself.
         """
-        cache_key = None
-        if self.use_commit_cache and inst is not None and not op.is_mux:
-            chain_dirt = False
-            if (timing.cycles == 1 and op.kind is not OpKind.READ
-                    and not op.is_io):
-                for cons in self._chain_consumers.get(op.uid, ()):
-                    cb = self._bound.get(cons)
-                    if cb is not None and cb.state == state:
-                        chain_dirt = True
-                        break
-            if not chain_dirt:
-                iname = inst.name
-                skey = (op.uid, iname)
-                iver = self._inst_ver.get(iname, 0)
-                cached_sig = self._sig_cache.get(skey)
-                if cached_sig is not None and cached_sig[0] == iver:
-                    sig = cached_sig[1]
-                else:
-                    sig = self._growth_signature(op, inst)
-                    self._sig_cache[skey] = (iver, sig)
-                if sig:
-                    cache_key = (iname, sig)
-                    info = self._broken_cache.get(cache_key)
-                    if info is not None:
-                        self.n_cache_hits += 1
-                        return None, info
+        cache_key, info = self.cached_doom(op, inst, state, timing.cycles)
+        if info is not None:
+            return None, info
         visited: Optional[List[int]] = [] if cache_key is not None else None
         result = self.commit(op, inst, state, timing, _visited=visited,
                              _provisional=True)
@@ -1129,6 +1157,7 @@ class TimingEngine:
                     rebuilt.setdefault(port, set()).add(root)
             if rebuilt:
                 self._port_sources[inst.name] = rebuilt
+            self._refresh_max_fanin(inst.name)
             for port, old_delay in before.items():
                 now = self._port_mux_delay(
                     inst, len(rebuilt.get(port, ())))
@@ -1179,9 +1208,7 @@ class TimingEngine:
             bound.capture_ps = capture
             if not arrival_changed or bound.cycles > 1:
                 continue  # registered output: no chained downstream effect
-            if bound.op.kind is OpKind.READ or bound.op.is_io:
-                continue
-            for cons in self._chain_consumers.get(uid, ()):
+            for cons in self._chain_out.get(uid, ()):
                 if cons in seen:
                     continue
                 cb = self._bound.get(cons)

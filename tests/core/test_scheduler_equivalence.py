@@ -6,7 +6,10 @@ restraint logs, incremental candidate ordering, the relaxation race --
 is *decision-neutral by construction*: it must reproduce the reference
 scheduler's output bit for bit, not merely an equally good schedule.
 This suite pins that contract on the paper examples, the synthetic
-industrial population, and (via Hypothesis) random regions.
+industrial population, and (via Hypothesis) random regions.  On the
+first two it also pins the restraint log: every failed pass must hand
+the relaxation driver the same analyzed restraints (exact slacks and
+weights) and the same scored actions, whichever path scheduled it.
 """
 
 import random
@@ -14,8 +17,11 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro import profiling
 from repro.cdfg import RegionBuilder
 from repro.core import ScheduleError, SchedulerOptions, schedule_region
+from repro.core import scheduler
+from repro.core.relaxation import driver_fingerprint, propose_actions
 from repro.obs.trace import Tracer
 from repro.tech import artisan90
 from repro.workloads import WORKLOAD_REGISTRY
@@ -63,11 +69,27 @@ def _schedule(region, **options):
                            options=SchedulerOptions(**options))
 
 
+def _schedule_logged(monkeypatch, region, **options):
+    """Schedule ``region`` and return its fingerprint together with the
+    driver fingerprint of every failed pass, in pass order."""
+    passes = []
+
+    def logged(*args, **kwargs):
+        actions = propose_actions(*args, **kwargs)
+        passes.append(driver_fingerprint(args[3], actions))
+        return actions
+
+    monkeypatch.setattr(scheduler, "propose_actions", logged)
+    return fingerprint(_schedule(region, **options)), passes
+
+
 @pytest.mark.parametrize("name", PAPER_WORKLOADS)
-def test_fast_paths_bit_identical_on_paper_examples(name):
-    reference = _schedule(WORKLOAD_REGISTRY[name](), fast_paths=False)
-    optimized = _schedule(WORKLOAD_REGISTRY[name](), fast_paths=True)
-    assert fingerprint(optimized) == fingerprint(reference)
+def test_fast_paths_bit_identical_on_paper_examples(name, monkeypatch):
+    reference = _schedule_logged(monkeypatch, WORKLOAD_REGISTRY[name](),
+                                 fast_paths=False)
+    optimized = _schedule_logged(monkeypatch, WORKLOAD_REGISTRY[name](),
+                                 fast_paths=True)
+    assert optimized == reference
 
 
 def _industrial(idx: int):
@@ -76,13 +98,33 @@ def _industrial(idx: int):
     return spec.name, region
 
 
-def test_fast_paths_bit_identical_on_industrial_suite():
+def test_fast_paths_bit_identical_on_industrial_suite(monkeypatch):
     """The synthetic fig9 population, sized for tier-1 runtime."""
     for idx in range(4):
         name, ref_region = _industrial(idx)
-        reference = _schedule(ref_region, fast_paths=False)
-        optimized = _schedule(_industrial(idx)[1], fast_paths=True)
-        assert fingerprint(optimized) == fingerprint(reference), name
+        reference = _schedule_logged(monkeypatch, ref_region,
+                                     fast_paths=False)
+        optimized = _schedule_logged(monkeypatch, _industrial(idx)[1],
+                                     fast_paths=True)
+        assert reference[1], f"{name}: no failed pass to compare"
+        assert optimized == reference, name
+
+
+#: timing-engine work of the default path over the 4-design industrial
+#: suite.  Deterministic, so this is a noise-free gate: evaluations
+#: creeping back into the bind-walk fail it, and so does any drift in
+#: the commit/cache traffic the bound-first walk must leave unchanged.
+SUITE_ENGINE_WORK = {"engine.evaluate": 10129, "engine.commit": 3222,
+                     "engine.commit_cache_hit": 9810}
+
+
+def test_industrial_suite_engine_work_is_pinned():
+    before = profiling.snapshot()
+    for _spec, region in industrial_suite(n_designs=4, max_ops=300):
+        _schedule(region)
+    after = profiling.snapshot()
+    assert {key: after.get(key, 0) - before.get(key, 0)
+            for key in SUITE_ENGINE_WORK} == SUITE_ENGINE_WORK
 
 
 @pytest.mark.parametrize("name", PAPER_WORKLOADS)

@@ -51,6 +51,16 @@ def test_process_profile_accounts_for_every_point(lib):
     assert result.profile["pickle_bytes"] > 0
 
 
+def test_pickle_bytes_is_per_sweep(lib):
+    """Two identical process sweeps in one process ship the same blobs,
+    so each reports the same byte count, not a running total."""
+    first, second = (run_sweep(build_example1, lib, MICROS, CLOCKS,
+                               jobs=2, backend="process")
+                     for _ in range(2))
+    assert first.profile["pickle_bytes"] > 0
+    assert second.profile["pickle_bytes"] == first.profile["pickle_bytes"]
+
+
 def test_warm_process_resweep_is_all_parent_served(lib):
     cache = FlowCache()
     cold = run_sweep(build_example1, lib, MICROS, CLOCKS,

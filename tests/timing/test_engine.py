@@ -2,16 +2,21 @@
 the admission == sign-off contract that replaced the old dual-model
 design (the seed-126 negative-slack escape)."""
 
+import random
+
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.cdfg import OpKind, RegionBuilder
-from repro.tech import ResourcePool, artisan90
+from repro.tech import ResourcePool, artisan90, generic45
 from repro.timing.engine import (
     TIMING_MODEL_VERSION,
     TimingEngine,
     registered_path_ps,
 )
 from repro.timing.sta import verify_timing
+
+from tests.conftest import property_examples
 
 CLOCK = 1600.0
 
@@ -158,3 +163,125 @@ def test_registered_path_formula(lib):
 def test_timing_model_is_versioned():
     assert isinstance(TIMING_MODEL_VERSION, int)
     assert TIMING_MODEL_VERSION >= 2
+
+
+# ----------------------------------------------------------------------
+# bound-first admission: single_cycle_bound and its premises
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("make_lib", [artisan90, generic45])
+def test_mux_delay_is_monotone_in_fanin(make_lib):
+    """The premise of the single-cycle bound: a wider select tree is
+    never faster."""
+    mux = make_lib().mux
+    delays = [mux.delay(n) for n in range(257)]
+    assert all(a <= b for a, b in zip(delays, delays[1:]))
+
+
+def test_single_cycle_bound_is_tight_on_a_growing_port(lib):
+    """Port 0 of a shared multiplier holds two sources; a third makes a
+    3-input mux.  The bound charges exactly that mux: it admits the
+    candidate at its exact capture and declines 1 ps below it."""
+    b = RegionBuilder("t", is_loop=False)
+    xs = [b.read(f"x{i}", 32) for i in range(4)]
+    for i in range(3):
+        b.write(f"o{i}", b.mul(xs[i], xs[3], name=f"m{i}"))
+    region = b.build()
+    ops = _ops(region)
+    capture = 40 + 115 + 930 + 110 + 40  # clk->q, mux3, mul, mux2, setup
+    for clock, proven in ((capture, True), (capture - 1.0, False)):
+        engine = TimingEngine(region.dfg, lib, clock,
+                              anticipate_muxes=False)
+        mul = ResourcePool().add(lib.typical(OpKind.MUL, 32))
+        for state, name in enumerate(("m0", "m1")):
+            engine.commit(ops[name], mul, state,
+                          engine.evaluate(ops[name], mul, state))
+        assert engine.max_fanin[mul.name] == 2
+        m2 = ops["m2"]
+        assert engine.evaluate(m2, mul, 2).capture_ps == capture
+        raw = engine.worst_input_arrival(m2, 2)
+        limit = engine.single_cycle_bound(m2, mul.rtype, raw)
+        assert (engine.max_fanin[mul.name] <= limit) is proven
+
+
+def _fanin_table(engine):
+    """Widest port fanin per instance, recomputed from the sources."""
+    return {iname: max(len(sources) for sources in by_port.values())
+            for iname, by_port in engine._port_sources.items() if by_port}
+
+
+def _random_netlist(seed):
+    """A random add/mul dataflow over four reads (deterministic)."""
+    rng = random.Random(seed)
+    b = RegionBuilder(f"bound{seed}", is_loop=False)
+    vals = [b.read(f"x{i}", 32) for i in range(4)]
+    for i in range(12):
+        x, y = rng.choice(vals), rng.choice(vals)
+        vals.append(b.mul(x, y, name=f"m{i}") if rng.random() < 0.4
+                    else b.add(x, y, name=f"a{i}"))
+    b.write("out", vals[-1])
+    return b.build()
+
+
+_STEP = st.tuples(st.sampled_from(["commit", "try", "uncommit",
+                                   "rollback"]),
+                  st.integers(0, 11), st.integers(0, 5), st.integers(0, 3))
+
+
+@given(seed=st.integers(0, 10_000),
+       clock=st.integers(900, 3200).map(float),
+       anticipate=st.booleans(),
+       steps=st.lists(_STEP, min_size=1, max_size=25))
+@settings(max_examples=property_examples(25), deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_single_cycle_bound_is_sound(seed, clock, anticipate, steps):
+    """Over random commit / try_commit / uncommit / rollback sequences:
+    an instance within the bound's fanin limit passes the exact
+    evaluation in one cycle, and the engine's per-instance max fanin
+    matches its port sources."""
+    lib = artisan90()
+    region = _random_netlist(seed)
+    ops = [op for op in region.dfg.ops
+           if op.kind in (OpKind.ADD, OpKind.MUL)]
+    pool = ResourcePool()
+    for kind in (OpKind.ADD, OpKind.MUL):
+        pool.add(lib.typical(kind, 32))
+        pool.add(lib.typical(kind, 32))
+        pool.add(lib.fastest(kind, 32))
+    engine = TimingEngine(region.dfg, lib, clock,
+                          anticipate_muxes=anticipate)
+    keys = {(i.rtype.family, i.rtype.width) for i in pool.instances}
+    engine.set_sharing_outlook(dict.fromkeys(keys, 9),
+                               dict.fromkeys(keys, 3))
+    last = None
+    for action, op_idx, inst_idx, state in steps:
+        op = ops[op_idx % len(ops)]
+        insts = [i for i in pool.instances
+                 if i.rtype.supports(op.kind, op.resource_width)]
+        inst = insts[inst_idx % len(insts)]
+        bound = engine.binding(op.uid) is not None
+        if action == "commit" and not bound:
+            last = engine.commit(op, inst, state,
+                                 engine.evaluate(op, inst, state))
+        elif action == "try" and not bound:
+            timing = engine.evaluate(op, inst, state)
+            if timing.ok:
+                result, _broken = engine.try_commit(op, inst, state, timing)
+                last = result or last
+        elif action == "uncommit" and bound:
+            engine.uncommit(op)
+            last = None
+        elif action == "rollback" and last is not None:
+            engine.rollback(last)
+            last = None
+        assert engine.max_fanin == _fanin_table(engine)
+        for cand in ops:
+            for inst in pool.instances:
+                if not inst.rtype.supports(cand.kind, cand.resource_width):
+                    continue
+                fanin = engine.max_fanin.get(inst.name, 0)
+                for s in range(4):
+                    raw = engine.worst_input_arrival(cand, s)
+                    if fanin <= engine.single_cycle_bound(cand, inst.rtype,
+                                                          raw):
+                        timing = engine.evaluate(cand, inst, s)
+                        assert timing.ok and timing.cycles == 1
