@@ -17,14 +17,11 @@ timing-driven kernel selection (section V, Example 3; ablated in Table 4).
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro import profiling
 from repro.cdfg.region import PipelineSpec, Region
 from repro.core.restraints import Restraint, RestraintKind
-from repro.obs.trace import Tracer
 from repro.tech.library import Library, ResourceType
 
 
@@ -314,34 +311,30 @@ BATCHABLE_PREFIXES = ("add_resource:", "add_bank:", "forbid:",
                       "speculate:", "move_scc:")
 
 
-def applied_actions(actions: List[Action], chosen: int) -> List[Action]:
+def applied_actions(actions: List[Action]) -> List[Action]:
     """The actions :func:`apply_action_batch` applies, in order.
 
     Factored out so the driver's fixpoint detector can reason about
     exactly the batch that will be (repeatedly) applied.
     """
-    winner = actions[chosen]
+    winner = actions[0]
     batch = [winner]
-    for i, extra in enumerate(actions):
-        if i == chosen or extra.name == winner.name:
+    for extra in actions[1:]:
+        if extra.name == winner.name:
             continue
         if extra.name.startswith(BATCHABLE_PREFIXES):
             batch.append(extra)
     return batch
 
 
-def apply_action_batch(actions: List[Action], chosen: int,
-                       state: DriverState) -> None:
-    """Apply ``actions[chosen]`` plus the independent batchable extras.
+def apply_action_batch(actions: List[Action], state: DriverState) -> None:
+    """Apply the winning ``actions[0]`` plus the independent extras.
 
-    This is the driver's single action-application rule: the chosen
-    action first, then every *other* batchable action that is not a
-    duplicate of the winner, in proposal order.  The serial driver always
-    picks ``chosen=0``; the relaxation race hands each worker a different
-    index, so branch 0 is bit-identical to the serial path by
-    construction.
+    This is the driver's single action-application rule: the winner
+    first, then every *other* batchable action that is not a duplicate
+    of the winner, in proposal order.
     """
-    for action in applied_actions(actions, chosen):
+    for action in applied_actions(actions):
         action.apply(state)
 
 
@@ -365,121 +358,3 @@ def driver_fingerprint(analyzed: List[Restraint],
     """
     return (tuple(_restraint_fingerprint(r) for r in analyzed),
             tuple((a.name, a.cost, a.solved_weight) for a in actions))
-
-
-def _race_worker(payload: Tuple) -> Tuple[int, bool, DriverState,
-                                          Dict[str, int], List[dict]]:
-    """One race branch: re-derive actions, apply branch ``b``, run a pass.
-
-    Runs in a worker process.  ``Action.apply`` closures do not pickle,
-    so the worker re-derives the action list with :func:`propose_actions`
-    -- which is deterministic, yielding exactly the parent's list -- and
-    applies the batch for its assigned index.  Returns the branch index,
-    whether the pass succeeded, the post-application driver state, the
-    worker's profiling counters for the parent to merge, and (when the
-    parent traces) the worker's exported spans -- this return tuple is
-    the race's merge-back channel, so spans ride it home like the
-    counters do.
-    """
-    (branch, region, library, clock_ps, pipeline, allocation,
-     restraints, state, options, outlook, traced) = payload
-    from repro.core.scheduler import _Pass  # deferred: circular import
-
-    profiling.reset()  # forked workers inherit the parent's table
-    tracer = Tracer() if traced else None
-    try:
-        actions = propose_actions(
-            region, library, clock_ps, restraints, state, pipeline,
-            enable_scc_move=options.enable_scc_move,
-            enable_speculation=options.enable_speculation,
-            allow_grades=options.allow_grades,
-            allow_banking=options.allow_banking,
-            resource_outlook=outlook)
-        if branch >= len(actions):
-            return (branch, False, state, profiling.snapshot(),
-                    tracer.export() if tracer else [])
-        apply_action_batch(actions, branch, state)
-        if tracer is None:
-            pass_run = _Pass(region, library, clock_ps, state.latency,
-                             pipeline, allocation, state, options)
-            outcome = pass_run.run()
-        else:
-            with tracer.span("scheduler.race_branch", branch=branch,
-                             action=actions[branch].name,
-                             latency=state.latency) as span:
-                pass_run = _Pass(region, library, clock_ps,
-                                 state.latency, pipeline, allocation,
-                                 state, options)
-                outcome = pass_run.run()
-                span.set("success", outcome.success)
-        return (branch, outcome.success, state, profiling.snapshot(),
-                tracer.export() if tracer else [])
-    except Exception:
-        return (branch, False, state, profiling.snapshot(),
-                tracer.export() if tracer else [])
-
-
-def race_relaxation(
-    region: Region,
-    library: Library,
-    clock_ps: float,
-    pipeline: Optional[PipelineSpec],
-    allocation,
-    restraints: List[Restraint],
-    state: DriverState,
-    options,
-    resource_outlook: Dict[Tuple[str, int], Tuple[int, int]],
-    n_actions: int,
-    tracer: Optional[Tracer] = None,
-) -> Optional[Tuple[Optional[int], DriverState]]:
-    """Try the top relaxation actions concurrently; lowest feasible wins.
-
-    Each of the first ``min(jobs, n_actions)`` actions is applied (with
-    the usual batch of independent extras) in its own process, followed
-    by one scheduling pass.  The winner is the successful branch with the
-    lowest action index -- a deterministic tie-break, so repeated runs
-    take the same trajectory.  When no branch succeeds, branch 0's
-    post-application state is adopted, which is exactly what the serial
-    driver would have done.  Returns ``(winning branch index, state)``
-    -- the index is ``None`` when no branch succeeded -- or ``None`` on
-    any infrastructure failure (unpicklable payload, worker crash); the
-    caller then falls back to the serial path.
-
-    With a ``tracer``, each worker's spans come back over the result
-    tuple and are re-parented under the caller's open span, so the race
-    branches appear in the parent's exported trace with their worker
-    pids intact.
-    """
-    branches = min(options.jobs, n_actions)
-    if branches < 2:
-        return None
-    payloads = [
-        (b, region, library, clock_ps, pipeline, allocation,
-         restraints, state, options, resource_outlook,
-         tracer is not None)
-        for b in range(branches)
-    ]
-    results = []
-    try:
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=branches) as pool:
-            futures = [pool.submit(_race_worker, p) for p in payloads]
-            for fut in futures:
-                results.append(fut.result())
-    except Exception:
-        profiling.bump("race.fallback")
-        return None
-    profiling.bump("race.calls")
-    profiling.bump("race.branches", len(results))
-    winner: Optional[Tuple[int, DriverState]] = None
-    for branch, success, new_state, snap, spans in results:
-        profiling.merge(snap)
-        if tracer is not None:
-            tracer.absorb(spans)
-        if success and winner is None:
-            winner = (branch, new_state)
-            profiling.bump("race.win")
-    if winner is None:
-        profiling.bump("race.no_winner")
-        return None, results[0][2]
-    return winner

@@ -121,10 +121,11 @@ class RestraintLog:
     def __init__(self) -> None:
         self.restraints: List[Restraint] = []
         #: multiplicity of each entry: the binder deliberately re-records
-        #: one Restraint object per identical in-walk failure (one per
-        #: candidate instance) so repeated hits gain weight; collapsing
-        #: *all* re-records of the same object into a count keeps the
-        #: log short without changing what analysis sees -- the folds in
+        #: one Restraint object per identical failure (per candidate
+        #: within a walk; per doom payload across the whole pass) so
+        #: repeated hits gain weight; collapsing *all* re-records of the
+        #: same object into a count keeps the log short without
+        #: changing what analysis sees -- the folds in
         #: :meth:`analyze` are idempotent and order-independent, and the
         #: first occurrence (which fixes merge-key order) is preserved.
         self._counts: List[int] = []
@@ -175,6 +176,8 @@ class RestraintLog:
         # OR-combined over every in-edge of every failed op, turning the
         # per-pass BFS into a handful of word-parallel set unions
         profiling.bump("restraints.analyze")
+        profiling.bump("restraints.entries", len(self.restraints))
+        profiling.bump("restraints.records", sum(self._counts))
         masks = dfg.fanin_masks()
         cone_mask = 0
         for uid in self.failed_ops:

@@ -37,7 +37,6 @@ from repro.core.relaxation import (
     applied_actions,
     driver_fingerprint,
     propose_actions,
-    race_relaxation,
 )
 from repro.core.restraints import Restraint, RestraintKind, RestraintLog
 from repro.obs.trace import Tracer, maybe_span
@@ -85,7 +84,6 @@ class SchedulerOptions:
     #: even when they violate the clock -- downstream logic synthesis then
     #: has to buy the slack back with area (see rtl.compensation).
     accept_negative_slack: bool = False
-    trace: bool = False
     #: the scheduler-core optimizations (commit-outcome cache, pass-to-pass
     #: carryover of mobility/heights/dependency maps, memoized priorities
     #: and candidate lists).  Every one of them is decision-neutral --
@@ -103,11 +101,6 @@ class SchedulerOptions:
     #: bit-identical to the cold path; ``False`` is the reference path the
     #: equivalence suite compares against.
     fixpoint_ffwd: bool = True
-    #: relaxation race width: with ``jobs > 1``, after a failed pass the
-    #: top actions are tried concurrently in worker processes and the
-    #: lowest-indexed feasible branch wins (deterministic tie-break).
-    #: ``jobs=1`` is the exact serial path.
-    jobs: int = 1
 
 
 class _RegionCache:
@@ -261,6 +254,9 @@ class _Pass:
         self._forbidden: Dict[int, Set[str]] = {}
         for uid, name in state.forbidden:
             self._forbidden.setdefault(uid, set()).add(name)
+        #: (broken info, type key) -> the pass's one NEG_SLACK restraint
+        #: for that doomed commit; see :meth:`_doom_restraint`.
+        self._dooms: Dict[Tuple, Restraint] = {}
         self._n_priority_keys = 0
 
     # ------------------------------------------------------------------
@@ -650,7 +646,6 @@ class _Pass:
         # was pure allocation overhead with the same analysis outcome
         lat_r: Optional[Restraint] = None
         scc_r: Optional[Restraint] = None
-        last_broken: Optional[Tuple[Tuple, Restraint]] = None
         # raw input arrivals are candidate-independent and the netlist
         # is restored between candidates, so one profile serves the walk
         fast = self.cache is not None
@@ -807,19 +802,7 @@ class _Pass:
                 _result, broken_info = self.netlist.try_commit(
                     op, inst, e, timing)
             if broken_info is not None:
-                if last_broken is not None \
-                        and last_broken[0] == broken_info:
-                    restraints.append(last_broken[1])
-                else:
-                    broken_uid, broken_state, broken_slack, \
-                        broken_arrival = broken_info
-                    br = Restraint(
-                        kind=RestraintKind.NEG_SLACK, op_uid=broken_uid,
-                        state=broken_state, type_key=type_key,
-                        slack_ps=broken_slack,
-                        input_arrival_ps=broken_arrival)
-                    last_broken = (broken_info, br)
-                    restraints.append(br)
+                restraints.append(self._doom_restraint(broken_info, type_key))
                 continue
             inst.occupy(op, needed)
             self.guard.commit(chain)
@@ -926,12 +909,7 @@ class _Pass:
             result, broken_info = self.netlist.try_commit(op, primary, e,
                                                           timing)
             if broken_info is not None:
-                broken_uid, broken_state, broken_slack, broken_arrival = \
-                    broken_info
-                restraints.append(Restraint(
-                    kind=RestraintKind.NEG_SLACK, op_uid=broken_uid,
-                    state=broken_state, slack_ps=broken_slack,
-                    input_arrival_ps=broken_arrival))
+                restraints.append(self._doom_restraint(broken_info, None))
                 continue
             for inst in insts:
                 inst.occupy(op, needed)
@@ -958,6 +936,26 @@ class _Pass:
                 fits_fresh_state=registered_path_ps(
                     self.library, cfg.rtype) <= budget))
         return False, restraints
+
+    def _doom_restraint(self, broken_info: Tuple,
+                        type_key) -> Restraint:
+        """The restraint a doomed commit records: the neighbour it breaks.
+
+        Interned per pass: every doom with an equal payload re-records
+        one object, which the log counts instead of storing a copy.
+        ``analyze`` sees the same thing either way -- its folds are
+        idempotent, a group's weight depends only on its record count,
+        and the first record of a payload still creates the object.
+        Pass-scoped because ``analyze`` mutates the objects it merges.
+        """
+        key = (broken_info, type_key)
+        r = self._dooms.get(key)
+        if r is None:
+            uid, state, slack, arrival = broken_info
+            r = self._dooms[key] = Restraint(
+                kind=RestraintKind.NEG_SLACK, op_uid=uid, state=state,
+                type_key=type_key, slack_ps=slack, input_arrival_ps=arrival)
+        return r
 
     def _timing_restraint(self, op: Operation, e: int,
                           timing: CandidateTiming, arrival: float,
@@ -1242,10 +1240,6 @@ def schedule_region(
                     pspan.set(key.replace(".", "_"),
                               profiling.counters.get(key, 0)
                               - eng_before[key])
-            if options.trace:
-                print(f"[pass {pass_no}] latency={state.latency} "
-                      f"success={outcome.success} "
-                      f"restraints={outcome.log.summary()}")
             if outcome.success:
                 # prune instances the binder never used (batched
                 # resource additions may overshoot; unused copies cost
@@ -1317,22 +1311,6 @@ def schedule_region(
                 pspan.set("action", actions[0].name)
                 pspan.set("action_gain", actions[0].gain)
                 pspan.set("action_outcome", "accepted")
-            if options.jobs > 1 and len(actions) > 1:
-                raced = race_relaxation(
-                    region, library, clock_ps, pipeline, allocation,
-                    analyzed, state, options, outlook, len(actions),
-                    tracer=tracer)
-                if raced is not None:
-                    branch, state = raced
-                    if pspan is not None:
-                        pspan.set("raced", True)
-                        pspan.set("race_winner", branch)
-                        pspan.set("action",
-                                  actions[branch].name
-                                  if branch is not None
-                                  else actions[0].name)
-                    prev_fp = None  # may diverge from branch 0
-                    continue
             # relaxation fixpoint fast-forward: when this failed pass
             # is an exact replay of the previous one (same analyzed
             # restraints, same scored actions) and the batch about to
@@ -1346,7 +1324,7 @@ def schedule_region(
             if options.fixpoint_ffwd and cache is not None:
                 fp = driver_fingerprint(analyzed, actions)
                 if fp == prev_fp:
-                    if _ffwd_stable(applied_actions(actions, 0),
+                    if _ffwd_stable(applied_actions(actions),
                                     outcome.pool, outcome.netlist):
                         remaining = options.max_passes - pass_no + 1
                         profiling.bump("scheduler.ffwd")
@@ -1356,7 +1334,7 @@ def schedule_region(
                             pspan.set("ffwd", "accepted")
                             pspan.set("ffwd_passes", remaining - 1)
                         for _ in range(remaining):
-                            apply_action_batch(actions, 0, state)
+                            apply_action_batch(actions, state)
                         break
                     # an exact replay whose batch could still perturb
                     # a future pass: stay on the cold path (and count
@@ -1371,7 +1349,7 @@ def schedule_region(
             # binding prohibitions, speculations): they interact with
             # neither the winner nor each other, so applying them
             # together saves whole scheduling passes on large designs
-            apply_action_batch(actions, 0, state)
+            apply_action_batch(actions, state)
     raise ScheduleError(
         f"{region.name}: pass budget ({options.max_passes}) exhausted",
         state.history)

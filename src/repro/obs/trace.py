@@ -6,8 +6,8 @@ flow passes, scheduler relaxation passes, sweep points, DSE waves,
 service jobs.  Nesting is tracked per thread (the service runs several
 engine threads against one tracer), and spans from worker *processes*
 come home as plain dicts over the existing result channels (sweep
-worker return tuples, relaxation-race return tuples, service job done
-messages) via :meth:`Tracer.absorb`.
+worker return tuples, service job done messages) via
+:meth:`Tracer.absorb`.
 
 Two export formats:
 

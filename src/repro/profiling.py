@@ -19,8 +19,8 @@ workload, :func:`snapshot` to read, and :func:`report` for the human
 rendering.
 
 The table is intentionally global (not threaded through every call):
-scheduling itself is single-threaded per process, and the relaxation
-race's worker processes each get their own table, whose relevant
+scheduling itself is single-threaded per process, and the process
+sweep backend's workers each get their own table, whose relevant
 entries the parent merges back via :func:`merge`.
 """
 
@@ -57,7 +57,7 @@ def snapshot() -> Dict[str, int]:
 
 
 def merge(other: Dict[str, int]) -> None:
-    """Fold another table (e.g. from a race worker) into this one."""
+    """Fold another table (e.g. from a sweep worker) into this one."""
     for name, n in other.items():
         counters[name] = counters.get(name, 0) + n
 

@@ -1,12 +1,15 @@
 """Restraint recording, weighting and the relaxation expert system."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cdfg import PipelineSpec, RegionBuilder
 from repro.core.relaxation import DriverState, propose_actions
 from repro.core.restraints import Restraint, RestraintKind, RestraintLog
 from repro.tech import artisan90
 from repro.workloads import build_example1
+
+from tests.conftest import property_examples
 
 CLOCK = 1600.0
 
@@ -45,6 +48,62 @@ def test_duplicate_restraints_accumulate_weight(lib):
     analyzed = log.analyze(region.dfg)
     assert len(analyzed) == 1
     assert analyzed[0].weight > 1.0
+
+
+#: one restraint payload: (kind, op index, state, type key, slack,
+#: fresh_instance_fails, fits_fresh_state, input arrival).  Few ops and
+#: kinds, so distinct payloads often share a merge key.  Signed zeros
+#: are equal but print differently, so they probe the one place where
+#: an equal payload is not an identical one.
+_payloads = st.tuples(
+    st.sampled_from([RestraintKind.NEG_SLACK, RestraintKind.NO_RESOURCE]),
+    st.integers(0, 1), st.integers(0, 2),
+    st.sampled_from([None, ("mul", 32)]),
+    st.sampled_from([0.0, -0.0, -50.0, -120.5]),
+    st.booleans(), st.booleans(),
+    st.sampled_from([0.0, -0.0, 40.0, 1430.0]))
+
+
+def _restraint(payload, uids):
+    kind, idx, state, type_key, slack, fresh_fails, fits, arrival = payload
+    return Restraint(kind, uids[idx], state, type_key=type_key,
+                     slack_ps=slack, fresh_instance_fails=fresh_fails,
+                     fits_fresh_state=fits, input_arrival_ps=arrival)
+
+
+def _analyzed(log, dfg):
+    return [(r.kind, r.op_uid, r.state, r.type_key, repr(r.slack_ps),
+             r.fresh_instance_fails, r.fits_fresh_state,
+             repr(r.input_arrival_ps), repr(r.weight))
+            for r in log.analyze(dfg)]
+
+
+@given(pool=st.lists(_payloads, min_size=1, max_size=6),
+       picks=st.lists(st.integers(0, 5), min_size=1, max_size=40),
+       failed=st.sets(st.integers(0, 5), max_size=2))
+@settings(max_examples=property_examples(100), deadline=None)
+def test_interned_rerecords_analyze_like_fresh_copies(pool, picks, failed):
+    """The binder re-records one object per equal payload (interned by
+    ``==``, as the scheduler's doom table is); the log must analyze that
+    exactly like a fresh equal copy per record: same fields, weights and
+    order, and the same summary."""
+    dfg = _region().dfg
+    uids = [op.uid for op in dfg.ops]
+    seq = [pool[i % len(pool)] for i in picks]
+    interned, fresh = RestraintLog(), RestraintLog()
+    table = {}
+    for payload in seq:
+        r = table.get(payload)
+        if r is None:
+            r = table[payload] = _restraint(payload, uids)
+        interned.record(r)
+        fresh.record(_restraint(payload, uids))
+    for log in (interned, fresh):
+        for idx in failed:
+            log.mark_failed(uids[idx])
+    assert len(interned.restraints) == len(table)
+    assert interned.summary() == fresh.summary()
+    assert _analyzed(interned, dfg) == _analyzed(fresh, dfg)
 
 
 def test_add_state_solves_fitting_slack(lib):

@@ -2,14 +2,15 @@
 
 Every fast path the scheduler core grew -- fanin bitmasks, carried-over
 mobility, memoized priority orders, the commit-outcome cache, counted
-restraint logs, incremental candidate ordering, the relaxation race --
-is *decision-neutral by construction*: it must reproduce the reference
-scheduler's output bit for bit, not merely an equally good schedule.
-This suite pins that contract on the paper examples, the synthetic
-industrial population, and (via Hypothesis) random regions.  On the
-first two it also pins the restraint log: every failed pass must hand
-the relaxation driver the same analyzed restraints (exact slacks and
-weights) and the same scored actions, whichever path scheduled it.
+restraint logs, interned doom restraints, incremental candidate
+ordering -- is *decision-neutral by construction*: it must reproduce
+the reference scheduler's output bit for bit, not merely an equally
+good schedule.  This suite pins that contract on the paper examples,
+the synthetic industrial population, and (via Hypothesis) random
+regions.  On the first two it also pins the restraint log: every
+failed pass must hand the relaxation driver the same analyzed
+restraints (exact slacks and weights) and the same scored actions,
+whichever path scheduled it.
 """
 
 import random
@@ -118,30 +119,23 @@ SUITE_ENGINE_WORK = {"engine.evaluate": 10129, "engine.commit": 3222,
                      "engine.commit_cache_hit": 9810}
 
 
+#: restraint-log size over the same suite: distinct log entries and
+#: records including repeats, summed over every analyzed pass.  The
+#: binder interns its doom restraints, so entries stay far below
+#: records; an entry count creeping back up means the walk is building
+#: restraint copies again.
+SUITE_RESTRAINT_LOG = {"restraints.entries": 2762,
+                       "restraints.records": 12254}
+
+
 def test_industrial_suite_engine_work_is_pinned():
     before = profiling.snapshot()
     for _spec, region in industrial_suite(n_designs=4, max_ops=300):
         _schedule(region)
     after = profiling.snapshot()
-    assert {key: after.get(key, 0) - before.get(key, 0)
-            for key in SUITE_ENGINE_WORK} == SUITE_ENGINE_WORK
-
-
-@pytest.mark.parametrize("name", PAPER_WORKLOADS)
-def test_relaxation_race_bit_identical(name):
-    """``jobs=2`` races corrective actions but must keep the serial
-    winner: lowest action index wins every tie."""
-    serial = _schedule(WORKLOAD_REGISTRY[name](), jobs=1)
-    raced = _schedule(WORKLOAD_REGISTRY[name](), jobs=2)
-    assert fingerprint(raced) == fingerprint(serial)
-
-
-def test_relaxation_race_bit_identical_on_industrial_design():
-    # the largest of the four: multiple failing passes, so the race
-    # actually engages (several corrective actions per failed pass)
-    serial = _schedule(_industrial(3)[1], jobs=1)
-    raced = _schedule(_industrial(3)[1], jobs=2)
-    assert fingerprint(raced) == fingerprint(serial)
+    delta = {key: after.get(key, 0) - before.get(key, 0)
+             for key in (*SUITE_ENGINE_WORK, *SUITE_RESTRAINT_LOG)}
+    assert delta == {**SUITE_ENGINE_WORK, **SUITE_RESTRAINT_LOG}
 
 
 @pytest.mark.parametrize("name", PAPER_WORKLOADS)
@@ -159,19 +153,6 @@ def test_tracing_bit_identical_on_paper_examples(name):
     assert spans and all(s["name"] == "scheduler.pass" for s in spans)
     # the last pass is the accepting one and records its decision
     assert spans[-1]["attrs"].get("success") is True
-
-
-def test_tracing_bit_identical_with_relaxation_race():
-    """Traced + raced: worker branch spans come home over the race
-    return channel and the schedule stays bit-identical."""
-    serial = _schedule(_industrial(3)[1], jobs=1)
-    tracer = Tracer()
-    traced = schedule_region(
-        _industrial(3)[1], LIB, CLOCK,
-        options=SchedulerOptions(jobs=2), tracer=tracer)
-    assert fingerprint(traced) == fingerprint(serial)
-    names = [s["name"] for s in tracer.export()]
-    assert "scheduler.race_branch" in names
 
 
 def _random_region(seed: int, n_ops: int):
