@@ -12,12 +12,14 @@ connected components the pipeliner must keep within II states
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
-
-import networkx as nx
+from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Set, Tuple)
 
 from repro.cdfg.ops import Operation, OpKind, arity_of
 from repro.cdfg.predicates import Predicate
+
+if TYPE_CHECKING:  # networkx is imported only by :meth:`DFG.to_networkx`
+    import networkx as nx
 
 
 @dataclass(frozen=True, slots=True)
@@ -335,19 +337,49 @@ class DFG:
         """
         if self._sccs_cache is not None:
             return self._sccs_cache
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self._ops)
-        for edges in self._out_edges.values():
-            for edge in edges:
-                graph.add_edge(edge.src, edge.dst)
+        succs = {uid: [e.dst for e in edges]
+                 for uid, edges in self._out_edges.items()}
+        # iterative Tarjan: index/lowlink per node, an explicit DFS stack
+        # of (node, successor iterator) frames
+        index: Dict[int, int] = {}
+        lowlink: Dict[int, int] = {}
+        on_stack: Set[int] = set()
+        stack: List[int] = []
         result: List[Set[int]] = []
-        for comp in nx.strongly_connected_components(graph):
-            if len(comp) > 1:
-                result.append(set(comp))
-            else:
-                (only,) = comp
-                if graph.has_edge(only, only):
-                    result.append({only})
+        for root in self._ops:
+            if root in index:
+                continue
+            index[root] = lowlink[root] = len(index)
+            stack.append(root)
+            on_stack.add(root)
+            frames = [(root, iter(succs[root]))]
+            while frames:
+                node, children = frames[-1]
+                for child in children:
+                    if child not in index:
+                        index[child] = lowlink[child] = len(index)
+                        stack.append(child)
+                        on_stack.add(child)
+                        frames.append((child, iter(succs[child])))
+                        break
+                    if child in on_stack and index[child] < lowlink[node]:
+                        lowlink[node] = index[child]
+                else:
+                    frames.pop()
+                    if frames:
+                        parent = frames[-1][0]
+                        if lowlink[node] < lowlink[parent]:
+                            lowlink[parent] = lowlink[node]
+                    if lowlink[node] == index[node]:
+                        comp = set()
+                        while True:
+                            member = stack.pop()
+                            on_stack.discard(member)
+                            comp.add(member)
+                            if member == node:
+                                break
+                        if len(comp) > 1 or node in succs[node]:
+                            result.append(comp)
         result.sort(key=lambda comp: min(comp))
         self._sccs_cache = result
         return result
@@ -375,6 +407,8 @@ class DFG:
 
     def to_networkx(self) -> nx.MultiDiGraph:
         """Export to a networkx multigraph (for analysis / debugging)."""
+        import networkx as nx
+
         graph = nx.MultiDiGraph(name=self.name)
         for uid, op in self._ops.items():
             graph.add_node(uid, kind=op.kind.value, width=op.width, name=op.name)

@@ -678,8 +678,6 @@ def _submit_params(args: argparse.Namespace) -> dict:
 
 def cmd_submit(args: argparse.Namespace) -> int:
     """Submit one job to a running service; optionally wait + fetch."""
-    from urllib.error import URLError
-
     from repro.service import ServiceClient, ServiceError
 
     client = ServiceClient(args.url)
@@ -718,9 +716,11 @@ def cmd_submit(args: argparse.Namespace) -> int:
     except TimeoutError as err:
         raise CLIError(str(err), code=EXIT_TIMEOUT,
                        reason="deadline")
-    except (URLError, ConnectionError, OSError) as err:
+    except OSError as err:
         raise CLIError(f"cannot reach service at {args.url}: {err}",
                        code=EXIT_SERVICE, reason="unreachable")
+    finally:
+        client.close()
 
 
 def build_parser() -> argparse.ArgumentParser:

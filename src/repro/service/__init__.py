@@ -13,7 +13,8 @@ The layers, bottom up (all stdlib, no new dependencies):
 * :mod:`~repro.service.server` -- the HTTP endpoints
   (``POST /jobs``, ``GET /jobs/<id>[/result]``, ``DELETE /jobs/<id>``,
   ``GET /healthz``, ``GET /stats``);
-* :mod:`~repro.service.client` -- a urllib client for CLI/benchmarks.
+* :mod:`~repro.service.client` -- a stdlib ``http.client`` client
+  (keep-alive connections, long-poll waits) for CLI/benchmarks.
 
 Quickstart::
 

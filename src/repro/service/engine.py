@@ -178,6 +178,7 @@ class JobEngine:
         if self._threads:
             return self
         self._stop.clear()
+        self.queue.reopen()
         for i in range(self.workers):
             thread = threading.Thread(target=self._worker_loop,
                                       name=f"repro-worker-{i}",
@@ -187,8 +188,10 @@ class JobEngine:
         return self
 
     def stop(self, compact: bool = True) -> None:
-        """Stop accepting work, join workers, fold store shards."""
+        """Stop accepting work, release waiters, join workers, fold
+        store shards."""
         self._stop.set()
+        self.queue.close()
         for thread in self._threads:
             thread.join(timeout=5.0)
         self._threads = []
@@ -209,8 +212,7 @@ class JobEngine:
     # ------------------------------------------------------------------
     def submit(self, kind: str, params: dict, priority: int = 0) -> Job:
         """Validate, normalize, dedup and enqueue one submission."""
-        normalized = exe.normalize_params(kind, params)
-        key = exe.job_key(kind, normalized)
+        normalized, key = exe.prepare_job(kind, params)
         with self._lock:
             self._stats["submitted"] += 1
         return self.queue.submit(kind, normalized, key,

@@ -103,13 +103,15 @@ def _clock_list(value) -> List[float]:
     return clocks
 
 
-def _region_factory(params: dict) -> Tuple[Callable, str]:
-    """(region factory, design fingerprint) from a job's design spec.
+def _region_factory(params: dict) -> Callable:
+    """The region factory of a job's design spec.
 
     ``workload`` names a registry entry; ``source`` carries Python-
     subset or mini-language text compiled on the spot (exactly one
     kernel, like the CLI's sweep path).  Factories recompile/rebuild
-    per call so regions are never shared mutable state.
+    per call so regions are never shared mutable state.  Only the
+    spelling is checked here; a ``source`` that does not compile
+    raises :class:`JobError` from the factory.
     """
     workload = params.get("workload")
     source = params.get("source")
@@ -120,19 +122,19 @@ def _region_factory(params: dict) -> Tuple[Callable, str]:
         if factory is None:
             raise JobError(f"unknown workload {workload!r}; choose from "
                            f"{sorted(WORKLOAD_REGISTRY)}")
-    else:
-        def factory(text=source):
-            units = compile_source(text, filename="<submitted>")
-            if len(units) != 1:
-                raise JobError(
-                    f"submitted source must contain exactly one kernel, "
-                    f"found {[u.region.name for u in units]}")
-            return units[0].region
+        return factory
+
+    def factory(text=source):
         try:
-            factory()
+            units = compile_source(text, filename="<submitted>")
         except FrontendError as exc:
             raise JobError(f"frontend error: {exc.render()}")
-    return factory, region_fingerprint(factory())
+        if len(units) != 1:
+            raise JobError(
+                f"submitted source must contain exactly one kernel, "
+                f"found {[u.region.name for u in units]}")
+        return units[0].region
+    return factory
 
 
 def normalize_params(kind: str, params: dict) -> dict:
@@ -142,6 +144,13 @@ def normalize_params(kind: str, params: dict) -> dict:
     submissions differing only in spelled-out defaults dedup together.
     Raises :class:`JobError` on any problem (mapped to HTTP 400).
     """
+    return prepare_job(kind, params)[0]
+
+
+def prepare_job(kind: str, params: dict) -> Tuple[dict, str]:
+    """(normalized params, job key) of one submission, building the
+    design once: the key's fingerprint build is also its validation
+    (a ``source`` that does not compile raises :class:`JobError`)."""
     if kind not in JOB_KINDS:
         raise JobError(f"unknown job kind {kind!r}; "
                        f"choose from {JOB_KINDS}")
@@ -157,7 +166,7 @@ def normalize_params(kind: str, params: dict) -> dict:
                 f"{sorted(PIPELINE_REGISTRY)}")
         out["pipeline"] = pipeline
         out["clock_ps"] = float(params.get("clock_ps", 1600.0))
-        return out
+        return out, job_key(kind, out)
     out["workload"] = params.get("workload")
     out["source"] = params.get("source")
     if kind == "schedule":
@@ -185,9 +194,7 @@ def normalize_params(kind: str, params: dict) -> dict:
         if objective not in ("area", "delay", "power"):
             raise JobError(f"unknown objective {objective!r}")
         out["objective"] = objective
-    # design resolution doubles as validation for all non-stream kinds
-    _region_factory(out)
-    return out
+    return out, job_key(kind, out)
 
 
 def job_key(kind: str, params: dict) -> str:
@@ -205,7 +212,7 @@ def job_key(kind: str, params: dict) -> str:
         fingerprint = pipeline_fingerprint(
             PIPELINE_REGISTRY[params["pipeline"]]())
     else:
-        _, fingerprint = _region_factory(params)
+        fingerprint = region_fingerprint(_region_factory(params)())
     identity = {
         key: value for key, value in params.items()
         if key not in ("workload", "source")
@@ -232,9 +239,8 @@ def _run_schedule(params: dict, cache, progress,
                   cancel_event, tracer) -> Tuple[bool, dict, dict]:
     from repro.cdfg.region import PipelineSpec
 
-    factory, _ = _region_factory(params)
     ctx = CompilationContext(
-        region=factory(), library=_library(params["library"]),
+        region=_region_factory(params)(), library=_library(params["library"]),
         clock_ps=params["clock_ps"],
         pipeline=PipelineSpec(ii=params["ii"])
         if params["ii"] is not None else None,
@@ -262,7 +268,8 @@ def _run_sweep(params: dict, cache, store, progress,
     from repro.explore.pareto import DesignPoint
     from repro.flow.executor import run_points
 
-    factory, fingerprint = _region_factory(params)
+    factory = _region_factory(params)
+    fingerprint = region_fingerprint(factory())
     library = _library(params["library"])
     micros = parse_microarchs(params["latencies"])
     clocks = params["clocks_ps"]
@@ -311,7 +318,7 @@ def _run_tune(params: dict, cache, store, progress,
               cancel_event, tracer) -> Tuple[bool, dict, dict]:
     from repro.dse import DesignSpace, Goal, GoalError, tune
 
-    factory, _ = _region_factory(params)
+    factory = _region_factory(params)
     library = _library(params["library"])
     try:
         goal = Goal.build(objective=params["objective"],

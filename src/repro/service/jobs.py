@@ -146,8 +146,9 @@ class JobQueue:
 
     ``submit`` / ``next_execution`` / ``finish`` / ``cancel`` are the
     whole surface; every transition broadcasts on the condition so
-    in-process waiters (tests, the engine's drain) can block instead of
-    spinning.
+    waiters (long-polling HTTP handlers, tests, the engine's drain) can
+    block instead of spinning.  :meth:`close` releases every parked
+    :meth:`wait` at once when the service stops.
     """
 
     def __init__(self) -> None:
@@ -160,6 +161,8 @@ class JobQueue:
         #: newest execution per content key (any state).
         self._by_key: Dict[str, Execution] = {}
         self.dedup_hits = 0
+        #: set by :meth:`close`: :meth:`wait` stops blocking.
+        self._closed = False
 
     # ------------------------------------------------------------------
     # intake
@@ -311,18 +314,31 @@ class JobQueue:
 
     def wait(self, job_id: str,
              timeout: Optional[float] = None) -> Optional[Job]:
-        """Block until the job is terminal (or timeout); returns it."""
+        """Block until the job is terminal (or timeout, or the queue is
+        closed); returns it."""
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
             while True:
                 job = self._jobs.get(job_id)
-                if job is None or job.state in TERMINAL:
+                if job is None or job.state in TERMINAL or self._closed:
                     return job
                 remaining = None if deadline is None \
                     else deadline - time.monotonic()
                 if remaining is not None and remaining <= 0:
                     return job
                 self._cond.wait(remaining)
+
+    def close(self) -> None:
+        """Release every parked :meth:`wait` now, and stop later ones
+        from blocking, until :meth:`reopen`."""
+        with self._cond:
+            self._closed = True
+            self._cond.notify_all()
+
+    def reopen(self) -> None:
+        """Let :meth:`wait` block again (an engine restart)."""
+        with self._cond:
+            self._closed = False
 
     # ------------------------------------------------------------------
     # introspection

@@ -5,6 +5,10 @@ Endpoints (all JSON)::
     POST   /jobs             submit {kind, workload|source|pipeline,
                              priority, ...}  -> 202 {id, state, ...}
     GET    /jobs/<id>        status           -> 200 (404 unknown)
+    GET    /jobs/<id>?wait=s long-poll: status once the job is
+                             terminal or ``s`` seconds passed
+                             (clamped to LONG_POLL_CAP_S; 400 on a
+                             malformed ``s``)
     GET    /jobs/<id>/result result payload   -> 200 done
                                                  202 queued/running
                                                  410 cancelled
@@ -34,17 +38,27 @@ the condition maps to, ``reason`` a stable machine-readable slug.
 
 Built on stdlib ``http.server.ThreadingHTTPServer``: one thread per
 connection in front of the engine's own worker pool; no new
-dependencies.  :class:`ReproService` bundles engine + server with
-``start()``/``stop()`` and context-manager support; ``port=0`` binds an
-ephemeral port (the bound address is in ``.url``).
+dependencies.  Connections are HTTP/1.1 keep-alive, so a client that
+reuses its connection (:class:`~repro.service.client.ServiceClient`
+does) costs one handler thread for all its requests.  Every
+connection and every request (by route) is counted in the metrics
+registry: ``service.http.connections`` and
+``service.http.requests.<route>``.  :class:`ReproService` bundles
+engine + server with ``start()``/``stop()`` and context-manager
+support; ``port=0`` binds an ephemeral port (the bound address is in
+``.url``).
 """
 
 from __future__ import annotations
 
 import json
+import math
+import socket
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional, Tuple
+from typing import Optional, Set, Tuple
+from urllib.parse import parse_qs, urlsplit
 
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import spans_to_chrome
@@ -61,6 +75,14 @@ from repro.service.jobs import (
 #: request body size cap (sources are small; grids are tiny JSON).
 MAX_BODY = 1 << 20
 
+#: largest unwanted request body the server reads and drops to keep a
+#: kept-alive connection in step; a larger one closes the connection.
+MAX_DRAIN = 16 * MAX_BODY
+
+#: longest a ``GET /jobs/<id>?wait=`` long-poll parks, seconds; larger
+#: requests are clamped to it.
+LONG_POLL_CAP_S = 30.0
+
 #: HTTP status -> (CLI exit code, reason slug) for error bodies; the
 #: same taxonomy ``repro --json`` renders on stderr (EXIT_BAD_INPUT=3,
 #: EXIT_FAILED=1).
@@ -70,6 +92,15 @@ ERROR_TAXONOMY = {
     409: (1, "conflict"),
     410: (1, "cancelled"),
 }
+
+#: serializes the HTTP counters: handler threads bump them concurrently,
+#: and the registry's counter table is lock-free.
+_COUNTER_LOCK = threading.Lock()
+
+
+def _count(name: str) -> None:
+    with _COUNTER_LOCK:
+        REGISTRY.inc(name)
 
 
 class _Server(ThreadingHTTPServer):
@@ -82,14 +113,53 @@ class _Server(ThreadingHTTPServer):
 
     request_queue_size = 64
 
+    def __init__(self, *args, **kwargs) -> None:
+        #: open client connections, so :meth:`drop_connections` can
+        #: end kept-alive ones whose handler threads idle in a read.
+        self.connections: Set[socket.socket] = set()
+        self.connections_lock = threading.Lock()
+        super().__init__(*args, **kwargs)
+
+    def drop_connections(self) -> None:
+        """Shut every open client connection down (service stop)."""
+        with self.connections_lock:
+            conns = list(self.connections)
+        for conn in conns:
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+
+    def handle_error(self, request, client_address) -> None:
+        # a peer that hung up mid-request (or drop_connections) is
+        # routine for a keep-alive server, not a traceback
+        if isinstance(sys.exc_info()[1], ConnectionError):
+            return
+        super().handle_error(request, client_address)
+
 
 class _Handler(BaseHTTPRequestHandler):
     """Routes requests onto ``self.server.engine``; JSON in, JSON out."""
 
     server_version = "repro-service/1.0"
     protocol_version = "HTTP/1.1"
+    #: the handler writes headers and body separately; with Nagle on,
+    #: the body waits for the client's delayed ACK (~40 ms per request
+    #: on a kept-alive connection).
+    disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------
+    def setup(self) -> None:
+        super().setup()
+        _count("service.http.connections")
+        with self.server.connections_lock:
+            self.server.connections.add(self.connection)
+
+    def finish(self) -> None:
+        with self.server.connections_lock:
+            self.server.connections.discard(self.connection)
+        super().finish()
+
     def log_message(self, fmt, *args):  # noqa: D102 - quiet by default
         if getattr(self.server, "verbose", False):  # pragma: no cover
             super().log_message(fmt, *args)
@@ -99,12 +169,8 @@ class _Handler(BaseHTTPRequestHandler):
         return self.server.engine
 
     def _send(self, code: int, payload: dict) -> None:
-        body = json.dumps(payload, sort_keys=True).encode()
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send_text(code, json.dumps(payload, sort_keys=True),
+                        "application/json")
 
     def _error_body(self, status: int, message: str, **extra) -> dict:
         """The ``{"error": {code, reason, message}}`` object for one
@@ -122,12 +188,42 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(code)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(raw)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(raw)
 
+    def _content_length(self) -> int:
+        """The request's ``Content-Length``; -1 when malformed."""
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            return -1
+        return length if length >= 0 else -1
+
+    def _skip_body(self) -> None:
+        """Read and drop a body the route will not use, so the next
+        request on a kept-alive connection starts where it should.  A
+        malformed length or one over :data:`MAX_DRAIN` closes the
+        connection after the response instead."""
+        length = self._content_length()
+        if not 0 <= length <= MAX_DRAIN:
+            self.close_connection = True
+            return
+        while length > 0:
+            chunk = self.rfile.read(min(length, 1 << 16))
+            if not chunk:
+                break
+            length -= len(chunk)
+
     def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        length = self._content_length()
+        if length < 0:
+            self.close_connection = True
+            raise JobError("bad Content-Length "
+                           f"{self.headers.get('Content-Length')!r}")
         if length > MAX_BODY:
+            self._skip_body()
             raise JobError(f"request body over {MAX_BODY} bytes")
         raw = self.rfile.read(length) if length else b"{}"
         try:
@@ -137,6 +233,23 @@ class _Handler(BaseHTTPRequestHandler):
         if not isinstance(payload, dict):
             raise JobError("request body must be a JSON object")
         return payload
+
+    def _wait_seconds(self) -> Optional[float]:
+        """The ``?wait=`` long-poll budget, clamped to
+        :data:`LONG_POLL_CAP_S`; ``None`` when absent.  Raises
+        :class:`JobError` on a malformed value."""
+        values = parse_qs(urlsplit(self.path).query,
+                          keep_blank_values=True).get("wait")
+        if not values:
+            return None
+        try:
+            seconds = float(values[-1])
+        except ValueError:
+            seconds = math.nan
+        if not seconds >= 0.0 or math.isinf(seconds):
+            raise JobError(f"bad wait {values[-1]!r} "
+                           "(want a number of seconds >= 0)")
+        return min(seconds, LONG_POLL_CAP_S)
 
     def _job_path(self) -> Optional[Tuple[str, str]]:
         """``/jobs/<id>[/result|/trace]`` -> (id, view); else None.
@@ -154,7 +267,10 @@ class _Handler(BaseHTTPRequestHandler):
     # -- routes --------------------------------------------------------
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         if self.path.split("?")[0] != "/jobs":
+            _count("service.http.requests.unknown")
+            self._skip_body()
             return self._error(404, f"no such endpoint {self.path!r}")
+        _count("service.http.requests.submit")
         try:
             body = self._read_body()
             kind = body.pop("kind", None)
@@ -171,7 +287,10 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(202, payload)
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
+        self._skip_body()
         path = self.path.split("?")[0]
+        if path in ("/healthz", "/stats", "/metrics"):
+            _count(f"service.http.requests.{path[1:]}")
         if path == "/healthz":
             return self._send(200, self.engine.healthz())
         if path == "/stats":
@@ -180,12 +299,22 @@ class _Handler(BaseHTTPRequestHandler):
             return self._metrics()
         target = self._job_path()
         if target is None:
+            _count("service.http.requests.unknown")
             return self._error(404, f"no such endpoint {self.path!r}")
         job_id, view = target
+        _count(f"service.http.requests.{view}")
+        wait_s = None
+        if view == "status":
+            try:
+                wait_s = self._wait_seconds()
+            except JobError as err:
+                return self._error(400, str(err))
         job = self.engine.queue.get(job_id)
         if job is None:
             return self._error(404, f"unknown job {job_id!r}")
         if view == "status":
+            if wait_s:
+                job = self.engine.queue.wait(job_id, wait_s)
             return self._send(200, job.status())
         if view == "trace":
             return self._trace(job)
@@ -239,9 +368,12 @@ class _Handler(BaseHTTPRequestHandler):
         return self._send(200, spans_to_chrome(job.trace))
 
     def do_DELETE(self) -> None:  # noqa: N802 - http.server API
+        self._skip_body()
         target = self._job_path()
         if target is None or target[1] != "status":
+            _count("service.http.requests.unknown")
             return self._error(404, f"no such endpoint {self.path!r}")
+        _count("service.http.requests.cancel")
         job_id = target[0]
         job = self.engine.queue.get(job_id)
         if job is None:
@@ -308,9 +440,12 @@ class ReproService:
         return self
 
     def stop(self) -> None:
-        """Stop serving, stop the engine, compact the store."""
+        """Stop serving, release long-polls, close kept-alive
+        connections, stop the engine, compact the store."""
         if self._httpd is not None:
             self._httpd.shutdown()
+            self.engine.queue.close()
+            self._httpd.drop_connections()
             self._httpd.server_close()
             self._httpd = None
         if self._thread is not None:

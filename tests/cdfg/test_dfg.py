@@ -1,6 +1,8 @@
 """DFG structure: edges, validation, SCCs, topological order."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.cdfg import DFG, DFGError, OpKind
 from repro.cdfg.builder import RegionBuilder
@@ -126,6 +128,48 @@ def test_fanout_cone_size():
     dfg, (a, b, s, w) = _simple_dfg()
     assert dfg.fanout_cone_size(a.uid) == 2  # s and w
     assert dfg.fanout_cone_size(w.uid) == 0
+
+
+@st.composite
+def _digraphs(draw):
+    """(node count, edge list) over at most 9 nodes; self-loops and
+    parallel edges included."""
+    n = draw(st.integers(1, 9))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)),
+                          max_size=3 * n))
+    return n, edges
+
+
+def _reachability(n, edges):
+    """reach[u] = nodes reachable from u by one or more edges."""
+    reach = [set() for _ in range(n)]
+    for src, dst in edges:
+        reach[src].add(dst)
+    for mid in range(n):  # Warshall
+        for src in range(n):
+            if mid in reach[src]:
+                reach[src] |= reach[mid]
+    return reach
+
+
+@given(_digraphs())
+def test_sccs_match_mutual_reachability_oracle(graph):
+    n, edges = graph
+    dfg = DFG("random")
+    ops = [dfg.add_op(OpKind.ADD, 8) for _ in range(n)]
+    for port, (src, dst) in enumerate(edges):
+        dfg.connect(ops[src], ops[dst], port, distance=1)
+    reach = _reachability(n, edges)
+    # u, v share a non-trivial component iff each reaches the other;
+    # a lone node counts only when it reaches itself (a self-loop cycle)
+    expected = []
+    for u in range(n):
+        comp = {v for v in range(n)
+                if v == u or (v in reach[u] and u in reach[v])}
+        if min(comp) == u and (len(comp) > 1 or u in reach[u]):
+            expected.append({ops[v].uid for v in comp})
+    assert dfg.sccs() == expected
 
 
 def test_stats():

@@ -17,8 +17,10 @@ from repro.service.execution import (
     job_key,
     normalize_params,
     parse_microarchs,
+    prepare_job,
 )
 from repro.service.jobs import JobError
+from repro.workloads import PIPELINE_REGISTRY, WORKLOAD_REGISTRY
 
 FIR_SOURCE = '''\
 def fir(x: int, k: int) -> int:
@@ -150,3 +152,100 @@ def test_execute_infeasible_schedule_reports_diagnostics():
     ok, result, _ = execute_job("schedule", params)
     assert not ok
     assert result["diagnostics"]
+
+
+# ----------------------------------------------------------------------
+# key stability: one design build per submit, byte-identical keys
+# ----------------------------------------------------------------------
+#: job keys of default ``schedule`` jobs (``stream`` for pipelines).
+#: Deployed dedup indexes hold these bytes, so how a key is computed
+#: may change but its value may not; only a TIMING_MODEL_VERSION bump
+#: may move them.
+PINNED_KEYS = {
+    "adpcm":
+        "4ae7fa876c55607911d915056e1d44b6e5f4e586d5f128ab6d8beccb56472ecb",
+    "conv3x3":
+        "0c9920d5dd697201b1e43351779dd54196b5a73b4344aac8209deadcdf25a0bd",
+    "conv3x3_mem":
+        "28ea5881ea4797be75f2afa6b5b6e18a72d2592f59224135d1062b10ac43c889",
+    "example1":
+        "77a7915708263f71e9bf9cdbc9da9c2147941ad252888a9bedfcc28dcb859c05",
+    "fft8":
+        "66b43fd76004056a0c9e76d9da04dbe5e7251c89f90604504bc582120bc8712d",
+    "fft_stage":
+        "cfcf6cd07ef4dc83cac101b605e40a4ef518628e85a5d11f0c40657163fa605c",
+    "fir":
+        "e732e229788df7ea2eb1d66a21f81149f205c06a9e0f280ab4f5aa60b0663ed3",
+    "idct":
+        "c2231d909637852bded0941a311163bb0422549b553a5a58f354c42418f369e8",
+    "idct2d":
+        "d415fa6f4e2ffc3517c6cfbe4ee82d8e0080210ad4bd4e8f78f1579e8e5f7df2",
+    "idct8":
+        "c2231d909637852bded0941a311163bb0422549b553a5a58f354c42418f369e8",
+    "jpeg_dct":
+        "32fd5c1fa447e8e9f0fc6bf0f209677ae950bb960214e64aabdfa18317d4aa8e",
+    "matmul":
+        "d2955d194484a8a1b9f435a76ab8e7c8b5d6e6b6451223bb2fa9607c65675438",
+    "matmul_mem":
+        "d9f94ff2799fead9e9dfb706ff675e4998d82866f5cc8f654027fae4708954dc",
+    "mips":
+        "5e3de2120d2a1763d1fafeda7927da362df687ae66ef3572ef623fda5d9e0255",
+    "sobel":
+        "cedf8763ebbecbfabe12cadecdd64d32a7413055e0d31ba81e09f207f7bdadc1",
+    "sobel_mem":
+        "16c4485da8ab4879bb0e6a74484cfc1a478a302aea6d47274a3e4586b1593a3d",
+    "synthetic":
+        "e1cb04a4fa2a04c37477a4bb1817761bf6cb05c229c18f996e31dbd141fe986b",
+    "fir_decimate_stream":
+        "9984285fa20c08253b7e349ca5d29f83e202208246611c4b578ae7bfbcd6f3b7",
+    "matmul_relu_stream":
+        "9652eb3139e3ab1ca81d7bfca53e6bd7bc07fbbd65fd1875c56531521b1ebfe3",
+    "sobel_threshold_stream":
+        "b5cb236f02a1c7652520bcb3876b2ad01a20d1578ce1beafc07e1588fa865773",
+}
+
+PINNED_SOURCE = "def fir(x: int, y: int) -> int:\n    return x * 3 + y\n"
+PINNED_SOURCE_SWEEP_KEY = \
+    "8352eefb9e0ed08d4676a2a7edd3627d0f7ad727da3d0b72dceb96efaf94ced9"
+
+
+def test_job_keys_are_pinned_for_every_registry_design():
+    assert sorted(PINNED_KEYS) == sorted(
+        list(WORKLOAD_REGISTRY) + list(PIPELINE_REGISTRY))
+    for name, expected in PINNED_KEYS.items():
+        kind = "stream" if name in PIPELINE_REGISTRY else "schedule"
+        spec = {"pipeline" if kind == "stream" else "workload": name}
+        normalized, key = prepare_job(kind, spec)
+        assert key == expected, name
+        assert job_key(kind, normalize_params(kind, spec)) == expected
+        assert normalized == normalize_params(kind, spec)
+
+
+def test_job_key_is_pinned_for_a_source_submission():
+    spec = {"source": PINNED_SOURCE, "clocks_ps": "1600,2400",
+            "latencies": "3,4"}
+    assert prepare_job("sweep", spec)[1] == PINNED_SOURCE_SWEEP_KEY
+    assert job_key("sweep", normalize_params("sweep", spec)) == \
+        PINNED_SOURCE_SWEEP_KEY
+
+
+def test_prepare_job_builds_the_design_once(monkeypatch):
+    import repro.service.execution as exe
+
+    builds = []
+    build_fir = WORKLOAD_REGISTRY["fir"]
+    compile_source = exe.compile_source
+
+    def counted_fir():
+        builds.append("fir")
+        return build_fir()
+
+    def counted_compile(*args, **kwargs):
+        builds.append("source")
+        return compile_source(*args, **kwargs)
+
+    monkeypatch.setitem(exe.WORKLOAD_REGISTRY, "fir", counted_fir)
+    monkeypatch.setattr(exe, "compile_source", counted_compile)
+    prepare_job("schedule", {"workload": "fir"})
+    prepare_job("schedule", {"source": PINNED_SOURCE})
+    assert builds == ["fir", "source"]

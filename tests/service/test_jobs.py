@@ -6,6 +6,9 @@ parameter records are opaque here, only keys and priorities matter.
 
 from __future__ import annotations
 
+import threading
+import time
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -188,3 +191,22 @@ def test_wait_returns_terminal_job():
     assert queue.wait(job.id, timeout=0.01).state == QUEUED  # deadline
     queue.finish(queue.next_execution(timeout=0), ok=True, result={})
     assert queue.wait(job.id, timeout=1.0).state == DONE
+
+
+def test_close_releases_parked_waits():
+    queue = JobQueue()
+    job = submit(queue)
+    released = []
+    waiter = threading.Thread(
+        target=lambda: released.append(queue.wait(job.id, timeout=60)))
+    waiter.start()
+    queue.close()
+    waiter.join(timeout=10)
+    assert not waiter.is_alive()
+    assert released[0].state == QUEUED
+    # closed: later waits return at once; reopened: they block again
+    assert queue.wait(job.id, timeout=60).state == QUEUED
+    queue.reopen()
+    start = time.monotonic()
+    assert queue.wait(job.id, timeout=0.05).state == QUEUED
+    assert time.monotonic() - start >= 0.05

@@ -14,6 +14,8 @@ terminal picture:
   carry the worker process's pid (cross-process collection);
 * ``/metrics`` serves Prometheus text with the job-latency histogram
   and ``/stats`` carries hit rates + per-kind latency percentiles;
+* every ``ServiceClient`` kept one connection alive for all its
+  requests (``service.http.connections`` == clients + 1);
 * the engine never degraded.
 
 Throughput figures land in ``SERVICE_smoke.json`` (override with
@@ -32,6 +34,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.obs.metrics import REGISTRY
 from repro.service import ReproService, ServiceClient, ServiceError
 
 DUPLICATE = {"kind": "sweep", "workload": "fir",
@@ -136,6 +139,13 @@ def main() -> int:
 
         assert client.healthz()["degraded"] is False, "pool died"
 
+        # one kept-alive connection per ServiceClient: the 20 clients
+        # plus this one
+        connections = REGISTRY.counters.get("service.http.connections", 0)
+        assert connections == len(CLIENTS) + 1, connections
+        status_requests = REGISTRY.counters.get(
+            "service.http.requests.status", 0)
+
     done = sum(o["state"] == "done" for o in outcomes)
     record = {
         "clients": len(CLIENTS),
@@ -146,6 +156,8 @@ def main() -> int:
         "elapsed_s": round(elapsed, 3),
         "jobs_per_sec": round(len(CLIENTS) / elapsed, 2),
         "cache_hit_rate": stats.get("cache_hit_rate"),
+        "http_connections": connections,
+        "status_requests": status_requests,
     }
     out = Path(os.environ.get("REPRO_SMOKE_JSON", "SERVICE_smoke.json"))
     out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
