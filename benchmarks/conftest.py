@@ -127,12 +127,13 @@ def idct_sweep(lib):
     def run(full: bool):
         key = ("idct", full)
         if key not in _SWEEP_CACHE:
-            from repro.explore import PAPER_MICROARCHS, sweep_microarchitectures
+            from repro.explore import PAPER_MICROARCHS
+            from repro.flow import run_sweep
             from repro.workloads.idct import build_idct2d
             factory = (lambda: build_idct2d(columns=4)) if full \
                 else (lambda: build_idct2d(columns=1))
             clocks = (1000.0, 1250.0, 1600.0, 2100.0, 2800.0)
-            _SWEEP_CACHE[key] = sweep_microarchitectures(
-                factory, lib, PAPER_MICROARCHS, clocks)
+            _SWEEP_CACHE[key] = run_sweep(
+                factory, lib, PAPER_MICROARCHS, clocks).points
         return list(_SWEEP_CACHE[key])
     return run

@@ -23,7 +23,8 @@ re-propagating the whole netlist per commit).
 
 import time
 
-from repro.explore import PAPER_MICROARCHS, sweep_microarchitectures
+from repro.explore import PAPER_MICROARCHS
+from repro.flow import run_sweep
 from repro.workloads.idct import build_idct2d
 
 from benchmarks.conftest import banner
@@ -36,8 +37,8 @@ CEILING_S = 8.0
 
 def test_engine_uncached_grid_speed(lib, benchmark):
     def run():
-        return sweep_microarchitectures(
-            lambda: build_idct2d(columns=1), lib, PAPER_MICROARCHS, CLOCKS)
+        return run_sweep(lambda: build_idct2d(columns=1), lib,
+                         PAPER_MICROARCHS, CLOCKS).points
 
     t0 = time.perf_counter()
     points = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -15,7 +15,6 @@ from repro.explore import (
     PAPER_MICROARCHS,
     group_by_microarch,
     pareto_front,
-    sweep_microarchitectures,
 )
 from repro.rtl.reports import format_table, pareto_header
 from repro.workloads.idct import build_idct8, build_idct2d

@@ -6,11 +6,7 @@ high-performance corner of Figure 10 pays for it in power ("it is the
 bottom point of the Pipelined 32 curve").
 """
 
-from repro.explore import (
-    PAPER_MICROARCHS,
-    group_by_microarch,
-    sweep_microarchitectures,
-)
+from repro.explore import PAPER_MICROARCHS, group_by_microarch
 from repro.rtl.reports import format_table, pareto_header
 from repro.workloads.idct import build_idct8, build_idct2d
 

@@ -2,14 +2,15 @@
 
 The headline pin: a cold Figure-10-style microarch x clock grid on the
 ``jpeg_dct`` CHStone kernel must run >=3x faster through the sweep
-engine at ``jobs=8`` than through the seed thread-pool path -- while
-producing bit-identical results (same points, same infeasible records,
-same diagnostics text, in the same order).  The seed baseline runs with
-``fixpoint_ffwd=False`` and ``backend="thread"``, which is exactly the
-pre-engine executor: per-point region rebuilds fanned over a GIL-bound
-thread pool, no cross-point reuse, no relaxation fast-forward.
+engine at ``jobs=8`` than through the seed path -- while producing
+bit-identical results (same points, same infeasible records, same
+diagnostics text, in the same order).  The seed baseline is a serial
+loop of cold :func:`synthesize_design_point` calls with
+``fixpoint_ffwd=False``: per-point region rebuilds, no cross-point
+reuse, no relaxation fast-forward.  (Fanning these runs over a thread
+pool is GIL-bound and no faster, so a serial baseline is no weaker.)
 
-A second test records thread-vs-process scaling curves on a reduced
+A second test records context-vs-process scaling curves on a reduced
 grid (cold cache per run) into ``BENCH_results.json``; the CI
 sweep-scaling lane runs it as a jobs=1 vs jobs=4 smoke with
 ``REPRO_SWEEP_SMOKE=1``.
@@ -21,9 +22,9 @@ import time
 import pytest
 
 from repro.core.scheduler import SchedulerOptions
-from repro.explore.microarch import Microarch
+from repro.explore.microarch import InfeasiblePoint, Microarch
 from repro.flow.cache import FlowCache
-from repro.flow.executor import run_sweep
+from repro.flow.executor import run_sweep, synthesize_design_point
 from repro.workloads import PYFUNC_REGISTRY
 
 from benchmarks.conftest import banner
@@ -56,14 +57,22 @@ def _render(result):
         [repr(q) for q in result.infeasible]
 
 
+def _render_points(results):
+    """:func:`_render` for a flat per-point result list."""
+    return [repr(r) for r in results
+            if not isinstance(r, InfeasiblePoint)] + \
+        [repr(r) for r in results if isinstance(r, InfeasiblePoint)]
+
+
 @pytest.mark.skipif(SMOKE, reason="smoke lane runs the reduced curves")
 def test_sweep_engine_speedup_vs_seed(lib, bench_metrics):
     factory = PYFUNC_REGISTRY["jpeg_dct"].build
 
     t0 = time.perf_counter()
-    seed = run_sweep(factory, lib, GRID_MICROS, GRID_CLOCKS,
-                     options=SEED_OPTIONS, jobs=8, backend="thread")
+    seed = [synthesize_design_point(factory, lib, m, c, SEED_OPTIONS)
+            for m in GRID_MICROS for c in GRID_CLOCKS]
     seed_s = time.perf_counter() - t0
+    n_infeasible = sum(isinstance(r, InfeasiblePoint) for r in seed)
 
     # best-of-2 cold engine runs (fresh cache each): the pinned claim
     # is the engine's capability, and a single sample on a loaded CI
@@ -87,15 +96,15 @@ def test_sweep_engine_speedup_vs_seed(lib, bench_metrics):
     speedup = seed_s / engine_s if engine_s else float("inf")
     banner("sweep engine: cold jpeg_dct grid, jobs=8")
     print(f"  grid: {len(GRID_MICROS)}x{len(GRID_CLOCKS)} points, "
-          f"{len(seed.points)} feasible / {len(seed.infeasible)} "
+          f"{len(seed) - n_infeasible} feasible / {n_infeasible} "
           f"infeasible")
-    print(f"  seed thread path {seed_s:.2f}s -> engine "
+    print(f"  seed serial path {seed_s:.2f}s -> engine "
           f"({engine.backend}) {engine_s:.2f}s = {speedup:.2f}x")
     print(f"  engine profile: {engine.profile}")
 
     bench_metrics.update({
-        "grid_points": seed.total,
-        "seed_thread_s": round(seed_s, 3),
+        "grid_points": len(seed),
+        "seed_serial_s": round(seed_s, 3),
         "engine_s": round(engine_s, 3),
         "engine_times_s": [round(t, 3) for t in engine_times],
         "engine_backend": engine.backend,
@@ -108,7 +117,7 @@ def test_sweep_engine_speedup_vs_seed(lib, bench_metrics):
     # bit-identity first: a fast wrong sweep is worthless.  Every
     # point, every infeasible record, every reason string must match
     # the seed path exactly, in the same order.
-    assert _render(engine) == _render(seed)
+    assert _render(engine) == _render_points(seed)
 
     if not os.environ.get("REPRO_NO_BUDGET"):
         assert speedup >= 3.0, (
@@ -117,9 +126,9 @@ def test_sweep_engine_speedup_vs_seed(lib, bench_metrics):
             f"disables on known-slow hosts)")
 
 
-#: scaling-curve grid: small enough to run cold per (backend, jobs)
-#: configuration, but with one budget-exhausting corner (NP32@2100)
-#: so the curves still exercise the expensive regime.
+#: scaling-curve grid: small enough to run cold per jobs setting, but
+#: with one budget-exhausting corner (NP32@2100) so the curves still
+#: exercise the expensive regime.
 CURVE_MICROS = (Microarch("NP32", 32), Microarch("P48:24", 48, ii=24))
 CURVE_CLOCKS = (1600.0, 2100.0)
 CURVE_JOBS = (1, 4) if SMOKE else (1, 2, 4, 8)
@@ -129,20 +138,19 @@ def test_sweep_scaling_curves(lib, bench_metrics):
     factory = PYFUNC_REGISTRY["jpeg_dct"].build
     reference = None
     curves = {}
-    for backend in ("thread", "process"):
-        for jobs in CURVE_JOBS:
-            cache = FlowCache()  # fresh: every configuration runs cold
-            t0 = time.perf_counter()
-            result = run_sweep(factory, lib, CURVE_MICROS, CURVE_CLOCKS,
-                               jobs=jobs, cache=cache, backend=backend)
-            curves[f"{backend}_j{jobs}_s"] = \
-                round(time.perf_counter() - t0, 3)
-            if reference is None:
-                reference = _render(result)
-            else:
-                # every (backend, jobs) combination is bit-identical
-                assert _render(result) == reference, (backend, jobs)
-    banner("sweep engine: thread vs process scaling "
+    for jobs in CURVE_JOBS:
+        cache = FlowCache()  # fresh: every configuration runs cold
+        t0 = time.perf_counter()
+        result = run_sweep(factory, lib, CURVE_MICROS, CURVE_CLOCKS,
+                           jobs=jobs, cache=cache)
+        curves[f"{result.backend}_j{jobs}_s"] = \
+            round(time.perf_counter() - t0, 3)
+        if reference is None:
+            reference = _render(result)
+        else:
+            # every jobs setting (and so both backends) is bit-identical
+            assert _render(result) == reference, (result.backend, jobs)
+    banner("sweep engine: context vs process scaling "
            f"(jobs {list(CURVE_JOBS)}, cold per run)")
     for name, seconds in curves.items():
         print(f"  {name:16s} {seconds:8.3f}")

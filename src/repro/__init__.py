@@ -50,7 +50,6 @@ from repro.dataflow import (
 )
 from repro.core.pipeline import (
     PipelineResult,
-    explore_microarchitectures,
     pipeline_loop,
 )
 from repro.flow import (
@@ -98,7 +97,6 @@ __all__ = [
     "compensate_slack",
     "compute_mobility",
     "estimate_power",
-    "explore_microarchitectures",
     "fold_schedule",
     "generate_verilog",
     "generic45",

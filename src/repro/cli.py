@@ -243,8 +243,7 @@ def _profile_sweep(args: argparse.Namespace, library) -> int:
     micros = _parse_microarchs(args.latencies)
     profiling.reset()
     start = time.perf_counter()
-    result = run_sweep(factory, library, micros, clocks, jobs=args.jobs,
-                       backend=args.backend)
+    result = run_sweep(factory, library, micros, clocks, jobs=args.jobs)
     wall = time.perf_counter() - start
     table = profiling.snapshot()
     if args.json:
@@ -402,7 +401,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cache = _load_cache(args.cache)
     tracer = Tracer() if args.trace else None
     result = run_sweep(factory, library, micros, clocks, jobs=args.jobs,
-                       cache=cache, backend=args.backend, tracer=tracer)
+                       cache=cache, tracer=tracer)
     if cache is not None:
         cache.save(args.cache)
     _write_trace(tracer, args.trace)
@@ -776,9 +775,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="microarch axis for --sweep (e.g. 8,16,32:16)")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for --sweep")
-    p.add_argument("--backend", default=None,
-                   choices=("context", "process", "thread"),
-                   help="sweep backend override for --sweep")
     p.add_argument("--top", type=int, default=15,
                    help="cProfile rows to print (default 15)")
     p.add_argument("--json", action="store_true",
@@ -801,11 +797,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--latencies", default=None,
                    help="e.g. 8,16,32:16 (lat or lat:ii, comma separated)")
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel scheduling workers (default 1 = serial)")
-    p.add_argument("--backend", default=None,
-                   choices=("context", "process", "thread"),
-                   help="sweep backend (default: context, or process "
-                        "when --jobs > 1 on multicore hosts)")
+                   help="parallel scheduling workers (default 1 = serial; "
+                        ">1 uses worker processes on multicore hosts)")
     p.add_argument("--cache", default=None,
                    help="persist the flow cache here across runs")
     p.add_argument("--json", action="store_true",

@@ -4,19 +4,19 @@ Step I (schedule one iteration under the SCC-window and equivalent-edge
 rules) is performed by :func:`~repro.core.scheduler.schedule_region` with
 a :class:`~repro.cdfg.region.PipelineSpec`; Step II (folding onto the
 kernel) by :func:`~repro.core.folding.fold_schedule`.  This module wires
-the two together and offers the exploration entry point used by the
-examples and the Figure 10/11 sweeps.
+the two together behind the original exception-raising calling
+convention.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Optional
 
 from repro.cdfg.region import PipelineSpec, Region
 from repro.core.folding import FoldedPipeline
 from repro.core.schedule import Schedule
-from repro.core.scheduler import SchedulerOptions, schedule_region
+from repro.core.scheduler import SchedulerOptions
 from repro.tech.library import Library
 
 
@@ -61,28 +61,3 @@ def pipeline_loop(
     ctx.raise_if_failed()
     return PipelineResult(schedule=ctx.schedule, folded=ctx.folded)
 
-
-def explore_microarchitectures(
-    region_factory,
-    library: Library,
-    clock_ps: float,
-    iis: List[Optional[int]],
-    options: Optional[SchedulerOptions] = None,
-) -> Dict[str, Schedule]:
-    """Schedule one region at several microarchitectures.
-
-    ``iis`` entries are initiation intervals; ``None`` means sequential.
-    ``region_factory`` must build a fresh region per call (schedules bind
-    operation state).  Returns label -> schedule, labels like ``S``,
-    ``P2``, ``P1`` as in the paper's Table 3.
-    """
-    out: Dict[str, Schedule] = {}
-    for ii in iis:
-        region = region_factory()
-        if ii is None:
-            out["S"] = schedule_region(region, library, clock_ps,
-                                       options=options)
-        else:
-            out[f"P{ii}"] = pipeline_loop(
-                region, library, clock_ps, ii, options).schedule
-    return out

@@ -156,10 +156,11 @@ class FlowEvaluator(Evaluator):
     """Evaluate microarch/clock candidates through the ``sweep`` flow.
 
     Single evaluations go through
-    :func:`repro.flow.executor.synthesize_design_point`; batches group
-    by microarchitecture and fan out through
-    :func:`repro.flow.executor.run_sweep` (``jobs`` workers), sharing
-    one :class:`~repro.flow.cache.FlowCache` either way.
+    :func:`repro.flow.executor.synthesize_design_point` (the cold
+    per-point path); batches go out as one
+    :func:`repro.flow.executor.run_points` dispatch (``jobs`` picks the
+    sweep backend), sharing one :class:`~repro.flow.cache.FlowCache`
+    either way.
     """
 
     def __init__(self, region_factory: Callable, library: Library,

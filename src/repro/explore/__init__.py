@@ -16,7 +16,6 @@ from repro.explore.microarch import (
 )
 from repro.explore.pareto import DesignPoint, group_by_microarch, pareto_front
 from repro.explore.record import read_json, write_csv, write_json
-from repro.explore.sweep import sweep_microarchitectures, synthesize_point
 
 #: names resolved from repro.flow.executor on first access (PEP 562).
 _LAZY_FLOW_EXPORTS = ("SweepResult", "run_sweep")
@@ -33,8 +32,6 @@ __all__ = [
     "read_json",
     "pareto_front",
     "run_sweep",
-    "sweep_microarchitectures",
-    "synthesize_point",
     "write_csv",
     "write_json",
 ]

@@ -7,8 +7,8 @@ Figure 10/11 grid.  :class:`InfeasiblePoint` records a grid point the
 scheduler could not realize -- sweeps report these explicitly instead of
 silently dropping them.
 
-This module is dependency-free so both :mod:`repro.explore.sweep` and
-:mod:`repro.flow.executor` can import it without cycles.
+This module is dependency-free so :mod:`repro.flow.executor` can import
+it without cycles.
 """
 
 from __future__ import annotations

@@ -12,18 +12,19 @@ compilations:
   deterministic hash of (region structure, library, clock, options);
 * :func:`run_sweep` / :func:`run_points` -- the sweep engine behind
   the Figure 10/11 experiments and the DSE layer's batched
-  evaluations: three decision-identical backends (``context``,
-  ``process``, ``thread``), cross-point carryover via
-  :class:`SweepContext`, and explicit infeasible-point records.
+  evaluations: two decision-identical backends picked by ``jobs``
+  (serial ``context``, parallel ``process``), cross-point carryover
+  via :class:`SweepContext`, and explicit infeasible-point records;
+* :func:`synthesize_design_point` -- the single-point entry (a
+  one-point :class:`SweepContext`).
 
-The legacy entry points (``pipeline_loop``, ``sweep_microarchitectures``,
-the CLI commands) are thin shims over this package.
+``core.pipeline.pipeline_loop`` and the CLI commands run on top of
+this package.
 """
 
 from repro.flow.cache import FlowCache, compilation_key, region_fingerprint
 from repro.flow.context import CompilationContext, Diagnostic, PassTiming
 from repro.flow.executor import (
-    BACKENDS,
     PointResult,
     SweepResult,
     run_points,
@@ -46,7 +47,6 @@ from repro.flow.passes import (
 )
 
 __all__ = [
-    "BACKENDS",
     "CompilationContext",
     "Diagnostic",
     "FLOW_REGISTRY",

@@ -68,11 +68,13 @@ class CompilationContext:
     run_optimizer: bool = True
     #: result cache shared across contexts; None disables caching.
     cache: Optional["FlowCache"] = None  # noqa: F821 - see flow.cache
-    #: cross-point scheduling carryover (a ``_RegionCache`` owned by the
-    #: sweep engine's :class:`~repro.flow.sweepctx.SweepContext`); every
-    #: cached entry is decision-neutral, so it is transient state -- it
-    #: never enters the compilation cache key.
-    scheduler_carryover: Optional[object] = None
+    #: cross-point scheduling carryover: a zero-argument provider of the
+    #: ``_RegionCache`` owned by the sweep engine's
+    #: :class:`~repro.flow.sweepctx.SweepContext`, called only when the
+    #: schedule pass runs the scheduler.  Every cached entry is
+    #: decision-neutral, so it is transient state -- it never enters the
+    #: compilation cache key.
+    scheduler_carryover: Optional[Callable[[], object]] = None
     #: progress hook called as ``progress_cb(pass_name, event)`` with
     #: ``event`` in {"start", "done", "cached"} around every pass; long
     #: drivers (the job service) use it for live status.  Exceptions

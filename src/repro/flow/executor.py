@@ -1,18 +1,19 @@
 """The sweep engine: process-parallel, cross-point-incremental grids.
 
 Runs the microarchitecture x clock grid of the paper's Figures 10/11
-through the ``sweep`` flow.  Three backends share one contract -- every
-scheduling decision is bit-identical to the serial cold path, point for
-point, diagnostics included:
+through the ``sweep`` flow.  Two backends share one contract -- every
+scheduling decision is bit-identical to the serial cold per-point path
+(:func:`synthesize_design_point` over each point), diagnostics
+included.  The engine picks the backend; callers only choose ``jobs``:
 
-``context`` (default for ``jobs <= 1``)
+``context`` (``jobs <= 1``, or a single-core host)
     Serial traversal over a :class:`~repro.flow.sweepctx.SweepContext`:
     the region factory runs once, each microarchitecture variant
     (unroll + latency clamp + banking) is built once, and all clocks of
     a variant share one scheduler carryover cache (timing statics,
     heights, priority orders, clock-keyed ASAP/ALAP skeletons).
 
-``process`` (default for ``jobs > 1``)
+``process`` (``jobs > 1`` on a multicore host)
     The context engine sharded over worker processes.  Points are
     batched per variant, each batch shipping its prebuilt region to the
     worker as one pickle blob (not one per point); workers keep a
@@ -22,15 +23,10 @@ point, diagnostics included:
     re-sweeps never pay worker dispatch.  Any pool-level failure falls
     back to the ``context`` backend for the remaining points.
 
-``thread``
-    The seed executor, preserved verbatim as the benchmark baseline and
-    the fallback of last resort: per-point factory rebuilds fanned out
-    over a GIL-bound thread pool.
-
 Infeasible configurations are first-class :class:`InfeasiblePoint`
 results instead of being silently dropped.  Result ordering is the
 serial traversal order (microarchitecture-major, then clock) under
-every backend.
+both backends.
 """
 
 from __future__ import annotations
@@ -38,13 +34,12 @@ from __future__ import annotations
 import os
 import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import profiling
-from repro.cdfg.dfg import DFGError
-from repro.cdfg.region import PipelineSpec, Region
+from repro.cdfg.region import Region
 from repro.core.scheduler import SchedulerOptions
 from repro.explore.microarch import (
     InfeasiblePoint,
@@ -62,9 +57,6 @@ from repro.obs.trace import Tracer, maybe_span
 from repro.tech.library import Library
 
 PointResult = Union[DesignPoint, InfeasiblePoint]
-
-#: sweep backends; ``None`` picks ``context`` or ``process`` by jobs.
-BACKENDS = ("context", "process", "thread")
 
 
 @dataclass
@@ -137,34 +129,18 @@ def synthesize_design_point(
     cache: Optional[FlowCache] = None,
     tracer: Optional[Tracer] = None,
 ) -> PointResult:
-    """One HLS run through the ``sweep`` flow.
+    """One HLS run through the ``sweep`` flow: the cold per-point path.
 
-    The region is built fresh (the single-point entry has no sweep
-    context to share structure with), clamped to the microarchitecture's
-    latency, and scheduled/power-estimated.  Returns a
-    :class:`DesignPoint`, or an :class:`InfeasiblePoint` carrying the
-    scheduler's reason when the configuration is overconstrained.
+    A fresh :class:`SweepContext` builds the microarchitecture variant
+    (so nothing is shared with any other call: fresh region, fresh
+    carryover) and the point schedules against it exactly as a grid
+    point would.  Returns a :class:`DesignPoint`, or an
+    :class:`InfeasiblePoint` carrying the scheduler's reason when the
+    configuration is overconstrained or the variant is unbuildable.
     """
-    try:
-        region = microarch.apply_unroll(region_factory())
-    except DFGError as exc:
-        # an unrollable-as-asked region (indivisible trip count,
-        # distance>1 carried edges, ...) is an overconstrained grid
-        # point like any other, not a sweep-aborting error
-        return InfeasiblePoint(microarch.name, clock_ps, str(exc))
-    region.min_latency = microarch.latency
-    region.max_latency = microarch.latency
-    microarch.apply_banking(region)
-    pipeline = PipelineSpec(ii=microarch.ii) \
-        if microarch.ii is not None else None
-    ctx = CompilationContext(
-        region=region, library=library, clock_ps=clock_ps,
-        pipeline=pipeline, run_optimizer=False, cache=cache,
-        tracer=tracer)
-    if options is not None:
-        ctx.options = options
-    get_flow("sweep").run(ctx)
-    return _point_result(ctx, microarch, clock_ps)
+    variant = SweepContext(region_factory, library).variant(microarch)
+    return _variant_point(variant, library, clock_ps, options, cache,
+                          tracer)
 
 
 def _variant_point(
@@ -175,7 +151,7 @@ def _variant_point(
     cache: Optional[FlowCache],
     tracer: Optional[Tracer] = None,
 ) -> PointResult:
-    """One grid point against a prebuilt variant (context/process path)."""
+    """One grid point against a prebuilt variant (every path)."""
     if variant.region is None:
         return InfeasiblePoint(variant.microarch.name, clock_ps,
                                variant.error or "variant build failed")
@@ -301,28 +277,6 @@ def _run_process_backend(
     profile["workers"] = workers
 
 
-def _run_sweep_threads(
-    region_factory: Callable[[], Region],
-    library: Library,
-    grid: List[Tuple[Microarch, float]],
-    options: Optional[SchedulerOptions],
-    jobs: int,
-    cache: Optional[FlowCache],
-    tracer: Optional[Tracer] = None,
-) -> List[PointResult]:
-    """The seed thread-pool path (benchmark baseline, GIL-bound)."""
-    def one(item: Tuple[Microarch, float]) -> PointResult:
-        microarch, clock = item
-        return synthesize_design_point(
-            region_factory, library, microarch, clock, options, cache,
-            tracer)
-
-    if jobs <= 1:
-        return [one(item) for item in grid]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(one, grid))
-
-
 def _execute_grid(
     region_factory: Callable[[], Region],
     library: Library,
@@ -330,7 +284,6 @@ def _execute_grid(
     options: Optional[SchedulerOptions],
     jobs: int,
     cache: Optional[FlowCache],
-    backend: Optional[str],
     tracer: Optional[Tracer] = None,
 ) -> Tuple[List[PointResult], SweepResult]:
     """Execute an explicit (microarch, clock) list on the sweep engine.
@@ -339,15 +292,11 @@ def _execute_grid(
     :func:`run_points` (ragged point lists).  Returns the per-point
     results in input order plus the accounting record.
     """
-    if backend is None:
-        # a process pool on a single-core host is pure fork/pickle
-        # overhead -- the context engine does the same work in-process
-        # (backends are decision-identical, so the choice is invisible)
-        backend = "process" if jobs > 1 and (os.cpu_count() or 1) > 1 \
-            else "context"
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown sweep backend {backend!r}; choose from {BACKENDS}")
+    # a process pool on a single-core host is pure fork/pickle overhead
+    # -- the context engine does the same work in-process (the backends
+    # are decision-identical, so the choice is invisible)
+    backend = "process" if jobs > 1 and (os.cpu_count() or 1) > 1 \
+        else "context"
     hits0 = cache.hits if cache is not None else 0
     misses0 = cache.misses if cache is not None else 0
     ffwd0 = profiling.counters.get("scheduler.ffwd", 0)
@@ -358,47 +307,41 @@ def _execute_grid(
 
     with maybe_span(tracer, "sweep.run", backend=backend, jobs=jobs,
                     points=len(grid)):
-        if backend == "thread":
-            results: List[Optional[PointResult]] = _run_sweep_threads(
-                region_factory, library, grid, options, jobs, cache,
-                tracer)
-        else:
-            sctx = SweepContext(region_factory, library)
-            results = [None] * len(grid)
-            if backend == "process" and jobs > 1:
-                # serve points the shared cache already covers in the
-                # parent (the flow's own get() calls do the hit
-                # counting), then dispatch the rest to workers
-                parent_served = 0
-                for idx, (microarch, clock) in enumerate(grid):
-                    if cache is None:
-                        break
-                    variant = sctx.variant(microarch)
-                    if variant.region is None:
-                        continue
-                    key = compilation_key(
-                        variant.region, library, clock,
-                        options or SchedulerOptions(), variant.pipeline)
-                    if cache.peek(key, "schedule"):
-                        results[idx] = _variant_point(
-                            variant, library, clock, options, cache,
-                            tracer)
-                        parent_served += 1
-                profile["parent_served"] = parent_served
-                try:
-                    _run_process_backend(sctx, grid, results, library,
-                                         options, jobs, cache, profile,
-                                         tracer)
-                except Exception:
-                    # pool-level failure (unpicklable payload, broken
-                    # worker): finish on the in-process context engine
-                    profiling.bump("sweep.process_fallback")
-                    profile["process_fallback"] = True
+        sctx = SweepContext(region_factory, library)
+        results: List[Optional[PointResult]] = [None] * len(grid)
+        if backend == "process":
+            # serve points the shared cache already covers in the
+            # parent (the flow's own get() calls do the hit counting),
+            # then dispatch the rest to workers
+            parent_served = 0
             for idx, (microarch, clock) in enumerate(grid):
-                if results[idx] is None:
+                if cache is None:
+                    break
+                variant = sctx.variant(microarch)
+                if variant.region is None:
+                    continue
+                key = compilation_key(
+                    variant.region, library, clock,
+                    options or SchedulerOptions(), variant.pipeline)
+                if cache.peek(key, "schedule"):
                     results[idx] = _variant_point(
-                        sctx.variant(microarch), library, clock,
-                        options, cache, tracer)
+                        variant, library, clock, options, cache, tracer)
+                    parent_served += 1
+            profile["parent_served"] = parent_served
+            try:
+                _run_process_backend(sctx, grid, results, library,
+                                     options, jobs, cache, profile,
+                                     tracer)
+            except Exception:
+                # pool-level failure (unpicklable payload, broken
+                # worker): finish on the in-process context engine
+                profiling.bump("sweep.process_fallback")
+                profile["process_fallback"] = True
+        for idx, (microarch, clock) in enumerate(grid):
+            if results[idx] is None:
+                results[idx] = _variant_point(
+                    sctx.variant(microarch), library, clock, options,
+                    cache, tracer)
 
     elapsed = time.perf_counter() - start
     out = SweepResult(elapsed_s=elapsed, backend=backend, jobs=jobs,
@@ -442,15 +385,13 @@ def run_sweep(
     options: Optional[SchedulerOptions] = None,
     jobs: int = 1,
     cache: Optional[FlowCache] = None,
-    backend: Optional[str] = None,
     tracer: Optional[Tracer] = None,
 ) -> SweepResult:
     """The full microarch x clock grid, on the sweep engine.
 
-    ``backend`` selects ``context`` / ``process`` / ``thread``
-    explicitly; by default ``jobs`` decides (``context`` serially,
-    ``process`` for ``jobs > 1`` on multicore hosts).  Result ordering
-    and every scheduling decision are identical across backends --
+    ``jobs`` picks the backend (``context`` serially, ``process`` for
+    ``jobs > 1`` on multicore hosts).  Result ordering and every
+    scheduling decision are identical across backends --
     including with a ``tracer`` attached, which collects per-point
     spans (worker-process spans come home over the cache merge-back
     channel) without steering anything.
@@ -458,7 +399,7 @@ def run_sweep(
     grid: List[Tuple[Microarch, float]] = [
         (m, float(c)) for m in microarchs for c in clocks_ps]
     _, out = _execute_grid(region_factory, library, grid, options, jobs,
-                           cache, backend, tracer)
+                           cache, tracer)
     return out
 
 
@@ -469,7 +410,6 @@ def run_points(
     options: Optional[SchedulerOptions] = None,
     jobs: int = 1,
     cache: Optional[FlowCache] = None,
-    backend: Optional[str] = None,
     tracer: Optional[Tracer] = None,
 ) -> List[PointResult]:
     """A ragged (microarch, clock) list through the sweep engine.
@@ -482,5 +422,5 @@ def run_points(
     """
     grid = [(m, float(c)) for m, c in points]
     results, _ = _execute_grid(region_factory, library, grid, options,
-                               jobs, cache, backend, tracer)
+                               jobs, cache, tracer)
     return results

@@ -13,10 +13,13 @@ carryover cache keys every clock-dependent entry by clock.
 it with one scheduler carryover cache that serves every clock of that
 variant.  The process backend additionally asks the context for a
 pickled blob of the variant region, shipped to a worker once per point
-batch rather than once per point.
+batch rather than once per point.  :meth:`SweepContext.variant` is the
+only place a variant is built: the single-point entry
+(:func:`~repro.flow.executor.synthesize_design_point`) is a one-point
+context of its own.
 
-Everything held here is decision-neutral: a sweep through a
-``SweepContext`` is bit-identical to the seed per-point path -- same
+Everything held here is decision-neutral: a sweep through one shared
+``SweepContext`` is bit-identical to a fresh context per point -- same
 schedules, same diagnostics, same infeasible records (the bit-identity
 property suite compares all of them).
 """
@@ -52,10 +55,13 @@ class SweepVariant:
         self._carryover: Optional[_RegionCache] = None
         self._blob: Optional[bytes] = None
 
-    @property
     def carryover(self) -> Optional[_RegionCache]:
-        """The scheduler carryover cache shared by this variant's clocks
-        (built lazily; every entry is decision-neutral)."""
+        """The scheduler carryover cache shared by this variant's clocks.
+
+        Built on first call, which the schedule pass makes only when it
+        actually schedules (not on a flow-cache hit, not on the
+        ``fast_paths=False`` reference path); every entry is
+        decision-neutral."""
         if self._carryover is None and self.region is not None:
             self._carryover = _RegionCache(self.region, self._library)
         return self._carryover
@@ -108,6 +114,9 @@ class SweepContext:
             microarch.apply_banking(region)
             entry = SweepVariant(microarch, region, None, self.library)
         except DFGError as exc:
+            # an unrollable-as-asked region (indivisible trip count,
+            # distance>1 carried edges, ...) is an overconstrained grid
+            # point like any other, not a sweep-aborting error
             entry = SweepVariant(microarch, None, str(exc), self.library)
         self._variants[microarch] = entry
         return entry

@@ -30,6 +30,14 @@ def property_examples(default: int = 25) -> int:
     (the acceptance runs use 200)."""
     return int(os.environ.get("REPRO_MAX_EXAMPLES", default))
 
+
+#: the sweep engine only runs its process backend (jobs > 1) on a
+#: multicore host; tests of that backend's own surfaces need one.
+MULTICORE = (os.cpu_count() or 1) > 1
+requires_multicore = pytest.mark.skipif(
+    not MULTICORE,
+    reason="jobs > 1 runs the process backend only on multicore hosts")
+
 #: the paper's clock for the worked examples (section IV, Example 1).
 PAPER_CLOCK_PS = 1600.0
 

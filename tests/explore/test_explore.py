@@ -9,10 +9,9 @@ from repro.explore import (
     Microarch,
     group_by_microarch,
     pareto_front,
-    sweep_microarchitectures,
-    synthesize_point,
 )
 from repro.explore.pareto import dominates
+from repro.flow import run_sweep, synthesize_design_point
 from repro.tech import artisan90
 from repro.workloads.fir import build_fir
 
@@ -108,8 +107,8 @@ def test_group_by_microarch_sorts_by_delay():
 
 def test_synthesize_point_fixed_latency(lib):
     micro = Microarch("NP-4", 4)
-    point = synthesize_point(build_fir, lib, micro, 1600.0)
-    assert point is not None
+    point = synthesize_design_point(build_fir, lib, micro, 1600.0)
+    assert isinstance(point, DesignPoint)
     assert point.latency == 4
     assert point.ii == 4
     assert point.delay_ps == pytest.approx(4 * 1600.0)
@@ -117,15 +116,17 @@ def test_synthesize_point_fixed_latency(lib):
 
 def test_synthesize_point_pipelined(lib):
     micro = Microarch("P-4", 4, ii=2)
-    point = synthesize_point(build_fir, lib, micro, 1600.0)
-    assert point is not None
+    point = synthesize_design_point(build_fir, lib, micro, 1600.0)
+    assert isinstance(point, DesignPoint)
     assert point.ii == 2
     assert point.delay_ps == pytest.approx(2 * 1600.0)
 
 
-def test_infeasible_point_is_none(lib):
+def test_infeasible_point_is_recorded(lib):
     micro = Microarch("NP-1", 1)  # FIR cannot finish in one state
-    assert synthesize_point(build_fir, lib, micro, 400.0) is None
+    bad = synthesize_design_point(build_fir, lib, micro, 400.0)
+    assert isinstance(bad, InfeasiblePoint)
+    assert bad.reason  # the scheduler's explanation is preserved
 
 
 def test_with_unroll_labels_and_validates():
@@ -141,10 +142,11 @@ def test_synthesize_point_unrolled(lib):
     """The unroll axis: one region iteration does two source
     iterations, visible as doubled I/O striding in the built region."""
     micro = Microarch("NP8", 8).with_unroll(2)
-    point = synthesize_point(build_fir, lib, micro, 1600.0)
-    assert point is not None
+    point = synthesize_design_point(build_fir, lib, micro, 1600.0)
+    assert isinstance(point, DesignPoint)
     assert point.latency == 8
-    base = synthesize_point(build_fir, lib, Microarch("NP8", 8), 1600.0)
+    base = synthesize_design_point(build_fir, lib, Microarch("NP8", 8),
+                                   1600.0)
     assert point.area > base.area  # replicated body costs hardware
 
 
@@ -156,7 +158,7 @@ def test_apply_unroll_identity_for_factor_one():
 
 def test_sweep_returns_points(lib):
     micros = (Microarch("NP-3", 3), Microarch("P-4", 4, ii=2))
-    points = sweep_microarchitectures(build_fir, lib, micros,
-                                      clocks_ps=(1600.0, 2400.0))
+    points = run_sweep(build_fir, lib, micros,
+                       clocks_ps=(1600.0, 2400.0)).points
     assert len(points) >= 3
     assert {p.microarch for p in points} <= {"NP-3", "P-4"}

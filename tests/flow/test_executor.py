@@ -1,12 +1,15 @@
-"""The parallel sweep executor: determinism, infeasible records, shims."""
+"""The sweep executor: determinism, infeasible records, backend pick."""
 
-from repro.explore import (
-    InfeasiblePoint,
-    Microarch,
-    sweep_microarchitectures,
-    synthesize_point,
-)
-from repro.flow import FlowCache, run_sweep
+import os
+
+import pytest
+
+from tests.conftest import requires_multicore
+
+from repro.core.scheduler import SchedulerOptions
+from repro.explore import InfeasiblePoint, Microarch
+from repro.flow import FlowCache, run_sweep, synthesize_design_point
+from repro.flow import sweepctx
 from repro.workloads import build_example1
 from repro.workloads.fir import build_fir
 
@@ -65,27 +68,67 @@ def test_parallel_sweep_with_shared_cache(lib):
 
 
 # ----------------------------------------------------------------------
-# legacy shims
+# what the removed explore shims promised, asserted through run_sweep
 # ----------------------------------------------------------------------
 def test_sweep_microarchitectures_shim_collects_infeasible(lib):
     micros = (Microarch("NP-1", 1), Microarch("NP-3", 3))
-    dropped = []
-    points = sweep_microarchitectures(build_fir, lib, micros, (1600.0,),
-                                      infeasible=dropped)
-    assert len(points) == 1
-    assert len(dropped) == 1
-    assert isinstance(dropped[0], InfeasiblePoint)
+    result = run_sweep(build_fir, lib, micros, (1600.0,))
+    assert len(result.points) == 1
+    assert len(result.infeasible) == 1
+    assert isinstance(result.infeasible[0], InfeasiblePoint)
 
 
 def test_sweep_microarchitectures_shim_parallel_jobs(lib):
-    serial = sweep_microarchitectures(build_example1, lib, MICROS, CLOCKS)
-    threaded = sweep_microarchitectures(build_example1, lib, MICROS,
-                                        CLOCKS, jobs=2)
-    assert serial == threaded
+    serial = run_sweep(build_example1, lib, MICROS, CLOCKS).points
+    parallel = run_sweep(build_example1, lib, MICROS, CLOCKS,
+                         jobs=2).points
+    assert serial == parallel
 
 
-def test_synthesize_point_shim_none_on_infeasible(lib):
-    assert synthesize_point(build_fir, lib, Microarch("NP-1", 1),
-                            400.0) is None
-    point = synthesize_point(build_fir, lib, Microarch("NP-4", 4), 1600.0)
-    assert point is not None and point.latency == 4
+# ----------------------------------------------------------------------
+# backend selection: jobs and the host's core count decide, nothing else
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("jobs, cpus, expected", [
+    (1, None, "context"),
+    (4, 1, "context"),  # a pool on one core is pure fork/pickle cost
+    pytest.param(2, None, "process", marks=requires_multicore),
+])
+def test_backend_pick_is_automatic(lib, monkeypatch, jobs, cpus,
+                                   expected):
+    if cpus is not None:
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    result = run_sweep(build_fir, lib, (Microarch("NP-3", 3),),
+                       (1600.0, 2400.0), jobs=jobs)
+    assert result.backend == expected
+    assert result.jobs == jobs
+    assert len(result.points) == 2
+
+
+# ----------------------------------------------------------------------
+# the variant's carryover is built only when the scheduler runs
+# ----------------------------------------------------------------------
+def test_single_point_builds_carryover_only_when_scheduling(lib,
+                                                            monkeypatch):
+    built = []
+    real = sweepctx._RegionCache
+
+    def counting(region, library):
+        built.append(region.name)
+        return real(region, library)
+
+    monkeypatch.setattr(sweepctx, "_RegionCache", counting)
+    micro = Microarch("NP-3", 3)
+    cache = FlowCache()
+    cold = synthesize_design_point(build_fir, lib, micro, 1600.0,
+                                   cache=cache)
+    assert len(built) == 1
+    # a flow-cache hit never reaches the scheduler
+    hit = synthesize_design_point(build_fir, lib, micro, 1600.0,
+                                  cache=cache)
+    assert hit == cold
+    assert len(built) == 1
+    # the reference path ignores carryover, so none is built for it
+    ref = synthesize_design_point(build_fir, lib, micro, 1600.0,
+                                  SchedulerOptions(fast_paths=False))
+    assert repr(ref) == repr(cold)
+    assert len(built) == 1

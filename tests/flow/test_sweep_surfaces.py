@@ -13,6 +13,8 @@ Two invariants the sweep engine reports but nothing previously pinned:
 
 from __future__ import annotations
 
+from tests.conftest import requires_multicore
+
 from repro import profiling
 from repro.cdfg import RegionBuilder
 from repro.core.schedule import ScheduleError
@@ -34,9 +36,9 @@ def _accounted(profile):
 # ----------------------------------------------------------------------
 # profile counter invariant: parent_served + worker points == total
 # ----------------------------------------------------------------------
+@requires_multicore
 def test_process_profile_accounts_for_every_point(lib):
-    result = run_sweep(build_example1, lib, MICROS, CLOCKS,
-                       jobs=2, backend="process")
+    result = run_sweep(build_example1, lib, MICROS, CLOCKS, jobs=2)
     assert result.backend == "process"
     assert result.total == len(MICROS) * len(CLOCKS)
     assert not result.profile.get("process_fallback")
@@ -51,22 +53,25 @@ def test_process_profile_accounts_for_every_point(lib):
     assert result.profile["pickle_bytes"] > 0
 
 
+@requires_multicore
 def test_pickle_bytes_is_per_sweep(lib):
     """Two identical process sweeps in one process ship the same blobs,
     so each reports the same byte count, not a running total."""
     first, second = (run_sweep(build_example1, lib, MICROS, CLOCKS,
-                               jobs=2, backend="process")
+                               jobs=2)
                      for _ in range(2))
     assert first.profile["pickle_bytes"] > 0
     assert second.profile["pickle_bytes"] == first.profile["pickle_bytes"]
 
 
+@requires_multicore
 def test_warm_process_resweep_is_all_parent_served(lib):
     cache = FlowCache()
     cold = run_sweep(build_example1, lib, MICROS, CLOCKS,
-                     jobs=2, backend="process", cache=cache)
+                     jobs=2, cache=cache)
     warm = run_sweep(build_example1, lib, MICROS, CLOCKS,
-                     jobs=2, backend="process", cache=cache)
+                     jobs=2, cache=cache)
+    assert cold.backend == warm.backend == "process"
     # identical decisions either way
     assert warm.points == cold.points
     assert warm.infeasible == cold.infeasible

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import os
 
+from tests.conftest import requires_multicore
+
 from repro.flow import run_sweep
 from repro.obs.trace import Tracer
 from repro.explore import Microarch
@@ -27,25 +29,26 @@ def _summaries(result):
 def test_traced_sweep_decision_identical_context_backend(lib):
     from repro.workloads import build_example1
 
-    plain = run_sweep(build_example1, lib, MICROS, CLOCKS,
-                      jobs=1, backend="context")
+    plain = run_sweep(build_example1, lib, MICROS, CLOCKS, jobs=1)
     tracer = Tracer()
     traced = run_sweep(build_example1, lib, MICROS, CLOCKS,
-                       jobs=1, backend="context", tracer=tracer)
+                       jobs=1, tracer=tracer)
+    assert traced.backend == "context"
     assert _summaries(traced) == _summaries(plain)
     names = [s["name"] for s in tracer.export()]
     assert names.count("sweep.point") == len(MICROS) * len(CLOCKS)
     assert "sweep.run" in names
 
 
+@requires_multicore
 def test_process_sweep_spans_come_home_with_worker_pids(lib):
     from repro.workloads import build_example1
 
-    plain = run_sweep(build_example1, lib, MICROS, CLOCKS,
-                      jobs=2, backend="process")
+    plain = run_sweep(build_example1, lib, MICROS, CLOCKS, jobs=2)
     tracer = Tracer()
     traced = run_sweep(build_example1, lib, MICROS, CLOCKS,
-                       jobs=2, backend="process", tracer=tracer)
+                       jobs=2, tracer=tracer)
+    assert traced.backend == "process"
     assert _summaries(traced) == _summaries(plain)
     spans = tracer.export()
     points = [s for s in spans if s["name"] == "sweep.point"]
@@ -66,8 +69,7 @@ def test_traced_point_spans_carry_feasibility(lib):
 
     tracer = Tracer()
     run_sweep(build_example1, lib, (Microarch("NP5", 5),),
-              (600.0, 2400.0), jobs=1, backend="context",
-              tracer=tracer)
+              (600.0, 2400.0), jobs=1, tracer=tracer)
     by_clock = {s["attrs"]["clock_ps"]: s["attrs"]
                 for s in tracer.export()
                 if s["name"] == "sweep.point"}

@@ -1,13 +1,14 @@
 """Bit-identity of the sweep engine against the serial cold path.
 
-The engine's contract (ISSUE PR 8): whatever backend runs a sweep --
-the serial context engine with its cross-point carryover, the process
-pool with per-worker caches, warm-started re-sweeps over a shared
-cache, or the relaxation fixpoint fast-forward -- every scheduling
-decision must be bit-identical to the seed path: per-point region
-rebuilds, no carryover, no fast-forward, thread backend.  That covers
-feasible points (all metrics), InfeasiblePoint records (reason text
-included), flow diagnostics, and tune winners.
+The engine's contract: whatever backend runs a sweep -- the serial
+context engine with its cross-point carryover, the process pool with
+per-worker caches, warm-started re-sweeps over a shared cache, or the
+relaxation fixpoint fast-forward -- every scheduling decision must be
+bit-identical to the seed path: a serial loop of cold per-point
+:func:`synthesize_design_point` calls (fresh region and carryover per
+point) without fast-forward.  That covers feasible points (all
+metrics), InfeasiblePoint records (reason text included), flow
+diagnostics, and tune winners.
 
 Checked on the paper's Example 1 grid, an industrial-class synthetic
 design, and Hypothesis-random regions whose grids are chosen to cross
@@ -19,14 +20,15 @@ import random
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from tests.conftest import property_examples
+from tests.conftest import MULTICORE, property_examples
 
+from repro import profiling
 from repro.cdfg import RegionBuilder
 from repro.core.schedule import ScheduleError
 from repro.core.scheduler import SchedulerOptions, schedule_region
-from repro.explore.microarch import Microarch
+from repro.explore.microarch import InfeasiblePoint, Microarch
 from repro.flow import FlowCache, run_sweep
-from repro.flow.executor import run_points
+from repro.flow.executor import run_points, synthesize_design_point
 from repro.workloads import build_example1, build_fir
 from repro.workloads.synthetic import industrial_suite
 
@@ -43,20 +45,48 @@ def _render(result):
         [repr(q) for q in result.infeasible]
 
 
+def _seed_points(factory, lib, micros, clocks):
+    """The seed oracle: cold per-point runs over the grid, in order."""
+    return [synthesize_design_point(factory, lib, m, c, SEED_OPTIONS)
+            for m in micros for c in clocks]
+
+
+def _render_points(results):
+    """:func:`_render` for a flat per-point result list."""
+    return [repr(r) for r in results
+            if not isinstance(r, InfeasiblePoint)] + \
+        [repr(r) for r in results if isinstance(r, InfeasiblePoint)]
+
+
+def _assert_pool_ran(result):
+    """jobs > 1 on a multicore host must run the process backend."""
+    if MULTICORE:
+        assert result.backend == "process"
+
+
+def _pooled_run_points(factory, lib, points):
+    """:func:`run_points` at jobs=4, asserting the pool path ran."""
+    before = profiling.counters.get("sweep.backend.process", 0)
+    results = run_points(factory, lib, points, jobs=4)
+    if MULTICORE:
+        assert profiling.counters.get("sweep.backend.process", 0) == \
+            before + 1
+    return results
+
+
 def _identical_across_backends(factory, lib, micros, clocks):
-    """Assert the full backend matrix reproduces the seed rendering."""
-    seed = run_sweep(factory, lib, micros, clocks,
-                     options=SEED_OPTIONS, backend="thread")
-    reference = _render(seed)
+    """Assert both backends, cold and warm, reproduce the seed oracle."""
+    seed = _seed_points(factory, lib, micros, clocks)
+    reference = _render_points(seed)
     # context engine (shared variants + carryover + ffwd), cold
     assert _render(run_sweep(factory, lib, micros, clocks)) == reference
     # process pool with a shared cache: cold, then warm re-sweep
     cache = FlowCache()
-    cold = run_sweep(factory, lib, micros, clocks, jobs=4,
-                     cache=cache, backend="process")
+    cold = run_sweep(factory, lib, micros, clocks, jobs=4, cache=cache)
+    _assert_pool_ran(cold)
     assert _render(cold) == reference
-    warm = run_sweep(factory, lib, micros, clocks, jobs=4,
-                     cache=cache, backend="process")
+    warm = run_sweep(factory, lib, micros, clocks, jobs=4, cache=cache)
+    _assert_pool_ran(warm)
     assert _render(warm) == reference
     assert warm.cache_misses == 0  # fully served, yet bit-identical
     return seed
@@ -72,7 +102,8 @@ def test_paper_example1_grid_identical(lib):
         build_example1, lib, micros, (1000.0, 1600.0, 2400.0))
     # the grid must actually cross the feasibility boundary, or the
     # expensive relaxation paths were never compared
-    assert seed.points and seed.infeasible
+    infeasible = [r for r in seed if isinstance(r, InfeasiblePoint)]
+    assert infeasible and len(infeasible) < len(seed)
 
 
 def test_industrial_design_grid_identical(lib):
@@ -84,7 +115,8 @@ def test_industrial_design_grid_identical(lib):
     micros = (Microarch("NP40", 40), Microarch("NP64", 64))
     seed = _identical_across_backends(
         factory, lib, micros, (1600.0, 2800.0))
-    assert seed.points  # sanity: the design schedules somewhere
+    # sanity: the design schedules somewhere
+    assert not all(isinstance(r, InfeasiblePoint) for r in seed)
 
 
 def test_run_points_matches_run_sweep_order(lib):
@@ -92,19 +124,18 @@ def test_run_points_matches_run_sweep_order(lib):
     input order, under both serial and process dispatch."""
     micros = (Microarch("NP3", 3), Microarch("NP4", 4))
     clocks = (1600.0, 2400.0)
-    sweep = run_sweep(build_fir, lib, micros, clocks,
-                      options=SEED_OPTIONS, backend="thread")
+    seed = _seed_points(build_fir, lib, micros, clocks)
     points = [(m, c) for m in micros for c in clocks]
     serial = run_points(build_fir, lib, points)
-    process = run_points(build_fir, lib, points, jobs=4,
-                         backend="process")
-    grid_render = _render(sweep)
-    assert sorted(map(repr, serial)) == sorted(grid_render)
+    process = _pooled_run_points(build_fir, lib, points)
+    assert list(map(repr, serial)) == list(map(repr, seed))
+    assert _render_points(serial) == \
+        _render(run_sweep(build_fir, lib, micros, clocks))
     assert list(map(repr, process)) == list(map(repr, serial))
     # ragged: interleaved curves, duplicate-free subset
     ragged = [(micros[1], 2400.0), (micros[0], 1600.0)]
     a = run_points(build_fir, lib, ragged)
-    b = run_points(build_fir, lib, ragged, jobs=4, backend="process")
+    b = _pooled_run_points(build_fir, lib, ragged)
     assert [r.clock_ps for r in a] == [2400.0, 1600.0]
     assert list(map(repr, a)) == list(map(repr, b))
 
