@@ -11,9 +11,9 @@ reuse, no relaxation fast-forward.  (Fanning these runs over a thread
 pool is GIL-bound and no faster, so a serial baseline is no weaker.)
 
 A second test records context-vs-process scaling curves on a reduced
-grid (cold cache per run) into ``BENCH_results.json``; the CI
-sweep-scaling lane runs it as a jobs=1 vs jobs=4 smoke with
-``REPRO_SWEEP_SMOKE=1``.
+grid (cold cache per run) into ``BENCH_results.json`` and checks that
+grid against the seed path too; the CI sweep-scaling lane runs it as a
+jobs=1 vs jobs=4 smoke with ``REPRO_SWEEP_SMOKE=1``.
 """
 
 import os
@@ -150,6 +150,12 @@ def test_sweep_scaling_curves(lib, bench_metrics):
         else:
             # every jobs setting (and so both backends) is bit-identical
             assert _render(result) == reference, (result.backend, jobs)
+    # the smoke lane skips the full-grid pin, so check the reduced grid
+    # against the seed path here: its NP32@2100 corner is a
+    # budget-exhausting spiral that the bounded fast-forward cuts short
+    seed = [synthesize_design_point(factory, lib, m, c, SEED_OPTIONS)
+            for m in CURVE_MICROS for c in CURVE_CLOCKS]
+    assert reference == _render_points(seed)
     banner("sweep engine: context vs process scaling "
            f"(jobs {list(CURVE_JOBS)}, cold per run)")
     for name, seconds in curves.items():

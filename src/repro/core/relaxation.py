@@ -48,10 +48,12 @@ class Action:
     cost: float
     solved_weight: float
     apply: Callable[[DriverState], None]
-    #: the resource type an ``add_resource`` action appends (None for
-    #: every other family); lets the driver's fixpoint detector reason
-    #: about what a batch did without unpicking the apply closure.
+    #: the resource type an ``add_resource`` action appends and how many
+    #: copies (None / 0 for every other family); lets the driver's
+    #: fixpoint detector reason about what a batch does without running
+    #: the apply closure.
     rtype: Optional[ResourceType] = None
+    count: int = 0
 
     @property
     def gain(self) -> float:
@@ -216,6 +218,7 @@ def propose_actions(
                 solved_weight=solved,
                 apply=add_resource,
                 rtype=rtype,
+                count=count,
             ))
             break  # cheapest fitting grade is enough per type
 

@@ -20,6 +20,7 @@ scheduler, which is the point of the paper.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -93,13 +94,14 @@ class SchedulerOptions:
     fast_paths: bool = True
     #: fast-forward relaxation death spirals: when two consecutive failed
     #: passes produce identical analyzed restraints and identical scored
-    #: actions, and the applied batch provably cannot change any future
-    #: pass (add_resource-only additions whose instances stay empty and
-    #: whose sharing outlook is already saturated), the driver synthesizes
-    #: the remaining identical iterations instead of executing them.  The
-    #: raised budget-exhausted error (message, history, state) is
-    #: bit-identical to the cold path; ``False`` is the reference path the
-    #: equivalence suite compares against.
+    #: actions, and the applied batch provably leaves the next passes
+    #: identical too (add_resource-only additions whose instances stay
+    #: empty, replayed until the sharing outlook ``demand > count``
+    #: flips), the driver applies those passes' batches without running
+    #: them: up to the pass budget, or up to the flip pass, which then
+    #: runs cold.  Outcomes (schedule or error message, diagnostics,
+    #: history, pass count) are bit-identical to the cold path; ``False``
+    #: is the reference path the equivalence suite compares against.
     fixpoint_ffwd: bool = True
 
 
@@ -1121,39 +1123,52 @@ class _Pass:
                            self.windows, self.mobility, self.log)
 
 
-def _ffwd_stable(batch, pool, netlist) -> bool:
-    """Whether repeating ``batch`` forever cannot change a future pass.
+def _ffwd_replays(batch, pool, netlist) -> float:
+    """How many future passes provably replay the observed failed pass.
 
-    Sound only for pure ``add_resource`` batches: every other action
-    family mutates monotone driver state (forbidden pairs, speculation,
-    SCC shifts, bank overrides) that feeds back into the next proposal.
-    For resource additions, two conditions make the extra instances
-    invisible to the candidate walk (the empty-sibling argument behind
-    the PR 6 fast paths):
+    Called when the observed pass replays its predecessor (equal driver
+    fingerprints) and ``batch`` is about to be applied.  Returns 0 when
+    no replay is provable and ``math.inf`` when every future pass is a
+    replay.  Sound only for pure ``add_resource`` batches: every other
+    action family mutates monotone driver state (forbidden pairs,
+    speculation, SCC shifts, bank overrides, latency) that feeds back
+    into the next proposal.  For resource additions:
 
     - at least one instance of each added type stayed empty through the
       whole observed pass, so the binder never needed instances beyond
-      the ones both passes shared; and
-    - the type's sharing outlook is already saturated
-      (``demand <= count`` with the engine's memory-port adjustments),
-      so the anticipation flag -- the one timing input that reads the
-      pool *size* -- cannot flip as copies pile up.
+      the ones both passes shared, and further empty siblings are
+      invisible to the candidate walk (the same empty-sibling argument
+      as the walk's per-grade verdict reuse);
+    - the one timing input that reads the pool *size* is the engine's
+      anticipation flag, ``demand > count`` per type key
+      (``TimingEngine._anticipated``, memory-port adjustments
+      included).  With count ``c``, demand ``d`` and ``a`` instances
+      added per batch, the flag keeps its value for the next
+      ``ceil((d - c) / a) - 1`` passes and flips on the one after; when
+      ``d <= c`` it never flips;
+    - ``add_state``'s jump reads the outlook count too, but it never
+      enters a pure ``add_resource`` batch, and the fingerprint holds
+      only its name, cost and solved weight, none of which read the
+      count.
     """
-    for action in batch:
-        if action.rtype is None or \
-                not action.name.startswith("add_resource:"):
-            return False
-    demand = netlist._type_demand
-    counts = netlist._type_count
+    added: Dict[Tuple[str, int], int] = {}
     for action in batch:
         rt = action.rtype
-        key = (rt.family, rt.width)
-        if demand.get(key, 0) > counts.get(key, 1):
-            return False
+        if rt is None:  # not an add_resource action
+            return 0
         if not any(inst.rtype.name == rt.name and not inst.ops_bound()
                    for inst in pool.instances):
-            return False
-    return True
+            return 0
+        key = (rt.family, rt.width)
+        added[key] = added.get(key, 0) + action.count
+    demand = netlist._type_demand
+    counts = netlist._type_count
+    replays = math.inf
+    for key, n in added.items():
+        gap = demand.get(key, 0) - counts.get(key, 1)
+        if gap > 0:
+            replays = min(replays, -(-gap // n) - 1)
+    return replays
 
 
 #: counters whose per-pass deltas annotate ``scheduler.pass`` spans.
@@ -1223,7 +1238,9 @@ def schedule_region(
         cache = _RegionCache(region, library) if options.fast_paths else None
     outcome: Optional[PassOutcome] = None
     prev_fp = None
-    for pass_no in range(1, options.max_passes + 1):
+    pass_no = 0
+    while pass_no < options.max_passes:
+        pass_no += 1
         with maybe_span(tracer, "scheduler.pass", pass_no=pass_no,
                         region=region.name,
                         latency=state.latency) as pspan:
@@ -1314,35 +1331,37 @@ def schedule_region(
             # relaxation fixpoint fast-forward: when this failed pass
             # is an exact replay of the previous one (same analyzed
             # restraints, same scored actions) and the batch about to
-            # be applied provably cannot perturb any future pass,
-            # every remaining iteration up to the pass budget is the
-            # same pass again -- synthesize their state/history
-            # updates and exhaust the budget without running them.
-            # Death-spiral points (the dominant cost of infeasible
-            # sweeps) collapse from hundreds of passes to the spiral
-            # prefix.
+            # be applied provably leaves the next ``replays`` passes
+            # replays too, apply their batches without running them.
+            # Up to the budget this synthesizes the budget-exhausted
+            # tail; short of it, the driver resumes cold at the pass
+            # where the sharing outlook flips.  Death-spiral points
+            # (the dominant cost of infeasible sweeps) collapse to the
+            # passes that actually differ.
             if options.fixpoint_ffwd and cache is not None:
                 fp = driver_fingerprint(analyzed, actions)
                 if fp == prev_fp:
-                    if _ffwd_stable(applied_actions(actions),
-                                    outcome.pool, outcome.netlist):
-                        remaining = options.max_passes - pass_no + 1
+                    replays = _ffwd_replays(applied_actions(actions),
+                                            outcome.pool, outcome.netlist)
+                    if replays:
+                        skipped = min(replays,
+                                      options.max_passes - pass_no)
                         profiling.bump("scheduler.ffwd")
-                        profiling.bump("scheduler.ffwd_passes",
-                                       remaining - 1)
+                        profiling.bump("scheduler.ffwd_passes", skipped)
                         if pspan is not None:
                             pspan.set("ffwd", "accepted")
-                            pspan.set("ffwd_passes", remaining - 1)
-                        for _ in range(remaining):
+                            pspan.set("ffwd_passes", skipped)
+                        for _ in range(skipped):
                             apply_action_batch(actions, state)
-                        break
-                    # an exact replay whose batch could still perturb
-                    # a future pass: stay on the cold path (and count
-                    # it, so sweep reports can show accepted vs
-                    # rejected fixpoints)
-                    profiling.bump("scheduler.ffwd_reject")
-                    if pspan is not None:
-                        pspan.set("ffwd", "rejected")
+                        pass_no += skipped
+                    else:
+                        # an exact replay whose very next pass could
+                        # differ: stay on the cold path (and count it,
+                        # so sweep reports can show accepted vs
+                        # rejected fixpoints)
+                        profiling.bump("scheduler.ffwd_reject")
+                        if pspan is not None:
+                            pspan.set("ffwd", "rejected")
                 prev_fp = fp
             # apply the winning action plus the batch of independent
             # secondary actions (resource additions for other types,
