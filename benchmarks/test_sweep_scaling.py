@@ -5,10 +5,11 @@ The headline pin: a cold Figure-10-style microarch x clock grid on the
 engine at ``jobs=8`` than through the seed path -- while producing
 bit-identical results (same points, same infeasible records, same
 diagnostics text, in the same order).  The seed baseline is a serial
-loop of cold :func:`synthesize_design_point` calls with
-``fixpoint_ffwd=False``: per-point region rebuilds, no cross-point
-reuse, no relaxation fast-forward.  (Fanning these runs over a thread
-pool is GIL-bound and no faster, so a serial baseline is no weaker.)
+loop of cold :func:`synthesize_design_point` calls with the relaxation
+loop held cold (``tests.conftest.cold_fixpoint``): per-point region
+rebuilds, no cross-point reuse, no relaxation fast-forward.  (Fanning
+these runs over a thread pool is GIL-bound and no faster, so a serial
+baseline is no weaker.)
 
 A second test records context-vs-process scaling curves on a reduced
 grid (cold cache per run) into ``BENCH_results.json`` and checks that
@@ -21,13 +22,13 @@ import time
 
 import pytest
 
-from repro.core.scheduler import SchedulerOptions
 from repro.explore.microarch import InfeasiblePoint, Microarch
 from repro.flow.cache import FlowCache
 from repro.flow.executor import run_sweep, synthesize_design_point
 from repro.workloads import PYFUNC_REGISTRY
 
 from benchmarks.conftest import banner
+from tests.conftest import cold_fixpoint
 
 #: reduced CI smoke (sweep-scaling lane): skip the full-grid pin, trim
 #: the scaling curves to jobs 1 vs 4.
@@ -45,16 +46,21 @@ GRID_MICROS = (
 )
 GRID_CLOCKS = (1000.0, 1250.0, 1600.0, 2100.0, 2800.0)
 
-#: exactly the scheduler the seed executor ran: no fixpoint
-#: fast-forward (the option is decision-identical, so this baseline
-#: also cross-checks it).
-SEED_OPTIONS = SchedulerOptions(fixpoint_ffwd=False)
-
 
 def _render(result):
     """Canonical text of every sweep outcome, in grid order."""
     return [repr(p) for p in result.points] + \
         [repr(q) for q in result.infeasible]
+
+
+def _seed_points(factory, lib, micros, clocks):
+    """The seed path: cold per-point runs, in grid order, with no
+    fixpoint fast-forward (the fast-forward is decision-identical, so
+    this baseline also cross-checks it).  Scoped to the serial loop, so
+    the engine runs stay unpatched."""
+    with cold_fixpoint():
+        return [synthesize_design_point(factory, lib, m, c)
+                for m in micros for c in clocks]
 
 
 def _render_points(results):
@@ -69,8 +75,7 @@ def test_sweep_engine_speedup_vs_seed(lib, bench_metrics):
     factory = PYFUNC_REGISTRY["jpeg_dct"].build
 
     t0 = time.perf_counter()
-    seed = [synthesize_design_point(factory, lib, m, c, SEED_OPTIONS)
-            for m in GRID_MICROS for c in GRID_CLOCKS]
+    seed = _seed_points(factory, lib, GRID_MICROS, GRID_CLOCKS)
     seed_s = time.perf_counter() - t0
     n_infeasible = sum(isinstance(r, InfeasiblePoint) for r in seed)
 
@@ -153,8 +158,7 @@ def test_sweep_scaling_curves(lib, bench_metrics):
     # the smoke lane skips the full-grid pin, so check the reduced grid
     # against the seed path here: its NP32@2100 corner is a
     # budget-exhausting spiral that the bounded fast-forward cuts short
-    seed = [synthesize_design_point(factory, lib, m, c, SEED_OPTIONS)
-            for m in CURVE_MICROS for c in CURVE_CLOCKS]
+    seed = _seed_points(factory, lib, CURVE_MICROS, CURVE_CLOCKS)
     assert reference == _render_points(seed)
     banner("sweep engine: context vs process scaling "
            f"(jobs {list(CURVE_JOBS)}, cold per run)")

@@ -16,11 +16,9 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from repro.cdfg.dfg import DFG
-from repro.cdfg.ops import Operation, OpKind
-from repro.core.asap_alap import Mobility, _optimistic_delay
+from repro.cdfg.ops import Operation
+from repro.core.asap_alap import _optimistic_delay
 from repro.tech.library import Library
-
-PriorityKey = Tuple[int, float, float, int, int]
 
 
 def compute_heights(dfg: DFG, library: Library) -> Dict[int, float]:
@@ -36,42 +34,21 @@ def compute_heights(dfg: DFG, library: Library) -> Dict[int, float]:
     return heights
 
 
-def priority_key(
-    op: Operation,
-    mobility: Mobility,
-    heights: Dict[int, float],
-    dfg: DFG,
-    library: Library,
-) -> PriorityKey:
-    """Sort key: lower sorts first (= scheduled earlier).
-
-    Order of criteria: least mobility, highest complexity (operation
-    delay), tallest fanout cone, widest fanout, stable uid tiebreak.
-    """
-    complexity = _optimistic_delay(op, library)
-    fanout = len(dfg.out_edges(op.uid))
-    return (
-        mobility.mobility,
-        -complexity,
-        -heights.get(op.uid, 0.0),
-        -fanout,
-        op.uid,
-    )
-
-
 def priority_statics(
     op: Operation,
     heights: Dict[int, float],
     dfg: DFG,
     library: Library,
 ) -> Tuple[float, float, int, int]:
-    """The pass-invariant tail of :func:`priority_key`.
+    """The pass-invariant tail of an operation's priority key.
 
-    Complexity, height and fanout depend only on the DFG and library;
-    between relaxation passes only the leading mobility component
-    changes, so the scheduler memoizes this tail per operation and
-    prepends the current mobility:
-    ``(mobility,) + priority_statics(...) == priority_key(...)``.
+    The scheduler's key is ``(mobility,) + priority_statics(...)``;
+    lower sorts first (= scheduled earlier).  Order of criteria: least
+    mobility, highest complexity (operation delay), tallest fanout
+    cone, widest fanout, stable uid tiebreak.  Complexity, height and
+    fanout depend only on the DFG and library; between relaxation
+    passes only the leading mobility changes, so the scheduler memoizes
+    this tail per operation.
     """
     complexity = _optimistic_delay(op, library)
     fanout = len(dfg.out_edges(op.uid))

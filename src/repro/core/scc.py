@@ -12,7 +12,7 @@ the paper's novel timing-driven kernel selection (sections V/VI, Table 4).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional
+from typing import Dict, FrozenSet, List
 
 from repro.cdfg.region import Region
 from repro.core.asap_alap import Mobility
@@ -86,14 +86,6 @@ def apply_windows(
                     f"SCC {window.index}: op {uid} cannot fit window "
                     f"[{window.start},{window.end}]")
             mob.asap, mob.alap = new_asap, new_alap
-
-
-def window_of(windows: List[SCCWindow], uid: int) -> Optional[SCCWindow]:
-    """The window containing an operation, if any."""
-    for window in windows:
-        if uid in window.ops:
-            return window
-    return None
 
 
 def check_carried_dependencies(

@@ -31,7 +31,7 @@ from repro.cdfg.ops import Operation, OpKind
 from repro.cdfg.region import PipelineSpec, Region
 from repro.core.allocation import AllocationResult, build_pool, lower_bound, type_key_for
 from repro.core.asap_alap import InfeasibleTiming, Mobility, compute_mobility
-from repro.core.priorities import compute_heights, priority_key, priority_statics
+from repro.core.priorities import compute_heights, priority_statics
 from repro.core.relaxation import (
     DriverState,
     apply_action_batch,
@@ -41,7 +41,7 @@ from repro.core.relaxation import (
 )
 from repro.core.restraints import Restraint, RestraintKind, RestraintLog
 from repro.obs.trace import Tracer, maybe_span
-from repro.core.scc import SCCWindow, apply_windows, find_scc_windows, window_of
+from repro.core.scc import SCCWindow, apply_windows, find_scc_windows
 from repro.core.schedule import Schedule, ScheduleError
 from repro.tech.library import Library
 from repro.tech.resources import (
@@ -85,24 +85,6 @@ class SchedulerOptions:
     #: even when they violate the clock -- downstream logic synthesis then
     #: has to buy the slack back with area (see rtl.compensation).
     accept_negative_slack: bool = False
-    #: the scheduler-core optimizations (commit-outcome cache, pass-to-pass
-    #: carryover of mobility/heights/dependency maps, memoized priorities
-    #: and candidate lists).  Every one of them is decision-neutral --
-    #: bindings, restraints and actions are bit-identical either way --
-    #: and ``False`` exists purely as the reference path the equivalence
-    #: test suite compares against.
-    fast_paths: bool = True
-    #: fast-forward relaxation death spirals: when two consecutive failed
-    #: passes produce identical analyzed restraints and identical scored
-    #: actions, and the applied batch provably leaves the next passes
-    #: identical too (add_resource-only additions whose instances stay
-    #: empty, replayed until the sharing outlook ``demand > count``
-    #: flips), the driver applies those passes' batches without running
-    #: them: up to the pass budget, or up to the flip pass, which then
-    #: runs cold.  Outcomes (schedule or error message, diagnostics,
-    #: history, pass count) are bit-identical to the cold path; ``False``
-    #: is the reference path the equivalence suite compares against.
-    fixpoint_ffwd: bool = True
 
 
 class _RegionCache:
@@ -187,7 +169,7 @@ class _Pass:
         allocation: AllocationResult,
         state: DriverState,
         options: SchedulerOptions,
-        cache: Optional[_RegionCache] = None,
+        cache: _RegionCache,
     ) -> None:
         self.region = region
         self.dfg = region.dfg
@@ -198,7 +180,7 @@ class _Pass:
         self.ii = pipeline.ii if pipeline else None
         self.state = state
         self.options = options
-        self.cache = cache if options.fast_paths else None
+        self.cache = cache
         self.log = RestraintLog()
         self.pool = build_pool(allocation, library)
         for rtype in state.extra_types:
@@ -217,8 +199,7 @@ class _Pass:
         self.netlist = TimingEngine(
             self.dfg, library, clock_ps,
             anticipate_muxes=options.anticipate_muxes,
-            statics=self.cache.statics if self.cache else None)
-        self.netlist.use_commit_cache = options.fast_paths
+            statics=cache.statics)
         demand = {key: n for key, n in allocation.demand.items()}
         counts = {key: self.pool.count(*key) for key in demand}
         # RAM address-mux anticipation: more accesses than physical
@@ -244,7 +225,7 @@ class _Pass:
         #: SCC members force-placed by the timing-blind ablation; their
         #: bindings are accepted even with negative slack.
         self._forced_sccs: Set[int] = set()
-        # fast-path memos (all decision-neutral; see SchedulerOptions)
+        # per-pass memos (all decision-neutral)
         self._window_map: Optional[Dict[int, SCCWindow]] = None
         self._compat: Dict[Tuple[OpKind, int], List[ResourceInstance]] = {}
         #: sorted candidate order per compatibility key:
@@ -265,16 +246,12 @@ class _Pass:
     # setup
     # ------------------------------------------------------------------
     def _mobility(self) -> Dict[int, Mobility]:
-        """This pass's mobility map, via the carryover cache when enabled.
+        """This pass's mobility map, via the carryover cache.
 
         The cache stores the pristine result per (latency, speculated
         set) and hands out per-op copies: SCC window clamping and the
         timing-blind anchor ablation mutate Mobility records in place.
         """
-        if self.cache is None:
-            return compute_mobility(
-                self.region, self.library, self.clock_ps, self.latency,
-                self.state.speculated)
         key = (self.clock_ps, self.latency, frozenset(self.state.speculated))
         cached = self.cache.mobility.get(key)
         if cached is None:
@@ -349,19 +326,18 @@ class _Pass:
         return True
 
     def _build_dependency_maps(self) -> None:
-        if self.cache is not None:
-            spec_key = frozenset(self.state.speculated)
-            cached = self.cache.depmaps.get(spec_key)
-            if cached is not None:
-                unresolved, consumers = cached
-                # unresolved is decremented as producers bind: copy.
-                # consumers is only ever read (never mutated): share.
-                self._unresolved = dict(unresolved)
-                self._consumers = consumers
-                self._earliest = {uid: self.mobility[uid].asap
-                                  for uid in unresolved}
-                profiling.bump("depmaps.cache_hit")
-                return
+        spec_key = frozenset(self.state.speculated)
+        cached = self.cache.depmaps.get(spec_key)
+        if cached is not None:
+            unresolved, consumers = cached
+            # unresolved is decremented as producers bind: copy.
+            # consumers is only ever read (never mutated): share.
+            self._unresolved = dict(unresolved)
+            self._consumers = consumers
+            self._earliest = {uid: self.mobility[uid].asap
+                              for uid in unresolved}
+            profiling.bump("depmaps.cache_hit")
+            return
         resolve = self.netlist.resolve_source
         for op in self.dfg.ops:
             if op.is_free:
@@ -390,26 +366,21 @@ class _Pass:
             for cond in conds:
                 self._consumers.setdefault(cond, []).append((op.uid, 0))
             self._earliest[op.uid] = self.mobility[op.uid].asap
-        if self.cache is not None:
-            self.cache.depmaps[frozenset(self.state.speculated)] = (
-                dict(self._unresolved), self._consumers)
-            profiling.bump("depmaps.compute")
+        self.cache.depmaps[spec_key] = (dict(self._unresolved),
+                                        self._consumers)
+        profiling.bump("depmaps.compute")
 
     def _push_ready(self, uid: int) -> None:
         if uid in self._in_heap:
             return
         op = self.dfg.op(uid)
         self._n_priority_keys += 1
-        if self.cache is None:
-            key = priority_key(op, self.mobility[uid], self._heights,
-                               self.dfg, self.library)
-        else:
-            tail = self.cache.prio_static.get(uid)
-            if tail is None:
-                tail = priority_statics(op, self._heights,
-                                        self.dfg, self.library)
-                self.cache.prio_static[uid] = tail
-            key = (self.mobility[uid].mobility,) + tail
+        tail = self.cache.prio_static.get(uid)
+        if tail is None:
+            tail = priority_statics(op, self._heights,
+                                    self.dfg, self.library)
+            self.cache.prio_static[uid] = tail
+        key = (self.mobility[uid].mobility,) + tail
         heapq.heappush(self._ready_heap, (self._earliest[uid], key, uid))
         self._in_heap.add(uid)
 
@@ -428,51 +399,45 @@ class _Pass:
     # binding
     # ------------------------------------------------------------------
     def _candidates(self, op: Operation) -> List[ResourceInstance]:
-        if self.cache is None:
-            insts = [inst for inst in self.pool.compatible(op)
-                     if (op.uid, inst.name) not in self.state.forbidden]
-        else:
-            # pool membership is fixed for the whole pass, so the
-            # compatibility scan depends only on (kind, width)
-            ckey = (op.kind, op.resource_width)
-            log = self.pool._order_log
-            epoch = len(log)
-            order: Optional[List[ResourceInstance]] = None
-            ent = self._cand_cache.get(ckey)
-            if ent is not None:
-                last, order, members = ent
-                if last != epoch:
-                    for name in log[last:]:
-                        if name in members or name == "*":
-                            order = None
-                            break
-                    else:
-                        ent[0] = epoch
-            if order is None:
-                base = self._compat.get(ckey)
-                if base is None:
-                    # pre-sorted by (area, index): the stable re-sort
-                    # on (area, occupancy) below then yields exactly
-                    # the reference (area, -n_ops_bound, index) order
-                    base = sorted(self.pool.compatible(op),
-                                  key=lambda i: (i.rtype.area, i.index))
-                    self._compat[ckey] = base
-                order = list(base)
-                order.sort(key=_cand_key)
-                self._cand_cache[ckey] = [
-                    epoch, order, {i.name for i in base}]
-            banned = self._forbidden.get(op.uid)
-            if banned:
-                # the sort key is a unique total order, so filtering the
-                # sorted list equals sorting the filtered list
-                return [inst for inst in order if inst.name not in banned]
-            # callers only iterate the returned list
-            return order
-        # cheapest grade first; within a grade prefer instances already
-        # hosting operations, so sharing consolidates and over-allocated
-        # instances stay empty (they are pruned after the pass succeeds)
-        insts.sort(key=lambda i: (i.rtype.area, -i.n_ops_bound, i.index))
-        return insts
+        """Compatible instances in walk order: cheapest grade first, and
+        within a grade the instances already hosting operations, so
+        sharing consolidates and over-allocated instances stay empty
+        (they are pruned after the pass succeeds); index breaks ties."""
+        # pool membership is fixed for the whole pass, so the
+        # compatibility scan depends only on (kind, width)
+        ckey = (op.kind, op.resource_width)
+        log = self.pool._order_log
+        epoch = len(log)
+        order: Optional[List[ResourceInstance]] = None
+        ent = self._cand_cache.get(ckey)
+        if ent is not None:
+            last, order, members = ent
+            if last != epoch:
+                for name in log[last:]:
+                    if name in members or name == "*":
+                        order = None
+                        break
+                else:
+                    ent[0] = epoch
+        if order is None:
+            base = self._compat.get(ckey)
+            if base is None:
+                # pre-sorted by (area, index): the stable re-sort on
+                # (area, occupancy) below then yields the
+                # (area, -occupancy, index) order
+                base = sorted(self.pool.compatible(op),
+                              key=lambda i: (i.rtype.area, i.index))
+                self._compat[ckey] = base
+            order = list(base)
+            order.sort(key=_cand_key)
+            self._cand_cache[ckey] = [epoch, order, {i.name for i in base}]
+        banned = self._forbidden.get(op.uid)
+        if banned:
+            # the sort key is a unique total order, so filtering the
+            # sorted list equals sorting the filtered list
+            return [inst for inst in order if inst.name not in banned]
+        # callers only iterate the returned list
+        return order
 
     def _chain_sources(self, op: Operation, state: int) -> List[str]:
         """Connection-graph names of committed producers chained into
@@ -507,22 +472,8 @@ class _Pass:
                      inst: Optional[ResourceInstance],
                      state: int) -> List[Tuple[str, str]]:
         """Combinational connection edges this binding adds."""
-        edges: List[Tuple[str, str]] = []
         dst = _node_name(op, inst)
-        if self.cache is not None:
-            return [(src, dst) for src in self._chain_sources(op, state)]
-        for edge in self.dfg.in_edges(op.uid):
-            if edge.distance >= 1 or edge.order:
-                continue  # ordering edges carry no combinational path
-            root = self.netlist.resolve_source(edge.src)
-            producer = self.dfg.op(root)
-            if producer.is_free or producer.kind is OpKind.READ:
-                continue
-            pb = self.netlist.binding(root)
-            if pb is None or pb.state != state or pb.cycles > 1:
-                continue
-            edges.append((_node_name(producer, pb.inst), dst))
-        return edges
+        return [(src, dst) for src in self._chain_sources(op, state)]
 
     def _check_carried(self, op: Operation, state: int) -> bool:
         """Modulo causality toward already-bound carried neighbours.
@@ -569,8 +520,6 @@ class _Pass:
                 probe_memo.append(self.netlist.worst_input_arrival(op, e))
             return probe_memo[0]
 
-        if self.cache is None:
-            arrival_probe()  # eager, mirroring the reference path
         if not self._check_carried(op, e):
             window = self._window_of(op.uid)
             if window is not None:
@@ -650,11 +599,10 @@ class _Pass:
         scc_r: Optional[Restraint] = None
         # raw input arrivals are candidate-independent and the netlist
         # is restored between candidates, so one profile serves the walk
-        fast = self.cache is not None
-        prof = self.netlist.input_profile(op, e) if fast else None
+        prof = self.netlist.input_profile(op, e)
         # chained-producer names are likewise walk-invariant; only the
         # destination node differs per candidate
-        chain_srcs = self._chain_sources(op, e) if fast else None
+        chain_srcs = self._chain_sources(op, e)
         # within one candidate walk, every still-empty instance of one
         # grade is indistinguishable to the timing model (no occupants
         # means no sources and no sharing mux), so evaluate once per
@@ -681,47 +629,40 @@ class _Pass:
         # empty member, its memoized timing, fanin limit (None: not yet
         # computed; -1: nothing proven, always under accept_violation)].
         grades: Dict[int, List] = {}
-        if fast:
-            no_proof = -1 if accept_violation else None
-            for inst in candidates:
-                row = grades.get(id(inst.rtype))
-                if row is None:
-                    row = grades[id(inst.rtype)] = [None, None, no_proof]
-                if inst._ops_map:
-                    if row[2] is None:
-                        row[2] = self.netlist.single_cycle_bound(
-                            op, inst.rtype, arrival_probe())
-                elif row[0] is None:
-                    row[0] = inst
-            fanin_of = self.netlist.max_fanin.get
+        no_proof = -1 if accept_violation else None
+        for inst in candidates:
+            row = grades.get(id(inst.rtype))
+            if row is None:
+                row = grades[id(inst.rtype)] = [None, None, no_proof]
+            if inst._ops_map:
+                if row[2] is None:
+                    row[2] = self.netlist.single_cycle_bound(
+                        op, inst.rtype, arrival_probe())
+            elif row[0] is None:
+                row[0] = inst
+        fanin_of = self.netlist.max_fanin.get
         allow_mc = self.options.allow_multicycle
         for inst in candidates:
-            if not fast:
-                timing = self.netlist.evaluate(
-                    op, inst, e, allow_multicycle=allow_mc)
-            elif not inst._ops_map:
-                row = grades[id(inst.rtype)]
+            row = grades[id(inst.rtype)]
+            if not inst._ops_map:
                 timing = row[1]
                 if timing is None:
                     timing = row[1] = self.netlist.evaluate(
                         op, inst, e, allow_multicycle=allow_mc,
                         profile=prof)
+            elif fanin_of(inst.name, 0) <= row[2]:
+                timing = None
             else:
-                row = grades[id(inst.rtype)]
-                if fanin_of(inst.name, 0) <= row[2]:
-                    timing = None
-                else:
-                    if row[0] is not None and not accept_violation:
-                        base = row[1]
-                        if base is None:
-                            base = row[1] = self.netlist.evaluate(
-                                op, row[0], e, allow_multicycle=allow_mc,
-                                profile=prof)
-                        if not base.ok:
-                            continue
-                    timing = self.netlist.evaluate(
-                        op, inst, e, allow_multicycle=allow_mc,
-                        profile=prof)
+                if row[0] is not None and not accept_violation:
+                    base = row[1]
+                    if base is None:
+                        base = row[1] = self.netlist.evaluate(
+                            op, row[0], e, allow_multicycle=allow_mc,
+                            profile=prof)
+                    if not base.ok:
+                        continue
+                timing = self.netlist.evaluate(
+                    op, inst, e, allow_multicycle=allow_mc, profile=prof)
             if timing is not None and not timing.ok:
                 if best_slack is None or timing.slack_ps > best_slack:
                     best_slack = timing.slack_ps
@@ -776,9 +717,7 @@ class _Pass:
                 if not free:
                     busy += 1
                     continue
-            if chain_srcs is None:
-                chain = self._chain_edges(op, inst, e)
-            elif chain_srcs:
+            if chain_srcs:
                 dst_name = _node_name(op, inst)
                 chain = [(src, dst_name) for src in chain_srcs]
             else:
@@ -978,8 +917,6 @@ class _Pass:
 
     def _window_of(self, uid: int) -> Optional[SCCWindow]:
         """SCC window containing ``uid`` (first in list order), if any."""
-        if self.cache is None:
-            return window_of(self.windows, uid)
         if self._window_map is None:
             wmap: Dict[int, SCCWindow] = {}
             for window in self.windows:
@@ -991,8 +928,6 @@ class _Pass:
 
     def _type_key(self, op: Operation):
         """Memoized :func:`type_key_for` (pure in kind/width/library)."""
-        if self.cache is None:
-            return type_key_for(op, self.library)
         try:
             return self.cache.type_keys[op.uid]
         except KeyError:
@@ -1007,7 +942,7 @@ class _Pass:
         everything else the verdict is a pure function of library, clock
         and options, so it carries over between passes.
         """
-        if self.cache is not None and not op.is_memory:
+        if not op.is_memory:
             key = (self.clock_ps, op.uid)
             cached = self.cache.fits_fresh.get(key)
             if cached is None:
@@ -1055,12 +990,9 @@ class _Pass:
         if not self._prepare():
             return PassOutcome(False, self.netlist, self.pool,
                                self.windows, self.mobility, self.log)
-        if self.cache is not None:
-            if self.cache.heights is None:
-                self.cache.heights = compute_heights(self.dfg, self.library)
-            self._heights = self.cache.heights
-        else:
-            self._heights = compute_heights(self.dfg, self.library)
+        if self.cache.heights is None:
+            self.cache.heights = compute_heights(self.dfg, self.library)
+        self._heights = self.cache.heights
         self._build_dependency_maps()
         for uid, count in self._unresolved.items():
             if count == 0:
@@ -1232,10 +1164,7 @@ def schedule_region(
         pipeline.ii if pipeline else None)
 
     state = DriverState(latency=min_latency)
-    if carryover is not None and options.fast_paths:
-        cache = carryover
-    else:
-        cache = _RegionCache(region, library) if options.fast_paths else None
+    cache = carryover or _RegionCache(region, library)
     outcome: Optional[PassOutcome] = None
     prev_fp = None
     pass_no = 0
@@ -1337,32 +1266,32 @@ def schedule_region(
             # tail; short of it, the driver resumes cold at the pass
             # where the sharing outlook flips.  Death-spiral points
             # (the dominant cost of infeasible sweeps) collapse to the
-            # passes that actually differ.
-            if options.fixpoint_ffwd and cache is not None:
-                fp = driver_fingerprint(analyzed, actions)
-                if fp == prev_fp:
-                    replays = _ffwd_replays(applied_actions(actions),
-                                            outcome.pool, outcome.netlist)
-                    if replays:
-                        skipped = min(replays,
-                                      options.max_passes - pass_no)
-                        profiling.bump("scheduler.ffwd")
-                        profiling.bump("scheduler.ffwd_passes", skipped)
-                        if pspan is not None:
-                            pspan.set("ffwd", "accepted")
-                            pspan.set("ffwd_passes", skipped)
-                        for _ in range(skipped):
-                            apply_action_batch(actions, state)
-                        pass_no += skipped
-                    else:
-                        # an exact replay whose very next pass could
-                        # differ: stay on the cold path (and count it,
-                        # so sweep reports can show accepted vs
-                        # rejected fixpoints)
-                        profiling.bump("scheduler.ffwd_reject")
-                        if pspan is not None:
-                            pspan.set("ffwd", "rejected")
-                prev_fp = fp
+            # passes that actually differ.  Outcomes (schedule or error
+            # message, diagnostics, history, pass count) are exactly
+            # those of running every pass.
+            fp = driver_fingerprint(analyzed, actions)
+            if fp == prev_fp:
+                replays = _ffwd_replays(applied_actions(actions),
+                                        outcome.pool, outcome.netlist)
+                if replays:
+                    skipped = min(replays, options.max_passes - pass_no)
+                    profiling.bump("scheduler.ffwd")
+                    profiling.bump("scheduler.ffwd_passes", skipped)
+                    if pspan is not None:
+                        pspan.set("ffwd", "accepted")
+                        pspan.set("ffwd_passes", skipped)
+                    for _ in range(skipped):
+                        apply_action_batch(actions, state)
+                    pass_no += skipped
+                else:
+                    # an exact replay whose very next pass could
+                    # differ: stay on the cold path (and count it,
+                    # so sweep reports can show accepted vs
+                    # rejected fixpoints)
+                    profiling.bump("scheduler.ffwd_reject")
+                    if pspan is not None:
+                        pspan.set("ffwd", "rejected")
+            prev_fp = fp
             # apply the winning action plus the batch of independent
             # secondary actions (resource additions for other types,
             # binding prohibitions, speculations): they interact with

@@ -158,11 +158,8 @@ def schedule_pass(ctx: CompilationContext) -> Optional[str]:
     if hit is not None:
         ctx.schedule = hit
         return "cached"
-    # the reference path (fast_paths=False) ignores carryover, so the
-    # provider is not asked to build one there
     carryover = (ctx.scheduler_carryover()
-                 if ctx.scheduler_carryover is not None
-                 and ctx.options.fast_paths else None)
+                 if ctx.scheduler_carryover is not None else None)
     try:
         ctx.schedule = schedule_region(
             ctx.region, ctx.library, ctx.clock_ps,

@@ -59,8 +59,7 @@ class SweepVariant:
         """The scheduler carryover cache shared by this variant's clocks.
 
         Built on first call, which the schedule pass makes only when it
-        actually schedules (not on a flow-cache hit, not on the
-        ``fast_paths=False`` reference path); every entry is
+        actually schedules (not on a flow-cache hit); every entry is
         decision-neutral."""
         if self._carryover is None and self.region is not None:
             self._carryover = _RegionCache(self.region, self._library)

@@ -57,11 +57,6 @@ class ResourceInstance:
         """All states where this instance is occupied."""
         return sorted(self._occupancy)
 
-    @property
-    def n_ops_bound(self) -> int:
-        """Number of distinct operations bound to this instance."""
-        return len(self._ops_map)
-
     def ops_bound(self) -> List[Operation]:
         """All operations bound to this instance (deduplicated)."""
         return [self._ops_map[uid] for uid in sorted(self._ops_map)]

@@ -387,7 +387,6 @@ class TimingEngine:
         #: it touches (via the reverse dependency maps below), so a probe
         #: is a single dict lookup.  Rollbacks restore the netlist
         #: exactly, so provisional commit/rollback pairs never invalidate.
-        self.use_commit_cache = True
         self._broken_cache: Dict[Tuple, Tuple] = {}
         #: footprint uid -> cache keys depending on it (stale keys are
         #: tolerated: invalidation pops with a default).
@@ -1014,7 +1013,7 @@ class TimingEngine:
         own timing -- so a caller holding a proof that the candidate
         passes can skip evaluating it when the probe hits.
         """
-        if not self.use_commit_cache or inst is None or op.is_mux:
+        if inst is None or op.is_mux:
             return None, None
         if cycles == 1:
             for cons in self._chain_out.get(op.uid, ()):

@@ -10,6 +10,7 @@ the acceptance level.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import random
 
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import settings as hypothesis_settings
 
 from repro.cdfg import RegionBuilder
+from repro.core import scheduler
 from repro.tech import artisan90, generic45
 from repro.workloads import build_example1
 
@@ -29,6 +31,21 @@ def property_examples(default: int = 25) -> int:
     """Example count for property suites; REPRO_MAX_EXAMPLES raises it
     (the acceptance runs use 200)."""
     return int(os.environ.get("REPRO_MAX_EXAMPLES", default))
+
+
+@contextlib.contextmanager
+def cold_fixpoint():
+    """Run the relaxation loop cold: no fixpoint fast-forward fires.
+
+    The fast-forward triggers on two consecutive failed passes with
+    equal driver fingerprints; a fingerprint that is a fresh object
+    never compares equal, so every pass runs.  This is the reference
+    loop the fast-forward must reproduce decision for decision.  A
+    plain context manager rather than a fixture, so Hypothesis tests
+    and the serial leg of a benchmark can scope it."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scheduler, "driver_fingerprint", lambda *args: object())
+        yield
 
 
 #: the sweep engine only runs its process backend (jobs > 1) on a

@@ -6,7 +6,7 @@ applies those passes' action batches without running them and resumes
 cold at the pass where the sharing outlook flips.  The unit tests pin
 the bound; the scheduler-level tests pin that a bounded fast-forward
 leaves every decision (message, diagnostics, history, bindings, pass
-count) identical to the ``fixpoint_ffwd=False`` reference loop.
+count) identical to the cold reference loop (``cold_fixpoint``).
 """
 
 import math
@@ -26,6 +26,8 @@ from repro.obs.trace import Tracer
 from repro.tech.resources import ResourcePool
 from repro.timing.engine import TimingEngine
 from repro.workloads import PYFUNC_REGISTRY
+
+from tests.conftest import cold_fixpoint
 
 
 # ----------------------------------------------------------------------
@@ -169,8 +171,9 @@ def test_bounded_ffwd_identical_on_jpeg_dct_np24(lib, monkeypatch):
         return SweepContext(PYFUNC_REGISTRY["jpeg_dct"].build,
                             lib).variant(Microarch("NP24", 24))
 
-    cold = _run(monkeypatch, variant().region, lib, 1000.0,
-                SchedulerOptions(fixpoint_ffwd=False))
+    with cold_fixpoint():
+        cold = _run(monkeypatch, variant().region, lib, 1000.0,
+                    SchedulerOptions())
     fast = _run(monkeypatch, variant().region, lib, 1000.0,
                 SchedulerOptions())
     outcome, history, counters, accepted, last_pass = fast
@@ -210,8 +213,9 @@ def _bounded_success_region():
 
 
 def test_bounded_ffwd_then_successful_pass(lib, monkeypatch):
-    cold = _run(monkeypatch, _bounded_success_region(), lib, 900.0,
-                SchedulerOptions(fixpoint_ffwd=False))
+    with cold_fixpoint():
+        cold = _run(monkeypatch, _bounded_success_region(), lib, 900.0,
+                    SchedulerOptions())
     fast = _run(monkeypatch, _bounded_success_region(), lib, 900.0,
                 SchedulerOptions())
     outcome, history, counters, accepted, last_pass = fast

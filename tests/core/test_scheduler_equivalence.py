@@ -1,34 +1,42 @@
-"""Optimized-vs-reference scheduler equivalence.
+"""Scheduler decisions against the golden corpus and across surfaces.
 
-Every fast path the scheduler core grew -- fanin bitmasks, carried-over
-mobility, memoized priority orders, the commit-outcome cache, counted
-restraint logs, interned doom restraints, incremental candidate
-ordering -- is *decision-neutral by construction*: it must reproduce
-the reference scheduler's output bit for bit, not merely an equally
-good schedule.  This suite pins that contract on the paper examples,
-the synthetic industrial population, and (via Hypothesis) random
-regions.  On the first two it also pins the restraint log: every
-failed pass must hand the relaxation driver the same analyzed
-restraints (exact slacks and weights) and the same scored actions,
-whichever path scheduled it.
+The scheduler core's optimizations -- carried-over mobility, memoized
+priority orders, the commit-outcome cache, counted restraint logs,
+interned doom restraints, incremental candidate ordering, bound-first
+admission -- are *decision-neutral by construction*.  The golden corpus
+(``tests/golden/decisions.json``, see ``tools/golden_corpus.py``) holds
+the decisions of the reference bind-walk they replaced, recorded where
+the two agreed.  This suite pins, on the paper examples and the
+synthetic industrial population, that the scheduler still reproduces
+those records: bindings bit for bit, and every failed pass handing the
+relaxation driver the same analyzed restraints (exact slacks and
+weights) and the same scored actions.  It also pins the surfaces that
+must not steer: a carryover warmed at another clock and a tracer.
 """
 
-import random
+import importlib.util
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import profiling
-from repro.cdfg import RegionBuilder
-from repro.core import ScheduleError, SchedulerOptions, schedule_region
-from repro.core import scheduler
-from repro.core.relaxation import driver_fingerprint, propose_actions
+from repro.core import SchedulerOptions, schedule_region
+from repro.core.scheduler import _RegionCache
+from repro.core.schedule import ScheduleError
 from repro.obs.trace import Tracer
 from repro.tech import artisan90
 from repro.workloads import WORKLOAD_REGISTRY
 from repro.workloads.synthetic import industrial_suite
 
 from tests.conftest import property_examples
+
+REPO = Path(__file__).resolve().parent.parent.parent
+
+_spec = importlib.util.spec_from_file_location(
+    "golden_corpus", REPO / "tools" / "golden_corpus.py")
+corpus = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(corpus)
 
 LIB = artisan90()
 CLOCK = 1600.0
@@ -40,29 +48,7 @@ PAPER_WORKLOADS = ("example1", "fir", "fft8", "idct8")
 _SETTINGS = dict(max_examples=property_examples(10), deadline=None,
                  suppress_health_check=[HealthCheck.too_slow])
 
-
-def fingerprint(schedule):
-    """Canonical bit-exact summary of every scheduling decision.
-
-    Floats are rendered with ``repr`` so two schedules differing in the
-    last ulp of an arrival do not fingerprint equal.
-    """
-    binds = []
-    for uid in sorted(schedule.bindings):
-        b = schedule.bindings[uid]
-        binds.append((
-            uid, b.state, b.inst.name if b.inst else None, b.cycles,
-            repr(b.out_arrival_ps), repr(b.capture_ps),
-        ))
-    return {
-        "passes": schedule.passes,
-        "latency": schedule.latency,
-        "actions": tuple(schedule.actions_taken),
-        "speculated": tuple(sorted(schedule.speculated)),
-        "windows": tuple((w.index, tuple(sorted(w.members)), w.anchor,
-                          w.length) for w in schedule.scc_windows),
-        "bindings": tuple(binds),
-    }
+GOLDEN = corpus.load()
 
 
 def _schedule(region, **options):
@@ -70,45 +56,20 @@ def _schedule(region, **options):
                            options=SchedulerOptions(**options))
 
 
-def _schedule_logged(monkeypatch, region, **options):
-    """Schedule ``region`` and return its fingerprint together with the
-    driver fingerprint of every failed pass, in pass order."""
-    passes = []
-
-    def logged(*args, **kwargs):
-        actions = propose_actions(*args, **kwargs)
-        passes.append(driver_fingerprint(args[3], actions))
-        return actions
-
-    monkeypatch.setattr(scheduler, "propose_actions", logged)
-    return fingerprint(_schedule(region, **options)), passes
-
-
 @pytest.mark.parametrize("name", PAPER_WORKLOADS)
-def test_fast_paths_bit_identical_on_paper_examples(name, monkeypatch):
-    reference = _schedule_logged(monkeypatch, WORKLOAD_REGISTRY[name](),
-                                 fast_paths=False)
-    optimized = _schedule_logged(monkeypatch, WORKLOAD_REGISTRY[name](),
-                                 fast_paths=True)
-    assert optimized == reference
+def test_fast_paths_bit_identical_on_paper_examples(name):
+    key = f"registry/{name}/artisan90/{CLOCK:g}/seq"
+    got = corpus.record(lambda: _schedule(WORKLOAD_REGISTRY[name]()))
+    assert got == GOLDEN[key]
 
 
-def _industrial(idx: int):
-    """A fresh copy of industrial design ``idx`` (suite is deterministic)."""
-    spec, region = industrial_suite(n_designs=4, max_ops=300)[idx]
-    return spec.name, region
-
-
-def test_fast_paths_bit_identical_on_industrial_suite(monkeypatch):
+def test_fast_paths_bit_identical_on_industrial_suite():
     """The synthetic fig9 population, sized for tier-1 runtime."""
-    for idx in range(4):
-        name, ref_region = _industrial(idx)
-        reference = _schedule_logged(monkeypatch, ref_region,
-                                     fast_paths=False)
-        optimized = _schedule_logged(monkeypatch, _industrial(idx)[1],
-                                     fast_paths=True)
-        assert reference[1], f"{name}: no failed pass to compare"
-        assert optimized == reference, name
+    for spec, region in industrial_suite(n_designs=4, max_ops=300):
+        result, fingerprints = corpus.outcome(lambda: _schedule(region))
+        assert fingerprints, f"{spec.name}: no failed pass to compare"
+        key = f"industrial/{spec.name}/artisan90/{CLOCK:g}/seq"
+        assert corpus.record_of(result, fingerprints) == GOLDEN[key]
 
 
 #: timing-engine work of the default path over the 4-design industrial
@@ -140,58 +101,43 @@ def test_industrial_suite_engine_work_is_pinned():
 
 @pytest.mark.parametrize("name", PAPER_WORKLOADS)
 def test_tracing_bit_identical_on_paper_examples(name):
-    """Tracing observes, it never steers: a traced schedule must
-    fingerprint-equal the untraced one, while actually recording the
-    relaxation loop (the decision-neutrality half of the obs layer's
-    contract; the overhead half lives in benchmarks)."""
+    """Tracing observes, it never steers: a traced schedule must render
+    equal to the untraced one, while actually recording the relaxation
+    loop (the decision-neutrality half of the obs layer's contract; the
+    overhead half lives in benchmarks)."""
     plain = _schedule(WORKLOAD_REGISTRY[name]())
     tracer = Tracer()
     traced = schedule_region(WORKLOAD_REGISTRY[name](), LIB, CLOCK,
                              tracer=tracer)
-    assert fingerprint(traced) == fingerprint(plain)
+    assert corpus.render(traced) == corpus.render(plain)
     spans = tracer.export()
     assert spans and all(s["name"] == "scheduler.pass" for s in spans)
     # the last pass is the accepting one and records its decision
     assert spans[-1]["attrs"].get("success") is True
 
 
-def _random_region(seed: int, n_ops: int):
-    """A small random accumulator dataflow (deterministic per seed)."""
-    rng = random.Random(seed)
-    b = RegionBuilder(f"equiv{seed}", is_loop=True, max_latency=24)
-    pool = [b.read(f"in{i}", 16) for i in range(2)]
-    lv = b.loop_var("acc", b.const(rng.randrange(8), 16))
-    pool.append(lv.value)
-    for _ in range(n_ops):
-        x = pool[rng.randrange(len(pool))]
-        y = pool[rng.randrange(len(pool))]
-        op = rng.choice(["add", "sub", "mul", "xor", "mux"])
-        if op == "add":
-            pool.append(b.add(x, y))
-        elif op == "sub":
-            pool.append(b.sub(x, y))
-        elif op == "mul":
-            pool.append(b.mul(x, y, width=16))
-        elif op == "xor":
-            pool.append(b.xor(x, y))
-        else:
-            pool.append(b.mux(b.gt(x, y), x, y))
-    lv.set_next(b.add(lv.value, pool[-1], width=16))
-    b.write("out", pool[-1])
-    b.set_trip_count(5)
-    return b.build()
-
-
-@given(seed=st.integers(0, 10_000), n_ops=st.integers(3, 14))
+@given(seed=st.integers(0, 10_000), n_ops=st.integers(3, 14),
+       warm_clock=st.sampled_from((900.0, 1000.0, 2400.0)))
 @settings(**_SETTINGS)
-def test_fast_paths_bit_identical_on_random_regions(seed, n_ops):
+def test_carryover_and_tracing_identical_on_random_regions(seed, n_ops,
+                                                           warm_clock):
+    """A carryover first warmed at another clock, and a tracer, leave
+    every decision -- render or error, and the per-pass driver
+    fingerprints -- equal to a fresh untraced schedule.  Fixed-seed
+    cases of the same generator live in the corpus's random group."""
+    fresh = corpus.outcome(
+        lambda: schedule_region(corpus.random_region(seed, n_ops), LIB,
+                                CLOCK))
+    region = corpus.random_region(seed, n_ops)
+    cache = _RegionCache(region, LIB)
     try:
-        reference = _schedule(_random_region(seed, n_ops),
-                              fast_paths=False)
+        schedule_region(region, LIB, warm_clock, carryover=cache)
     except ScheduleError:
-        # overconstrained either way; the optimized path must agree
-        with pytest.raises(ScheduleError):
-            _schedule(_random_region(seed, n_ops), fast_paths=True)
-        return
-    optimized = _schedule(_random_region(seed, n_ops), fast_paths=True)
-    assert fingerprint(optimized) == fingerprint(reference)
+        pass  # a failed warm-up still fills the carryover
+    warmed = corpus.outcome(
+        lambda: schedule_region(region, LIB, CLOCK, carryover=cache))
+    traced = corpus.outcome(
+        lambda: schedule_region(corpus.random_region(seed, n_ops), LIB,
+                                CLOCK, tracer=Tracer()))
+    assert warmed == fresh
+    assert traced == fresh

@@ -13,7 +13,7 @@ Two invariants the sweep engine reports but nothing previously pinned:
 
 from __future__ import annotations
 
-from tests.conftest import requires_multicore
+from tests.conftest import cold_fixpoint, requires_multicore
 
 from repro import profiling
 from repro.cdfg import RegionBuilder
@@ -102,9 +102,8 @@ def _spiral_region():
 SPIRAL_CLOCK = 670.0  # below the 744ps mul: never fits single-cycle
 
 
-def _spiral_outcome(ffwd: bool):
-    options = SchedulerOptions(allow_multicycle=False,
-                               fixpoint_ffwd=ffwd)
+def _spiral_outcome():
+    options = SchedulerOptions(allow_multicycle=False)
     try:
         schedule_region(_spiral_region(), artisan90(), SPIRAL_CLOCK,
                         options=options)
@@ -115,10 +114,11 @@ def _spiral_outcome(ffwd: bool):
 
 def test_ffwd_identical_to_cold_path_on_budget_exhaustion():
     profiling.reset()
-    cold = _spiral_outcome(ffwd=False)
+    with cold_fixpoint():
+        cold = _spiral_outcome()
     assert profiling.counters.get("scheduler.ffwd", 0) == 0
     profiling.reset()
-    fast = _spiral_outcome(ffwd=True)
+    fast = _spiral_outcome()
     # the fast-forward actually fired and synthesized the spiral tail
     assert profiling.counters.get("scheduler.ffwd", 0) == 1
     assert profiling.counters.get("scheduler.ffwd_passes", 0) > 0

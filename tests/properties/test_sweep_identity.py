@@ -20,7 +20,7 @@ import random
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from tests.conftest import MULTICORE, property_examples
+from tests.conftest import MULTICORE, cold_fixpoint, property_examples
 
 from repro import profiling
 from repro.cdfg import RegionBuilder
@@ -31,9 +31,6 @@ from repro.flow import FlowCache, run_sweep
 from repro.flow.executor import run_points, synthesize_design_point
 from repro.workloads import build_example1, build_fir
 from repro.workloads.synthetic import industrial_suite
-
-#: the seed scheduler: no fixpoint fast-forward (reference decisions).
-SEED_OPTIONS = SchedulerOptions(fixpoint_ffwd=False)
 
 _SETTINGS = dict(max_examples=property_examples(8), deadline=None,
                  suppress_health_check=[HealthCheck.too_slow])
@@ -46,9 +43,11 @@ def _render(result):
 
 
 def _seed_points(factory, lib, micros, clocks):
-    """The seed oracle: cold per-point runs over the grid, in order."""
-    return [synthesize_design_point(factory, lib, m, c, SEED_OPTIONS)
-            for m in micros for c in clocks]
+    """The seed oracle: cold per-point runs over the grid, in order,
+    with the relaxation loop held cold (no fixpoint fast-forward)."""
+    with cold_fixpoint():
+        return [synthesize_design_point(factory, lib, m, c)
+                for m in micros for c in clocks]
 
 
 def _render_points(results):
@@ -160,7 +159,8 @@ def test_ffwd_error_identical_to_reference_on_spiral(lib):
         except ScheduleError as exc:
             return (str(exc.args[0]), tuple(exc.diagnostics))
 
-    reference = outcome(SEED_OPTIONS)
+    with cold_fixpoint():
+        reference = outcome(SchedulerOptions())
     assert reference is not None
     assert outcome(SchedulerOptions()) == reference
     assert outcome(SchedulerOptions(), carryover=True) == reference
@@ -173,15 +173,15 @@ def test_carryover_shared_across_clocks_identical(lib):
 
     def outcome(region, clock, cache=None):
         try:
-            summary = schedule_region(region, lib, clock, carryover=cache,
-                                      options=None if cache
-                                      else SEED_OPTIONS).summary()
+            summary = schedule_region(region, lib, clock,
+                                      carryover=cache).summary()
             return ("ok", summary)
         except ScheduleError as exc:
             return ("err", str(exc.args[0]), tuple(exc.diagnostics))
 
     clocks = (1000.0, 1600.0, 2400.0)
-    fresh = [outcome(build_example1(), c) for c in clocks]
+    with cold_fixpoint():
+        fresh = [outcome(build_example1(), c) for c in clocks]
     region = build_example1()
     cache = _RegionCache(region, lib)
     shared = [outcome(region, c, cache) for c in clocks]
