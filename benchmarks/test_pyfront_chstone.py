@@ -17,14 +17,12 @@ import time
 import pytest
 
 from repro.core.scheduler import schedule_region
-from repro.tech import artisan90, generic45
+from repro.tech import LIBRARIES
 from repro.workloads import PYFUNC_REGISTRY, check_against_oracle
 
 from benchmarks.conftest import PAPER_CLOCK_PS, banner
 
 KERNELS = ("adpcm", "jpeg_dct", "mips")
-
-LIBRARIES = {"artisan90": artisan90, "generic45": generic45}
 
 
 @pytest.mark.parametrize("kernel", KERNELS)

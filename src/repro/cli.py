@@ -56,13 +56,14 @@ from repro.obs.trace import Tracer
 from repro.core.pipeline import pipeline_loop
 from repro.core.schedule import ScheduleError
 from repro.core.scheduler import schedule_region
+from repro.dse.search import STRATEGIES
 from repro.explore import Microarch
 from repro.flow import get_flow, run_sweep
 from repro.flow.context import CompilationContext
 from repro.frontend import FrontendError, compile_source
 from repro.rtl import schedule_report
 from repro.rtl.reports import format_table, pareto_header
-from repro.tech import Library, artisan90, generic45
+from repro.tech import LIBRARIES, Library
 from repro.workloads import (
     PIPELINE_INPUTS,
     PIPELINE_REGISTRY,
@@ -72,11 +73,6 @@ from repro.workloads import (
 
 #: workloads addressable from the command line (the shared registry).
 WORKLOADS: Dict[str, Callable[[], Region]] = WORKLOAD_REGISTRY
-
-LIBRARIES: Dict[str, Callable[[], Library]] = {
-    "artisan90": artisan90,
-    "generic45": generic45,
-}
 
 # the exit-code taxonomy (see the module docstring).
 EXIT_OK = 0
@@ -822,7 +818,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="metric to minimize (default: area when a delay"
                         " budget is given, delay otherwise)")
     p.add_argument("--strategy", default="greedy",
-                   choices=("exhaustive", "bisect", "greedy", "halving"),
+                   choices=sorted(STRATEGIES),
                    help="search strategy (default greedy)")
     p.add_argument("--clocks", default="1000,1250,1600,2100,2800")
     p.add_argument("--latencies", default=None,
@@ -895,8 +891,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--latencies", default=None,
                    help="microarch axis for sweep/tune jobs")
     p.add_argument("--strategy", default="greedy",
-                   choices=("exhaustive", "bisect", "greedy",
-                            "halving"))
+                   choices=sorted(STRATEGIES))
     p.add_argument("--delay-ps", type=float, default=None)
     p.add_argument("--max-area", type=float, default=None)
     p.add_argument("--max-power-mw", type=float, default=None)

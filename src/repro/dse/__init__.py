@@ -8,8 +8,9 @@ blind grid:
 
 * :mod:`~repro.dse.goals` -- the Goal/Constraint/Objective spec;
 * :mod:`~repro.dse.space` -- composable parameter spaces;
-* :mod:`~repro.dse.search` -- strategies (exhaustive, bisect, greedy,
-  halving) and the :func:`tune`/:func:`tune_pipeline` drivers;
+* :mod:`~repro.dse.search` -- the ``exhaustive`` oracle and the
+  ``greedy`` default strategy, and the :func:`tune`/:func:`tune_pipeline`
+  drivers;
 * :mod:`~repro.dse.store` -- the persistent JSONL result store that
   warm-starts tuning across processes;
 * :mod:`~repro.dse.report` -- tuning traces and Pareto summaries.
@@ -42,7 +43,6 @@ from repro.dse.search import (
     Evaluator,
     FlowEvaluator,
     PipelineEvaluator,
-    Strategy,
     get_strategy,
     pipeline_fingerprint,
     tune,
@@ -75,7 +75,6 @@ __all__ = [
     "STRATEGIES",
     "SpaceError",
     "StoredResult",
-    "Strategy",
     "TuningReport",
     "admissible_clocks",
     "candidate_key",

@@ -1,51 +1,44 @@
 """Goal-directed search strategies over a design space.
 
-Four strategies, all exact under the paper's cost model but with very
-different evaluation budgets:
+Two strategies, selected by name through :data:`STRATEGIES`:
 
 ``exhaustive``
-    Evaluate every grid point (the baseline every other strategy is
-    measured against); batches through the parallel sweep executor.
-``bisect``
-    Per microarchitecture, binary-search the clock axis.  The delay
-    bound is analytic (``II_effective * Tclk``), so the admissible
-    clock range costs nothing; the feasibility/area frontier along the
-    remaining range is monotone, so it binary-searches.  For
-    area/power objectives the optimum of each microarch is the single
-    most-relaxed admissible clock -- one evaluation decides the curve.
-``greedy``
-    Axis descent with monotonicity pruning: walk each
-    microarchitecture's clock axis from the most promising end,
-    pruning every candidate whose *predicted* delay cannot beat the
-    incumbent and abandoning a curve on the first provably-worse step.
-``halving``
-    Successive halving across microarchitectures: evaluate the active
-    cohort in waves (doubling per-curve budgets), advancing only the
-    better half each rung, and culling a curve permanently once its
-    optimistic bound -- the predicted delay of its next untried clock
-    -- cannot beat the incumbent.  Culling is bound-based, never
-    score-based, so the final winner is still exact.
+    Evaluate every grid point; the oracle every other strategy is
+    measured against.  Batches through the parallel sweep executor.
+``greedy`` (the default)
+    Axis descent with monotonicity pruning.  For a delay objective it
+    walks each microarchitecture's clock axis from the fastest
+    admissible clock, stops a curve at its first satisfying clock and
+    prunes every candidate whose *predicted* delay cannot beat the
+    incumbent.  Under an area or power cap, a curve first probes its
+    most-relaxed admissible clock and is skipped if that point is
+    infeasible or over the cap.  For area/power objectives it probes
+    each curve's most-relaxed admissible clock (one batch), then walks
+    the surviving curves toward faster clocks while the goal key
+    improves (the plateau walk).
 
-The pruning rules the strategies rely on (documented and tested):
+The pruning rules greedy relies on (see docs/DSE.md):
 
 * delay determinism -- a feasible point's delay is its designer
   ``II_effective`` times the clock; the scheduler never beats it;
 * area/power monotonicity -- slower clocks never increase area or
   power within a microarchitecture;
-* feasibility monotonicity -- if a clock schedules, every slower
-  clock schedules.
+* feasibility at the relaxed end -- a curve that does not schedule at
+  its most-relaxed clock schedules nowhere on it.  Full feasibility
+  monotonicity does *not* hold in the real flow (``example1`` at
+  latency 3 schedules at 1600 and 2000 ps but not at 1800 ps), so no
+  strategy binary-searches the clock axis.
 
-Every strategy ends with a plateau refinement so its winner is never
-dominated by the exhaustive sweep's Pareto front: among equal-objective
-ties it walks toward faster clocks while the lexicographic goal key
+The plateau walk keeps an area/power winner off the dominated side of
+the exhaustive sweep's Pareto front: among equal-objective ties it
+moves toward faster clocks while the lexicographic goal key
 (:meth:`repro.dse.goals.Goal.key`) keeps improving.
 """
 
 from __future__ import annotations
 
-import math
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.dse.goals import Goal
 from repro.dse.report import Evaluation, TuningReport
@@ -307,16 +300,6 @@ def pipeline_fingerprint(pipeline) -> str:
 # ----------------------------------------------------------------------
 # strategies
 # ----------------------------------------------------------------------
-class Strategy:
-    """One search policy; subclasses implement :meth:`run`."""
-
-    name = "?"
-
-    def run(self, space: DesignSpace, goal: Goal,
-            evaluator: Evaluator) -> Optional[DesignPoint]:
-        raise NotImplementedError
-
-
 def _walk_plateau(evaluator: Evaluator, goal: Goal, microarch: Microarch,
                   clocks: Sequence[float], idx: int,
                   best: DesignPoint) -> DesignPoint:
@@ -325,7 +308,10 @@ def _walk_plateau(evaluator: Evaluator, goal: Goal, microarch: Microarch,
     Area can plateau across neighboring clocks; a faster clock at equal
     area strictly improves delay, so stopping at the first
     non-improving step both keeps the winner on the Pareto front and
-    bounds the extra evaluations by the plateau length.
+    bounds the extra evaluations by the plateau length.  Walking every
+    surviving curve (not just the score-tied ones) also recovers curves
+    the real flow bends: binding can make area rise at a *slower*
+    clock, and then the most-relaxed sample is not the curve's optimum.
     """
     while idx > 0:
         result = evaluator.evaluate(Candidate(microarch, clocks[idx - 1]))
@@ -336,247 +322,81 @@ def _walk_plateau(evaluator: Evaluator, goal: Goal, microarch: Microarch,
     return best
 
 
-def _finish(per_curve: List[Tuple[Microarch, Sequence[float], int,
-                                  DesignPoint]],
-            goal: Goal, evaluator: Evaluator) -> Optional[DesignPoint]:
-    """Plateau-refine every curve, then pick the key-minimal point.
-
-    Walking *every* curve (not just the score-tied ones) costs at most
-    one extra evaluation per non-improving curve but keeps the search
-    robust where the real flow bends the paper model: binding can make
-    area rise at a *slower* clock (sharing changes with the clock), in
-    which case a curve's most-relaxed sample is not its optimum and
-    the walk recovers it.
-    """
-    if not per_curve:
-        return None
-    refined: List[DesignPoint] = []
-    for microarch, clocks, idx, point in per_curve:
-        if goal.objective.metric != "delay_ps":
-            point = _walk_plateau(evaluator, goal, microarch, clocks,
-                                  idx, point)
-        refined.append(point)
-    return min(refined, key=goal.key)
-
-
-class ExhaustiveStrategy(Strategy):
+def _exhaustive(space: DesignSpace, goal: Goal,
+                evaluator: Evaluator) -> Optional[DesignPoint]:
     """Evaluate the whole grid (through the parallel executor)."""
-
-    name = "exhaustive"
-
-    def run(self, space, goal, evaluator):
-        results = evaluator.evaluate_many(list(space.candidates()))
-        return goal.best(r for r in results
-                         if isinstance(r, DesignPoint))
+    results = evaluator.evaluate_many(list(space.candidates()))
+    return goal.best(r for r in results if isinstance(r, DesignPoint))
 
 
-class BisectStrategy(Strategy):
-    """Per-microarch clock bisection (see module docstring)."""
-
-    name = "bisect"
-
-    def run(self, space, goal, evaluator):
-        delay_bound = goal.bound("delay_ps")
-        curves = [(m, admissible_clocks(space, m, delay_bound))
-                  for m in space.microarchs]
-        curves = [(m, clocks) for m, clocks in curves if clocks]
-        if not curves:
-            return None
-        # the most relaxed admissible clock is each curve's easiest
-        # point: infeasible or violating there => the curve is out.
-        # Every curve probes it unconditionally, so it is one batch.
-        first = evaluator.evaluate_many(
-            [Candidate(m, clocks[-1]) for m, clocks in curves])
-        per_curve = []
-        active: List[List] = []  # [m, clocks, lo, hi, best]
-        for (m, clocks), result in zip(curves, first):
-            if not _ok(goal, result):
-                continue
-            if goal.objective.metric != "delay_ps":
-                # area/power are minimal at the most relaxed clock.
-                per_curve.append((m, clocks, len(clocks) - 1, result))
-            else:
-                active.append([m, clocks, 0, len(clocks) - 1, result])
-        # minimize delay: leftmost (fastest) satisfying clock; the
-        # predicate is monotone along the axis, so bisect -- curves are
-        # independent, so every round's midpoints form one batch (the
-        # probe set is exactly the sequential one).
-        while any(lo < hi for _, _, lo, hi, _ in active):
-            evaluator.evaluate_many(
-                [Candidate(m, clocks[(lo + hi) // 2])
-                 for m, clocks, lo, hi, _ in active if lo < hi])
-            for entry in active:
-                m, clocks, lo, hi, best = entry
-                if lo >= hi:
-                    continue
-                mid = (lo + hi) // 2
-                probe = evaluator.evaluate(Candidate(m, clocks[mid]))
-                if _ok(goal, probe):
-                    entry[3], entry[4] = mid, probe
-                else:
-                    entry[2] = mid + 1
-        per_curve.extend(
-            (m, clocks, hi, best) for m, clocks, _, hi, best in active)
-        return _finish(per_curve, goal, evaluator)
-
-
-class GreedyStrategy(Strategy):
+def _greedy(space: DesignSpace, goal: Goal,
+            evaluator: Evaluator) -> Optional[DesignPoint]:
     """Axis descent with monotonicity pruning (see module docstring)."""
-
-    name = "greedy"
-
-    def run(self, space, goal, evaluator):
-        delay_bound = goal.bound("delay_ps")
-        if goal.objective.metric == "delay_ps":
-            return self._descend_delay(space, goal, evaluator,
-                                       delay_bound)
-        best: Optional[DesignPoint] = None
-        curves = [(m, admissible_clocks(space, m, delay_bound))
-                  for m in space.microarchs]
-        curves = [(m, clocks) for m, clocks in curves if clocks]
-        # every curve's most-relaxed clock is probed unconditionally:
-        # one batch keeps the pool saturated before the (sequential,
-        # data-dependent) plateau walks
-        first = evaluator.evaluate_many(
-            [Candidate(m, clocks[-1]) for m, clocks in curves])
-        for (m, clocks), result in zip(curves, first):
-            if not _ok(goal, result):
-                continue  # curve's best point fails => whole curve out
-            point = _walk_plateau(evaluator, goal, m, clocks,
-                                  len(clocks) - 1, result)
-            if best is None or goal.key(point) < goal.key(best):
-                best = point
-        return best
-
-    @staticmethod
-    def _descend_delay(space, goal, evaluator, delay_bound):
-        incumbent: Optional[DesignPoint] = None
-        # most promising curves first: smallest II reaches the smallest
-        # predicted delays, tightening the incumbent for later pruning.
-        order = sorted(space.microarchs, key=lambda m: m.ii_effective)
-        for m in order:
-            for clock in admissible_clocks(space, m, delay_bound):
-                predicted = m.ii_effective * clock
-                if incumbent is not None \
-                        and predicted > incumbent.delay_ps + TIE_EPS:
-                    break  # slower clocks are provably worse: prune
-                result = evaluator.evaluate(Candidate(m, clock))
-                if _ok(goal, result):
-                    if incumbent is None \
-                            or goal.key(result) < goal.key(incumbent):
-                        incumbent = result
-                    break  # slower clocks of this curve: larger delay
-        return incumbent
+    delay_bound = goal.bound("delay_ps")
+    if goal.objective.metric == "delay_ps":
+        return _descend_delay(space, goal, evaluator, delay_bound)
+    best: Optional[DesignPoint] = None
+    curves = [(m, admissible_clocks(space, m, delay_bound))
+              for m in space.microarchs]
+    curves = [(m, clocks) for m, clocks in curves if clocks]
+    # every curve's most-relaxed clock is probed unconditionally:
+    # one batch keeps the pool saturated before the (sequential,
+    # data-dependent) plateau walks
+    first = evaluator.evaluate_many(
+        [Candidate(m, clocks[-1]) for m, clocks in curves])
+    for (m, clocks), result in zip(curves, first):
+        if not _ok(goal, result):
+            continue  # curve's best point fails => whole curve out
+        point = _walk_plateau(evaluator, goal, m, clocks,
+                              len(clocks) - 1, result)
+        if best is None or goal.key(point) < goal.key(best):
+            best = point
+    return best
 
 
-class HalvingStrategy(Strategy):
-    """Successive halving across microarchs (see module docstring)."""
+def _descend_delay(space: DesignSpace, goal: Goal, evaluator: Evaluator,
+                   delay_bound: Optional[float]) -> Optional[DesignPoint]:
+    """Minimize delay: each curve's fastest satisfying clock, curves in
+    II order, pruned against the incumbent's delay."""
+    capped = any(c.metric != "delay_ps" for c in goal.constraints)
+    incumbent: Optional[DesignPoint] = None
+    # most promising curves first: smallest II reaches the smallest
+    # predicted delays, tightening the incumbent for later pruning.
+    for m in sorted(space.microarchs, key=lambda m: m.ii_effective):
+        clocks = admissible_clocks(space, m, delay_bound)
+        if not clocks or (incumbent is not None and m.ii_effective
+                          * clocks[0] > incumbent.delay_ps + TIE_EPS):
+            continue  # even the fastest clock cannot beat the incumbent
+        # area and power are minimal at the most-relaxed clock: a curve
+        # infeasible or over an area/power cap there is out.
+        if capped and not _ok(goal, evaluator.evaluate(
+                Candidate(m, clocks[-1]))):
+            continue
+        for clock in clocks:
+            if incumbent is not None and m.ii_effective * clock \
+                    > incumbent.delay_ps + TIE_EPS:
+                break  # slower clocks are provably worse: prune
+            result = evaluator.evaluate(Candidate(m, clock))
+            if _ok(goal, result):
+                if incumbent is None \
+                        or goal.key(result) < goal.key(incumbent):
+                    incumbent = result
+                break  # slower clocks of this curve: larger delay
+    return incumbent
 
-    name = "halving"
 
-    def run(self, space, goal, evaluator):
-        delay_bound = goal.bound("delay_ps")
-        if goal.objective.metric != "delay_ps":
-            # rung 0 is already exact per curve (area/power are minimal
-            # at the most relaxed clock): one batched wave decides.
-            wave, curves = [], []
-            for m in space.microarchs:
-                clocks = admissible_clocks(space, m, delay_bound)
-                if clocks:
-                    wave.append(Candidate(m, clocks[-1]))
-                    curves.append((m, clocks))
-            results = evaluator.evaluate_many(wave)
-            per_curve = [(m, clocks, len(clocks) - 1, r)
-                         for (m, clocks), r in zip(curves, results)
-                         if _ok(goal, r)]
-            return _finish(per_curve, goal, evaluator)
-        return self._halve_delay(space, goal, evaluator, delay_bound)
-
-    @staticmethod
-    def _halve_delay(space, goal, evaluator, delay_bound):
-        # pending: curve name -> (microarch, clocks, next index); the
-        # optimistic bound of a curve is the predicted delay of its
-        # next untried clock (fast -> slow order).
-        pending: Dict[str, Tuple[Microarch, Tuple[float, ...], int]] = {}
-        for m in space.microarchs:
-            clocks = admissible_clocks(space, m, delay_bound)
-            if clocks:
-                pending[m.name] = (m, clocks, 0)
-        incumbent: Optional[DesignPoint] = None
-        budget = 1
-        while pending:
-            # cull curves whose optimistic bound cannot beat (or tie)
-            # the incumbent -- safe: bounds only worsen, the incumbent
-            # only improves.
-            alive = []
-            for name, (m, clocks, idx) in list(pending.items()):
-                bound = m.ii_effective * clocks[idx]
-                if incumbent is not None \
-                        and bound > incumbent.delay_ps + TIE_EPS:
-                    del pending[name]
-                    continue
-                alive.append((bound, name))
-            if not alive:
-                break
-            alive.sort()
-            keep = [name for _, name in
-                    alive[:max(1, math.ceil(len(alive) / 2))]]
-            # one batched wave per rung: each kept curve contributes its
-            # next <= budget untried clocks (pre-truncated against the
-            # rung-entry incumbent).  Batching can evaluate points a
-            # strictly sequential walk would have skipped after a
-            # mid-rung incumbent improvement; that only adds work, never
-            # error -- culling stays bound-based and the walk below
-            # still stops at each curve's fastest satisfying clock.
-            spans: List[Tuple[str, List[int]]] = []
-            wave: List[Candidate] = []
-            for name in keep:
-                m, clocks, idx = pending[name]
-                span = []
-                for j in range(idx, min(idx + budget, len(clocks))):
-                    if incumbent is not None \
-                            and m.ii_effective * clocks[j] \
-                            > incumbent.delay_ps + TIE_EPS:
-                        break
-                    span.append(j)
-                spans.append((name, span))
-                wave.extend(Candidate(m, clocks[j]) for j in span)
-            evaluator.evaluate_many(wave)
-            for name, span in spans:
-                m, clocks, idx = pending[name]
-                resolved = False
-                for j in range(idx, min(idx + budget, len(clocks))):
-                    if incumbent is not None \
-                            and m.ii_effective * clocks[j] \
-                            > incumbent.delay_ps + TIE_EPS:
-                        resolved = True
-                        break
-                    result = evaluator.evaluate(Candidate(m, clocks[j]))
-                    idx = j + 1
-                    if _ok(goal, result):
-                        # fastest satisfying clock: this curve's exact
-                        # optimum (feasibility is monotone).
-                        if incumbent is None or \
-                                goal.key(result) < goal.key(incumbent):
-                            incumbent = result
-                        resolved = True
-                        break
-                if resolved or idx >= len(clocks):
-                    del pending[name]
-                else:
-                    pending[name] = (m, clocks, idx)
-            budget *= 2
-        return incumbent
-
+#: a strategy maps (space, goal, evaluator) to the winner, or None.
+StrategyFn = Callable[[DesignSpace, Goal, Evaluator],
+                      Optional[DesignPoint]]
 
 #: every registered strategy, by name.
-STRATEGIES: Dict[str, Strategy] = {
-    s.name: s for s in (ExhaustiveStrategy(), BisectStrategy(),
-                        GreedyStrategy(), HalvingStrategy())
+STRATEGIES: Dict[str, StrategyFn] = {
+    "exhaustive": _exhaustive,
+    "greedy": _greedy,
 }
 
 
-def get_strategy(name: str) -> Strategy:
+def get_strategy(name: str) -> StrategyFn:
     """Look up a strategy; raises ``KeyError`` with choices."""
     try:
         return STRATEGIES[name]
@@ -591,11 +411,11 @@ def get_strategy(name: str) -> Strategy:
 def _run(strategy: str, space: DesignSpace, goal: Goal,
          evaluator: Evaluator) -> TuningReport:
     """Run one strategy and assemble its report (shared driver core)."""
-    strat = get_strategy(strategy)
+    search = get_strategy(strategy)
     start = time.perf_counter()
-    winner = strat.run(space, goal, evaluator)
+    winner = search(space, goal, evaluator)
     return TuningReport(
-        goal=goal, strategy=strat.name, grid_size=space.size,
+        goal=goal, strategy=strategy, grid_size=space.size,
         winner=winner, trace=list(evaluator.trace),
         fresh_evaluations=evaluator.fresh_evaluations,
         store_hits=evaluator.store_hits,

@@ -45,7 +45,6 @@ from repro.service.execution import (
     JOB_KINDS,
     execute_job,
     job_key,
-    normalize_params,
     parse_microarchs,
 )
 from repro.service.engine import JobEngine
@@ -69,6 +68,5 @@ __all__ = [
     "ServiceError",
     "execute_job",
     "job_key",
-    "normalize_params",
     "parse_microarchs",
 ]

@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
+from repro.dse.search import STRATEGIES
 from repro.explore.microarch import (
     InfeasiblePoint,
     Microarch,
@@ -34,7 +35,7 @@ from repro.flow.context import CompilationContext
 from repro.flow.flow import get_flow
 from repro.frontend import FrontendError, compile_source
 from repro.service.jobs import JobCancelled, JobError
-from repro.tech import Library, artisan90, generic45
+from repro.tech import LIBRARIES, Library
 from repro.timing import engine as timing_engine
 from repro.workloads import (
     PIPELINE_INPUTS,
@@ -44,12 +45,6 @@ from repro.workloads import (
 
 #: the job kinds the service accepts.
 JOB_KINDS = ("schedule", "sweep", "tune", "stream")
-
-#: libraries addressable in a job body.
-LIBRARIES: Dict[str, Callable[[], Library]] = {
-    "artisan90": artisan90,
-    "generic45": generic45,
-}
 
 #: points per progress/cancellation checkpoint in sweep execution.
 SWEEP_WAVE = 4
@@ -137,20 +132,16 @@ def _region_factory(params: dict) -> Callable:
     return factory
 
 
-def normalize_params(kind: str, params: dict) -> dict:
-    """Validate a submission body and fill every default in.
-
-    The normalized record is what gets hashed into the job key, so two
-    submissions differing only in spelled-out defaults dedup together.
-    Raises :class:`JobError` on any problem (mapped to HTTP 400).
-    """
-    return prepare_job(kind, params)[0]
-
-
 def prepare_job(kind: str, params: dict) -> Tuple[dict, str]:
     """(normalized params, job key) of one submission, building the
     design once: the key's fingerprint build is also its validation
-    (a ``source`` that does not compile raises :class:`JobError`)."""
+    (a ``source`` that does not compile raises :class:`JobError`).
+
+    The normalized record fills every default in and is what gets
+    hashed into the key, so two submissions differing only in
+    spelled-out defaults dedup together.  Raises :class:`JobError` on
+    any problem (mapped to HTTP 400).
+    """
     if kind not in JOB_KINDS:
         raise JobError(f"unknown job kind {kind!r}; "
                        f"choose from {JOB_KINDS}")
@@ -182,9 +173,9 @@ def prepare_job(kind: str, params: dict) -> Tuple[dict, str]:
         out["latencies"] = params.get("latencies")
         parse_microarchs(out["latencies"])
         out["strategy"] = str(params.get("strategy", "greedy"))
-        if out["strategy"] not in ("exhaustive", "bisect", "greedy",
-                                   "halving"):
-            raise JobError(f"unknown strategy {out['strategy']!r}")
+        if out["strategy"] not in STRATEGIES:
+            raise JobError(f"unknown strategy {out['strategy']!r}; "
+                           f"choose from {sorted(STRATEGIES)}")
         for field in ("delay_ps", "max_area", "max_power_mw"):
             value = params.get(field)
             out[field] = float(value) if value is not None else None

@@ -1,6 +1,8 @@
 """Technology library substrate: resource characterization, speed grades,
 RAM macros, instances for the binder, and the power model."""
 
+from typing import Callable, Dict
+
 from repro.tech.artisan90 import artisan90
 from repro.tech.generic45 import generic45
 from repro.tech.library import (
@@ -19,9 +21,16 @@ from repro.tech.resources import (
     ResourcePool,
 )
 
+#: the libraries the CLI and the job service address by name.
+LIBRARIES: Dict[str, Callable[[], Library]] = {
+    "artisan90": artisan90,
+    "generic45": generic45,
+}
+
 __all__ = [
     "DEFAULT_GRADES",
     "FlipFlopSpec",
+    "LIBRARIES",
     "Library",
     "MemoryPortInstance",
     "MemoryResource",

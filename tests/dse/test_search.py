@@ -1,6 +1,6 @@
 """Search strategies on a synthetic paper-model evaluator.
 
-The model implements exactly the assumptions the strategies prune on:
+The model implements exactly the assumptions greedy prunes on:
 delay = II_effective x Tclk, area/power monotone non-increasing as the
 clock relaxes, feasibility monotone along the clock axis.  The
 property test then checks the ISSUE-level contract on seeded grids:
@@ -77,17 +77,17 @@ def _all_feasible(space, areas=None):
 def test_exhaustive_evaluates_whole_grid():
     space = _grid()
     ev = _all_feasible(space)
-    winner = get_strategy("exhaustive").run(space, Goal.build("area"), ev)
+    winner = get_strategy("exhaustive")(space, Goal.build("area"), ev)
     assert ev.evaluated == space.size
     assert winner is not None
     assert winner.area == min(p.area for p in ev.points())
 
 
-def test_bisect_area_objective_one_eval_per_curve():
+def test_greedy_area_objective_one_eval_per_curve():
     space = _grid(n_micro=3, n_clock=5)
     ev = _all_feasible(space)
     goal = Goal.build("area")
-    winner = get_strategy("bisect").run(space, goal, ev)
+    winner = get_strategy("greedy")(space, goal, ev)
     # one decisive eval per curve + the winner-side plateau probes
     assert ev.evaluated <= 3 + 3
     exhaustive = goal.best(_exhaustive_points(space))
@@ -100,10 +100,25 @@ def test_greedy_prunes_with_delay_bound():
     # m0 (ii=4): clocks up to 2000 admissible; m1 (ii=8): 1000 only;
     # m2 (ii=12): nothing fits
     goal = Goal.build("area", delay_ps=8000.0)
-    winner = get_strategy("greedy").run(space, goal, ev)
+    winner = get_strategy("greedy")(space, goal, ev)
     assert winner is not None
     assert goal.satisfied(winner)
     assert ev.evaluated < space.size
+
+
+def test_greedy_skips_a_curve_over_the_area_cap_in_one_eval():
+    """Min delay under an area cap: a curve over the cap even at its
+    most-relaxed clock (where the model's area is minimal) is out
+    after that single probe instead of walking every clock."""
+    space = _grid(n_micro=2, n_clock=4)
+    areas = {"m0": [200.0] * 4, "m1": [100.0] * 4}  # m0 never fits
+    goal = Goal.build("delay", max_area=150.0)
+    ev = ModelEvaluator(space, areas, {"m0": 0, "m1": 0})
+    winner = get_strategy("greedy")(space, goal, ev)
+    assert [e.clock_ps for e in ev.trace if e.microarch == "m0"] == \
+        [4000.0]
+    assert winner.label == "m1@1000"
+    assert winner == goal.best(_exhaustive_points(space, areas))
 
 
 def test_strategies_report_infeasible_goal_as_none():
@@ -111,7 +126,7 @@ def test_strategies_report_infeasible_goal_as_none():
     goal = Goal.build("area", delay_ps=1.0)  # no admissible clock
     for name in STRATEGIES:
         ev = _all_feasible(space)
-        assert get_strategy(name).run(space, goal, ev) is None
+        assert get_strategy(name)(space, goal, ev) is None
 
 
 def test_strategies_handle_fully_infeasible_curves():
@@ -120,7 +135,7 @@ def test_strategies_handle_fully_infeasible_curves():
     ev_args = (space, areas, {"m0": 3, "m1": 1})  # m0 never schedules
     for name in STRATEGIES:
         ev = ModelEvaluator(*ev_args)
-        winner = get_strategy(name).run(space, Goal.build("delay"), ev)
+        winner = get_strategy(name)(space, Goal.build("delay"), ev)
         assert winner is not None
         assert winner.microarch == "m1"
 
@@ -134,14 +149,14 @@ def test_plateau_tie_refinement_keeps_winner_undominated():
     front = pareto_front(_exhaustive_points(space, areas))
     for name in STRATEGIES:
         ev = ModelEvaluator(space, areas, {"m0": 0})
-        winner = get_strategy(name).run(space, goal, ev)
+        winner = get_strategy(name)(space, goal, ev)
         assert winner.clock_ps == 2000.0, name  # fastest 50-area point
         assert not any(dominates(q, winner) for q in front), name
 
 
 def _exhaustive_points(space, areas=None):
     ev = _all_feasible(space, areas)
-    get_strategy("exhaustive").run(space, Goal.build("area"), ev)
+    get_strategy("exhaustive")(space, Goal.build("area"), ev)
     return ev.points()
 
 
@@ -190,7 +205,7 @@ def _model_instances(draw):
 def test_winner_never_dominated_by_exhaustive_front(instance):
     space, areas, feasible_from, goal = instance
     exhaustive = ModelEvaluator(space, areas, feasible_from)
-    get_strategy("exhaustive").run(space, goal, exhaustive)
+    get_strategy("exhaustive")(space, goal, exhaustive)
     points = exhaustive.points()
     # dominance is judged on the axes the goal speaks: delay/area,
     # plus power once the goal involves it (a power-optimal winner may
@@ -205,7 +220,7 @@ def test_winner_never_dominated_by_exhaustive_front(instance):
     best = goal.best(points)
     for name in sorted(STRATEGIES):
         ev = ModelEvaluator(space, areas, feasible_from)
-        winner = get_strategy(name).run(space, goal, ev)
+        winner = get_strategy(name)(space, goal, ev)
         assert ev.evaluated <= space.size, name
         if best is None:
             assert winner is None, name

@@ -15,7 +15,6 @@ from repro.service.execution import (
     JOB_KINDS,
     execute_job,
     job_key,
-    normalize_params,
     parse_microarchs,
     prepare_job,
 )
@@ -58,18 +57,18 @@ BAD_BODIES = [
                          ids=[c[2] for c in BAD_BODIES])
 def test_bad_bodies_raise_job_error(kind, params, fragment):
     with pytest.raises(JobError, match=fragment):
-        normalize_params(kind, params)
+        prepare_job(kind, params)[0]
 
 
 def test_normalize_fills_defaults_deterministically():
-    a = normalize_params("tune", {"workload": "fir"})
-    b = normalize_params("tune", {"workload": "fir",
-                                  "library": "artisan90",
-                                  "strategy": "greedy"})
+    a = prepare_job("tune", {"workload": "fir"})[0]
+    b = prepare_job("tune", {"workload": "fir",
+                             "library": "artisan90",
+                             "strategy": "greedy"})[0]
     assert a == b  # spelled-out defaults normalize identically
     assert a["objective"] == "delay"  # no delay budget -> chase speed
-    with_budget = normalize_params("tune", {"workload": "fir",
-                                            "delay_ps": 9000})
+    with_budget = prepare_job("tune", {"workload": "fir",
+                                       "delay_ps": 9000})[0]
     assert with_budget["objective"] == "area"
 
 
@@ -100,20 +99,20 @@ def fir(x: int, k: int) -> int:
 
 def test_job_key_is_structural_not_textual():
     """The service's dedup promise: identity is design *structure*."""
-    original = normalize_params("schedule", {"source": FIR_SOURCE})
-    reformatted = normalize_params(
-        "schedule", {"source": REFORMATTED_FIR_SOURCE})
+    original = prepare_job("schedule", {"source": FIR_SOURCE})[0]
+    reformatted = prepare_job(
+        "schedule", {"source": REFORMATTED_FIR_SOURCE})[0]
     assert original["source"] != reformatted["source"]
     assert job_key("schedule", original) == \
         job_key("schedule", reformatted)
 
 
 def test_job_key_separates_kinds_and_parameters():
-    base = normalize_params("schedule", {"workload": "fir"})
-    sweep = normalize_params("sweep", {"workload": "fir"})
-    other_clock = normalize_params("schedule", {"workload": "fir",
-                                                "clock_ps": 2100})
-    other_design = normalize_params("schedule", {"workload": "adpcm"})
+    base = prepare_job("schedule", {"workload": "fir"})[0]
+    sweep = prepare_job("sweep", {"workload": "fir"})[0]
+    other_clock = prepare_job("schedule", {"workload": "fir",
+                                           "clock_ps": 2100})[0]
+    other_design = prepare_job("schedule", {"workload": "adpcm"})[0]
     keys = {job_key("schedule", base), job_key("sweep", sweep),
             job_key("schedule", other_clock),
             job_key("schedule", other_design)}
@@ -129,16 +128,16 @@ def test_job_key_is_deterministic(workload, kind, clock):
         params["clock_ps"] = clock
     else:
         params["clocks_ps"] = [clock]
-    normalized = normalize_params(kind, params)
+    normalized = prepare_job(kind, params)[0]
     assert job_key(kind, normalized) == \
-        job_key(kind, normalize_params(kind, params))
+        job_key(kind, prepare_job(kind, params)[0])
 
 
 # ----------------------------------------------------------------------
 # execution results are deterministic payloads
 # ----------------------------------------------------------------------
 def test_execute_schedule_twice_is_bit_identical():
-    params = normalize_params("schedule", {"workload": "fir"})
+    params = prepare_job("schedule", {"workload": "fir"})[0]
     ok1, result1, _ = execute_job("schedule", params)
     ok2, result2, _ = execute_job("schedule", params)
     assert ok1 and ok2
@@ -147,8 +146,8 @@ def test_execute_schedule_twice_is_bit_identical():
 
 
 def test_execute_infeasible_schedule_reports_diagnostics():
-    params = normalize_params("schedule", {"workload": "fft8",
-                                           "clock_ps": 400, "ii": 1})
+    params = prepare_job("schedule", {"workload": "fft8",
+                                      "clock_ps": 400, "ii": 1})[0]
     ok, result, _ = execute_job("schedule", params)
     assert not ok
     assert result["diagnostics"]
@@ -217,15 +216,15 @@ def test_job_keys_are_pinned_for_every_registry_design():
         spec = {"pipeline" if kind == "stream" else "workload": name}
         normalized, key = prepare_job(kind, spec)
         assert key == expected, name
-        assert job_key(kind, normalize_params(kind, spec)) == expected
-        assert normalized == normalize_params(kind, spec)
+        assert job_key(kind, prepare_job(kind, spec)[0]) == expected
+        assert normalized == prepare_job(kind, spec)[0]
 
 
 def test_job_key_is_pinned_for_a_source_submission():
     spec = {"source": PINNED_SOURCE, "clocks_ps": "1600,2400",
             "latencies": "3,4"}
     assert prepare_job("sweep", spec)[1] == PINNED_SOURCE_SWEEP_KEY
-    assert job_key("sweep", normalize_params("sweep", spec)) == \
+    assert job_key("sweep", prepare_job("sweep", spec)[0]) == \
         PINNED_SOURCE_SWEEP_KEY
 
 

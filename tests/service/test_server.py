@@ -80,6 +80,15 @@ def test_result_status_codes(service):
     assert err.value.payload["error"]["reason"] == "unsatisfied"
 
 
+def test_unknown_strategy_rejected_at_submit(service):
+    _, client = service
+    with pytest.raises(ServiceError) as err:
+        client.submit("tune", workload="fir", strategy="halving")
+    assert err.value.status == 400
+    assert "unknown strategy" in str(err.value)
+    assert client.stats()["queue_depth"] == 0
+
+
 def test_cancel_status_codes(service):
     svc, client = service
     # saturate both workers so the target job stays queued

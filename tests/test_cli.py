@@ -215,12 +215,21 @@ def test_tune_json_and_store_warm_start(tmp_path, capsys):
 
 def test_tune_strategies_agree(capsys):
     winners = set()
-    for strategy in ("exhaustive", "bisect", "greedy", "halving"):
+    for strategy in ("exhaustive", "greedy"):
         assert main(TUNE_ARGS + ["--strategy", strategy, "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         winners.add(data["winner"]["label"])
         assert data["evaluated"] <= data["grid_size"]
     assert len(winners) == 1
+
+
+@pytest.mark.parametrize("argv", [["tune", "fir"],
+                                  ["submit", "tune", "fir"]])
+def test_removed_strategy_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--strategy", "bisect"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bisect'" in capsys.readouterr().err
 
 
 def test_tune_infeasible_goal_exits_nonzero(capsys):

@@ -55,14 +55,12 @@ from repro.core.schedule import Schedule, ScheduleError  # noqa: E402
 from repro.core.scheduler import SchedulerOptions, schedule_region  # noqa: E402
 from repro.explore.microarch import Microarch  # noqa: E402
 from repro.flow.sweepctx import SweepContext  # noqa: E402
-from repro.tech import artisan90, generic45  # noqa: E402
+from repro.tech import LIBRARIES, artisan90  # noqa: E402
 from repro.workloads import PYFUNC_REGISTRY, WORKLOAD_REGISTRY  # noqa: E402
 from repro.workloads.synthetic import (industrial_suite,  # noqa: E402
                                        timing_critical_suite)
 
 CORPUS = REPO / "tests" / "golden" / "decisions.json"
-
-LIBRARIES = {"artisan90": artisan90, "generic45": generic45}
 
 #: one design to schedule: a thunk that schedules a fresh region.
 Case = Tuple[str, Callable[[], Schedule]]
