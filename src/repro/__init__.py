@@ -54,7 +54,6 @@ from repro.core.pipeline import (
 )
 from repro.flow import (
     CompilationContext,
-    Flow,
     FlowCache,
     run_flow,
     run_sweep,
@@ -78,7 +77,6 @@ __all__ = [
     "simulate_pipeline_reference",
     "DFG",
     "DFGError",
-    "Flow",
     "FlowCache",
     "FoldedPipeline",
     "Library",

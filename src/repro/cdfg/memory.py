@@ -99,11 +99,6 @@ class MemoryDecl:
 # ----------------------------------------------------------------------
 # access shape queries
 # ----------------------------------------------------------------------
-def is_memory_op(op: Operation) -> bool:
-    """Whether ``op`` is a memory access."""
-    return op.kind in MEMORY_KINDS
-
-
 def has_dynamic_address(op: Operation, n_data_edges: int) -> bool:
     """Whether the access takes its address from a DFG value.
 

@@ -2,8 +2,8 @@
 
 Commands
 --------
-profile    schedule a named workload under cProfile + scheduler counters
-schedule   compile a mini-language source file and schedule its loops
+profile    compile + schedule a design under cProfile + scheduler counters
+schedule   compile a source file (or a named workload) and schedule it
 serve      boot the synthesis-as-a-service HTTP job server
 stream     compose, verify and report a named streaming pipeline
 submit     submit a job to a running service (and optionally wait)
@@ -16,7 +16,11 @@ workloads  list the named kernels and streaming pipelines
 
 The CLI is a thin veneer over the unified compilation pipeline
 (:mod:`repro.flow`) so shell users (and CI scripts) can exercise the
-flows without writing Python.
+flows without writing Python.  Requests resolve through the job
+service's request layer (:mod:`repro.service.execution`), and
+``schedule``, ``trace``, ``verilog`` and ``profile`` share one set of
+arguments, one context builder and the ``pipeline`` flow prefix with
+the service's ``schedule`` job, so all of them agree.
 
 Conventions every subcommand follows: ``--json`` switches the output to
 a machine-readable record on stdout (including on *every* failure
@@ -47,32 +51,38 @@ import argparse
 import json
 import os
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro import profiling
-from repro.cdfg.region import PipelineSpec, Region
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import Tracer
 from repro.core.pipeline import pipeline_loop
-from repro.core.schedule import ScheduleError
 from repro.core.scheduler import schedule_region
 from repro.dse.search import STRATEGIES
-from repro.explore import Microarch
-from repro.flow import get_flow, run_sweep
+from repro.flow import run_context, run_sweep
 from repro.flow.context import CompilationContext
-from repro.frontend import FrontendError, compile_source
+from repro.frontend import FrontendError
 from repro.rtl import schedule_report
 from repro.rtl.reports import format_table, pareto_header
-from repro.tech import LIBRARIES, Library
+from repro.service.execution import (
+    OBJECTIVES,
+    Kernel,
+    compile_context,
+    design_params,
+    normalize_params,
+    parse_microarchs,
+    resolve_design,
+    resolve_library,
+    run_stream,
+    run_tune,
+    single_kernel,
+)
+from repro.service.jobs import JobError
 from repro.workloads import (
-    PIPELINE_INPUTS,
     PIPELINE_REGISTRY,
     WORKLOAD_REGISTRY,
     build_example1,
 )
-
-#: workloads addressable from the command line (the shared registry).
-WORKLOADS: Dict[str, Callable[[], Region]] = WORKLOAD_REGISTRY
 
 # the exit-code taxonomy (see the module docstring).
 EXIT_OK = 0
@@ -90,7 +100,9 @@ class CLIError(Exception):
     Raised by any subcommand for problems detected before (or outside)
     the actual synthesis work; :func:`main` turns it into a message on
     stderr, an ``{"error": ...}`` record on stdout under ``--json``,
-    and the taxonomy exit code.
+    and the taxonomy exit code.  The request layer's
+    :class:`~repro.service.jobs.JobError` becomes one with exit 3 and
+    the error's reason.
     """
 
     def __init__(self, message: str, code: int = EXIT_BAD_INPUT,
@@ -105,15 +117,6 @@ class CLIError(Exception):
                               reason=self.reason, message=str(self))}
 
 
-def _library(name: str) -> Library:
-    try:
-        return LIBRARIES[name]()
-    except KeyError:
-        raise CLIError(f"unknown library {name!r}; "
-                       f"choose from {sorted(LIBRARIES)}",
-                       reason="unknown-library")
-
-
 def _print_failure(ctx: CompilationContext) -> None:
     for diag in ctx.errors:
         print(f"{ctx.region.name if ctx.region else '<frontend>'}: "
@@ -122,64 +125,35 @@ def _print_failure(ctx: CompilationContext) -> None:
             print(f"  {line}", file=sys.stderr)
 
 
-def _compile_file(path: str):
-    """Compile a source file of either kind (legacy or ``.py``).
-
-    Raises :class:`FrontendError` (with the caret diagnostic attached)
-    on bad source, :class:`CLIError` on unreadable files.
-    """
-    try:
-        with open(path) as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise CLIError(f"cannot read {path}: {exc}",
-                       reason="unreadable-source")
-    return compile_source(text, filename=path)
-
-
-def _source_contexts(args: argparse.Namespace, library: Library,
-                     run_optimizer: bool) -> List[CompilationContext]:
-    """One unrun context per loop of the source file / named workload."""
-    contexts: List[CompilationContext] = []
-    if args.source in WORKLOADS:
-        contexts.append(CompilationContext(
-            library=library, clock_ps=args.clock,
-            region=WORKLOADS[args.source](),
-            pipeline=PipelineSpec(ii=args.ii) if args.ii is not None
-            else None,
-            run_optimizer=run_optimizer))
-        return contexts
-    for loop in _compile_file(args.source):
-        pipeline = PipelineSpec(ii=args.ii) if args.ii is not None \
-            else loop.pipeline
-        contexts.append(CompilationContext(
-            library=library, clock_ps=args.clock, region=loop.region,
-            pipeline=pipeline, run_optimizer=run_optimizer))
-    return contexts
+def _compile_contexts(args: argparse.Namespace, single: bool = False,
+                      tracer: Optional[Tracer] = None
+                      ) -> List[CompilationContext]:
+    """One unrun context per kernel of a compile command's design
+    (exactly one when ``single``): the one context builder of
+    ``schedule``, ``trace``, ``verilog`` and ``profile``."""
+    params = normalize_params("schedule", dict(
+        design_params(args.source), library=args.library,
+        clock_ps=args.clock, ii=args.ii, optimize=not args.no_optimize))
+    kernels = resolve_design(params["workload"], params["source"],
+                             filename=args.source)
+    if single:
+        kernels = [single_kernel(kernels, args.source)]
+    library = resolve_library(params["library"])
+    return [compile_context(kernel, library, params["clock_ps"],
+                            params["ii"], params["optimize"], tracer=tracer)
+            for kernel in kernels]
 
 
-def _resolve_workload(spec: str) -> Callable[[], Region]:
-    """A region factory from a workload name or a source file path.
-
-    Source files must contain exactly one kernel (sweeps and tuning
-    operate on a single region).  The factory recompiles per call so
-    every invocation gets a fresh, unmutated region; fingerprints stay
-    identical across calls, so caching still works.
-    """
-    factory = WORKLOADS.get(spec)
-    if factory is not None:
-        return factory
-    if not (spec.endswith(".py") or os.path.exists(spec)):
-        raise CLIError(f"unknown workload {spec!r}; choose from "
-                       f"{sorted(WORKLOADS)} or pass a source file",
-                       reason="unknown-workload")
-    units = _compile_file(spec)  # FrontendError propagates to main()
-    if len(units) != 1:
-        raise CLIError(
-            f"{spec}: sweeps need exactly one kernel, found "
-            f"{[u.region.name for u in units]}",
-            reason="kernel-count")
-    return lambda: _compile_file(spec)[0].region
+def _grid_request(args: argparse.Namespace, target: str, kind: str,
+                  **fields) -> Tuple[dict, Kernel]:
+    """The normalized ``sweep``/``tune`` record and the one kernel of a
+    grid command's design."""
+    params = normalize_params(kind, dict(
+        design_params(target), library=args.library,
+        clocks_ps=args.clocks, latencies=args.latencies, **fields))
+    kernels = resolve_design(params["workload"], params["source"],
+                             filename=target)
+    return params, single_kernel(kernels, target)
 
 
 def _write_trace(tracer: Optional[Tracer],
@@ -194,16 +168,9 @@ def _write_trace(tracer: Optional[Tracer],
 
 def cmd_schedule(args: argparse.Namespace) -> int:
     """Compile and schedule a source file (or a named workload)."""
-    library = _library(args.library)
-    flow = get_flow("pipeline")
-    if args.profile:
-        profiling.reset()
     tracer = Tracer() if args.trace else None
-    contexts = _source_contexts(args, library,
-                                run_optimizer=not args.no_optimize)
-    for ctx in contexts:
-        ctx.tracer = tracer
-        flow.run(ctx)
+    for ctx in _compile_contexts(args, tracer=tracer):
+        run_context(ctx, "pipeline")
         if ctx.failed:
             if args.json:
                 print(json.dumps({"error": {
@@ -212,8 +179,6 @@ def cmd_schedule(args: argparse.Namespace) -> int:
                     "diagnostics": [str(d) for d in ctx.errors],
                 }}, indent=2))
             _print_failure(ctx)
-            if args.profile:
-                print(profiling.report(), file=sys.stderr)
             _write_trace(tracer, args.trace)  # a failing run's trace
             return EXIT_FAILED                # is the interesting one
         if args.json:
@@ -221,30 +186,27 @@ def cmd_schedule(args: argparse.Namespace) -> int:
         else:
             print(schedule_report(ctx.schedule))
             print()
-    if args.profile:
-        # stderr, so --json stdout stays machine-readable
-        print(profiling.report(), file=sys.stderr)
     _write_trace(tracer, args.trace)
     return 0
 
 
-def _profile_sweep(args: argparse.Namespace, library) -> int:
+def _profile_sweep(args: argparse.Namespace) -> int:
     """``repro profile --sweep``: one grid through the sweep engine,
     reporting the sweep-layer counters (variant builds, warm-start
     accepts/fallbacks, pickled bytes, worker cache traffic)."""
     import time
 
-    factory = _resolve_workload(args.workload)
-    clocks = _parse_clocks(args.clocks)
-    micros = _parse_microarchs(args.latencies)
+    params, kernel = _grid_request(args, args.source, "sweep")
     profiling.reset()
     start = time.perf_counter()
-    result = run_sweep(factory, library, micros, clocks, jobs=args.jobs)
+    result = run_sweep(kernel.build, resolve_library(params["library"]),
+                       parse_microarchs(params["latencies"]),
+                       params["clocks_ps"], jobs=args.jobs)
     wall = time.perf_counter() - start
     table = profiling.snapshot()
     if args.json:
         print(json.dumps({
-            "workload": args.workload,
+            "workload": args.source,
             "wall_s": round(wall, 4),
             "sweep": result.summary(),
             "counters": dict(sorted(table.items())),
@@ -253,7 +215,7 @@ def _profile_sweep(args: argparse.Namespace, library) -> int:
         }, indent=2))
     else:
         print(profiling.report(table))
-        print(f"\n{args.workload}: {len(result.points)} of "
+        print(f"\n{args.source}: {len(result.points)} of "
               f"{result.total} points feasible, backend "
               f"{result.backend}, jobs {result.jobs}, {wall:.3f}s")
         for key, value in sorted(result.profile.items()):
@@ -263,48 +225,42 @@ def _profile_sweep(args: argparse.Namespace, library) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    """Schedule a named workload under cProfile and report both the
-    Python-level hot spots and the scheduler's own phase counters."""
+    """Run a design's ``pipeline`` flow under cProfile and report both
+    the Python-level hot spots and the scheduler's own counters."""
     import cProfile
     import io
     import pstats
     import time
 
-    library = _library(args.library)
     if args.sweep:
-        return _profile_sweep(args, library)
-    region = _resolve_workload(args.workload)()
-    pipeline = PipelineSpec(ii=args.ii) if args.ii is not None else None
+        return _profile_sweep(args)
+    (ctx,) = _compile_contexts(args, single=True)
     profiling.reset()
     prof = cProfile.Profile()
-    error: Optional[ScheduleError] = None
-    schedule = None
     start = time.perf_counter()
     prof.enable()
     try:
-        schedule = schedule_region(region, library, args.clock,
-                                   pipeline=pipeline)
-    except ScheduleError as exc:
-        error = exc
+        run_context(ctx, "pipeline")
     finally:
         prof.disable()
     wall = time.perf_counter() - start
     table = profiling.snapshot()
+    error = ctx.errors[0].message if ctx.failed else None
     if args.json:
         record = {
-            "workload": args.workload,
+            "workload": args.source,
             "clock_ps": args.clock,
             "wall_s": round(wall, 4),
-            "feasible": schedule is not None,
+            "feasible": not ctx.failed,
             "counters": dict(sorted(table.items())),
             "gauges": REGISTRY.gauges(),
             "histograms": REGISTRY.histogram_summaries(),
         }
-        if schedule is not None:
-            record["passes"] = schedule.passes
-            record["latency"] = schedule.latency
+        if ctx.failed:
+            record["error"] = error
         else:
-            record["error"] = str(error)
+            record["passes"] = ctx.schedule.passes
+            record["latency"] = ctx.schedule.latency
         print(json.dumps(record, indent=2))
     else:
         stream = io.StringIO()
@@ -313,20 +269,19 @@ def cmd_profile(args: argparse.Namespace) -> int:
         print(stream.getvalue().rstrip())
         print()
         print(profiling.report(table))
-        if schedule is not None:
-            print(f"\n{args.workload}: {schedule.passes} passes, "
-                  f"latency {schedule.latency}, {wall:.3f}s")
-        else:
-            print(f"\n{args.workload}: FAILED after {wall:.3f}s -- {error}",
+        if ctx.failed:
+            print(f"\n{args.source}: FAILED after {wall:.3f}s -- {error}",
                   file=sys.stderr)
-    return 0 if schedule is not None else 1
+        else:
+            print(f"\n{args.source}: {ctx.schedule.passes} passes, "
+                  f"latency {ctx.schedule.latency}, {wall:.3f}s")
+    return EXIT_FAILED if ctx.failed else EXIT_OK
 
 
 def cmd_verilog(args: argparse.Namespace) -> int:
     """Compile, schedule and emit Verilog RTL."""
-    library = _library(args.library)
-    (ctx,) = _source_contexts(args, library, run_optimizer=False)
-    get_flow("verilog").run(ctx)
+    (ctx,) = _compile_contexts(args, single=True)
+    run_context(ctx, "verilog")
     if ctx.failed:
         if args.json:
             print(json.dumps({"error": {
@@ -355,30 +310,6 @@ def cmd_verilog(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_microarchs(spec_text: Optional[str]) -> List[Microarch]:
-    """Microarch axis from a ``lat[,lat:ii,...]`` spec (shared with the
-    service's job-body validation, so both reject identically)."""
-    from repro.service.execution import parse_microarchs
-    from repro.service.jobs import JobError
-
-    try:
-        return parse_microarchs(spec_text)
-    except JobError as exc:
-        raise CLIError(str(exc), reason="bad-microarch")
-
-
-def _parse_clocks(spec_text: str) -> List[float]:
-    try:
-        clocks = [float(c) for c in spec_text.split(",") if c.strip()]
-    except ValueError:
-        raise CLIError(f"bad clock list {spec_text!r} "
-                       f"(want comma-separated picoseconds)",
-                       reason="bad-clock")
-    if not clocks:
-        raise CLIError("empty clock list", reason="bad-clock")
-    return clocks
-
-
 def _load_cache(path: Optional[str]):
     """A FlowCache warmed from ``path`` (fresh when absent/None)."""
     from repro.flow import FlowCache
@@ -390,14 +321,13 @@ def _load_cache(path: Optional[str]):
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Microarchitecture x clock exploration on a named workload."""
-    library = _library(args.library)
-    factory = _resolve_workload(args.workload)
-    clocks = _parse_clocks(args.clocks)
-    micros = _parse_microarchs(args.latencies)
+    params, kernel = _grid_request(args, args.workload, "sweep")
     cache = _load_cache(args.cache)
     tracer = Tracer() if args.trace else None
-    result = run_sweep(factory, library, micros, clocks, jobs=args.jobs,
-                       cache=cache, tracer=tracer)
+    result = run_sweep(kernel.build, resolve_library(params["library"]),
+                       parse_microarchs(params["latencies"]),
+                       params["clocks_ps"], jobs=args.jobs, cache=cache,
+                       tracer=tracer)
     if cache is not None:
         cache.save(args.cache)
     _write_trace(tracer, args.trace)
@@ -415,30 +345,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_tune(args: argparse.Namespace) -> int:
     """Goal-directed autotuning over the microarch x clock space."""
-    from repro.dse import DesignSpace, Goal, GoalError, ResultStore, tune
+    from repro.dse import ResultStore
 
-    library = _library(args.library)
-    factory = _resolve_workload(args.workload)
-    objective = args.objective
-    if objective is None:
-        # a delay budget usually means "smallest design meeting it";
-        # otherwise chase speed under the remaining budgets.
-        objective = "area" if args.delay_ps is not None else "delay"
-    try:
-        goal = Goal.build(objective=objective, delay_ps=args.delay_ps,
-                          max_area=args.max_area,
-                          max_power_mw=args.max_power_mw)
-    except GoalError as exc:
-        raise CLIError(f"invalid goal: {exc}", reason="invalid-goal")
-    space = DesignSpace(
-        tuple(_parse_microarchs(args.latencies)),
-        tuple(_parse_clocks(args.clocks)))
+    params, kernel = _grid_request(
+        args, args.workload, "tune", strategy=args.strategy,
+        delay_ps=args.delay_ps, max_area=args.max_area,
+        max_power_mw=args.max_power_mw, objective=args.objective)
     store = ResultStore(args.store) if args.store else None
     cache = _load_cache(args.cache)
     tracer = Tracer() if args.trace else None
-    report = tune(factory, library, goal, space=space,
-                  strategy=args.strategy, cache=cache, store=store,
-                  jobs=args.jobs, tracer=tracer)
+    report = run_tune(params, kernel.build, cache=cache, store=store,
+                      jobs=args.jobs, tracer=tracer)
     if cache is not None:
         cache.save(args.cache)
     _write_trace(tracer, args.trace)
@@ -451,15 +368,10 @@ def cmd_tune(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     """Schedule a workload with tracing on; write + summarize spans."""
-    library = _library(args.library)
-    flow = get_flow("pipeline")
     tracer = Tracer()
-    contexts = _source_contexts(args, library,
-                                run_optimizer=not args.no_optimize)
     failed = False
-    for ctx in contexts:
-        ctx.tracer = tracer
-        flow.run(ctx)
+    for ctx in _compile_contexts(args, tracer=tracer):
+        run_context(ctx, "pipeline")
         if ctx.failed:
             failed = True
             _print_failure(ctx)
@@ -492,7 +404,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     """Print a calibration table from the paper."""
-    library = _library(args.library)
+    library = resolve_library(args.library)
     if args.number == 1:
         row = library.table1()
         if args.json:
@@ -536,8 +448,8 @@ def cmd_table(args: argparse.Namespace) -> int:
 def cmd_workloads(args: argparse.Namespace) -> int:
     """List the workload registry with basic region statistics."""
     rows = []
-    for name in sorted(WORKLOADS):
-        region = WORKLOADS[name]()
+    for name in sorted(WORKLOAD_REGISTRY):
+        region = WORKLOAD_REGISTRY[name]()
         stats = region.dfg.stats()
         rows.append([name, region.name, stats["total"], stats["edges"],
                      f"{region.min_latency}..{region.max_latency}",
@@ -567,36 +479,19 @@ def cmd_workloads(args: argparse.Namespace) -> int:
 
 def cmd_stream(args: argparse.Namespace) -> int:
     """Compose a named streaming pipeline, verify it, print the report."""
-    from repro.dataflow import (
-        compile_pipeline,
-        generate_pipeline_verilog,
-        simulate_pipeline_machine,
-        simulate_pipeline_reference,
-    )
+    from repro.dataflow import generate_pipeline_verilog
 
-    library = _library(args.library)
-    factory = PIPELINE_REGISTRY.get(args.pipeline)
-    if factory is None:
-        raise CLIError(f"unknown pipeline {args.pipeline!r}; "
-                       f"choose from {sorted(PIPELINE_REGISTRY)}",
-                       reason="unknown-pipeline")
-    pipeline = factory()
-    composed = compile_pipeline(pipeline, library, clock_ps=args.clock)
-    inputs = PIPELINE_INPUTS.get(args.pipeline, dict)()
-    oracle = simulate_pipeline_reference(factory(), inputs)
-    machine = simulate_pipeline_machine(composed, inputs)
-    verified = machine.outputs == oracle.outputs
+    composed, summary = run_stream(normalize_params("stream", {
+        "library": args.library, "pipeline": args.pipeline,
+        "clock_ps": args.clock}))
+    verified = summary["verified"]
     if args.json:
-        summary = composed.summary()
-        summary["cycles"] = machine.cycles
-        summary["stalled_cycles"] = machine.stalled_cycles
-        summary["verified"] = verified
         summary["output"] = args.output
         print(json.dumps(summary, indent=2))
     else:
         print(composed.table())
-        print(f"machine simulation: {machine.cycles} cycles, "
-              f"{machine.stalled_cycles} stalled; outputs "
+        print(f"machine simulation: {summary['cycles']} cycles, "
+              f"{summary['stalled_cycles']} stalled; outputs "
               f"{'MATCH' if verified else 'DIFFER from'} the token oracle")
     if args.output:
         text = generate_pipeline_verilog(composed)
@@ -641,25 +536,19 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _submit_params(args: argparse.Namespace) -> dict:
-    """A job body from ``repro submit`` flags (kind-appropriate)."""
+    """A job body from ``repro submit`` flags (kind-appropriate).  The
+    service validates it with the same functions a local command uses;
+    a source file ships as its text (the server has no file access)."""
     params: dict = {"library": args.library}
     if args.kind == "stream":
         params["pipeline"] = args.target
         params["clock_ps"] = args.clock
         return params
-    if args.target.endswith(".py") or os.path.exists(args.target):
-        # ship the text, not the path: the server has no file access
-        try:
-            with open(args.target) as handle:
-                params["source"] = handle.read()
-        except OSError as exc:
-            raise CLIError(f"cannot read {args.target}: {exc}",
-                           reason="unreadable-source")
-    else:
-        params["workload"] = args.target
+    params.update(design_params(args.target))
     if args.kind == "schedule":
         params["clock_ps"] = args.clock
         params["ii"] = args.ii
+        params["optimize"] = not args.no_optimize
     else:  # sweep / tune share the grid axes
         params["clocks_ps"] = args.clocks
         params["latencies"] = args.latencies
@@ -728,40 +617,38 @@ def build_parser() -> argparse.ArgumentParser:
                         help="technology library (artisan90 | generic45)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("schedule", help="compile and schedule")
-    p.add_argument("source", help="source file (mini-language or .py "
-                                  "Python subset) or workload name")
-    p.add_argument("--clock", type=float, default=1600.0)
-    p.add_argument("--ii", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--no-optimize", action="store_true")
-    p.add_argument("--profile", action="store_true",
-                   help="print the scheduler's phase counters (stderr)")
+    # the compile commands: one design, one flow, one set of arguments
+    compile_args = argparse.ArgumentParser(add_help=False)
+    compile_args.add_argument(
+        "source", help="workload name (see `workloads`) or source file "
+                       "(mini-language or .py Python subset)")
+    compile_args.add_argument("--clock", type=float, default=1600.0)
+    compile_args.add_argument("--ii", type=int, default=None,
+                              help="pipeline at this initiation interval "
+                                   "(overrides a source @pipeline)")
+    compile_args.add_argument("--no-optimize", action="store_true",
+                              help="skip the DFG optimizer pass")
+    compile_args.add_argument("--json", action="store_true",
+                              help="machine-readable output on stdout")
+
+    p = sub.add_parser("schedule", parents=[compile_args],
+                       help="compile and schedule")
     p.add_argument("--trace", default=None, metavar="FILE",
                    help="write a span trace here (.jsonl for the line "
                         "format, anything else for Chrome trace_event)")
     p.set_defaults(func=cmd_schedule)
 
     p = sub.add_parser(
-        "trace", help="schedule with tracing on; write + summarize "
-                      "the span tree")
-    p.add_argument("source", help="source file (mini-language or .py "
-                                  "Python subset) or workload name")
-    p.add_argument("--clock", type=float, default=1600.0)
-    p.add_argument("--ii", type=int, default=None)
-    p.add_argument("--no-optimize", action="store_true")
+        "trace", parents=[compile_args],
+        help="schedule with tracing on; write + summarize the span tree")
     p.add_argument("--output", default=None, metavar="FILE",
                    help="trace file (default <workload>.trace.json; "
                         ".jsonl selects the line format)")
-    p.add_argument("--json", action="store_true",
-                   help="emit the span summary as JSON")
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser(
-        "profile", help="profile scheduling a named workload")
-    p.add_argument("workload", help="workload name (see `workloads`)")
-    p.add_argument("--clock", type=float, default=1600.0)
-    p.add_argument("--ii", type=int, default=None)
+        "profile", parents=[compile_args],
+        help="compile and schedule under cProfile + scheduler counters")
     p.add_argument("--sweep", action="store_true",
                    help="profile a sweep grid instead of one schedule "
                         "(surfaces the sweep-layer counters)")
@@ -772,19 +659,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for --sweep")
     p.add_argument("--top", type=int, default=15,
-                   help="cProfile rows to print (default 15)")
-    p.add_argument("--json", action="store_true",
-                   help="emit wall time + counters as JSON (no cProfile)")
+                   help="cProfile rows to print (default 15; not "
+                        "printed under --json)")
     p.set_defaults(func=cmd_profile)
 
-    p = sub.add_parser("verilog", help="emit RTL")
-    p.add_argument("source", help="source file (mini-language or .py "
-                                  "Python subset) or workload name")
-    p.add_argument("--clock", type=float, default=1600.0)
-    p.add_argument("--ii", type=int, default=None)
+    p = sub.add_parser("verilog", parents=[compile_args], help="emit RTL")
     p.add_argument("--output", default=None)
-    p.add_argument("--json", action="store_true",
-                   help="emit a machine-readable record instead of RTL")
     p.set_defaults(func=cmd_verilog)
 
     p = sub.add_parser("sweep", help="microarchitecture/clock exploration")
@@ -813,8 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="constraint: area <= this many library units")
     p.add_argument("--max-power-mw", type=float, default=None,
                    help="constraint: average power <= this many mW")
-    p.add_argument("--objective", default=None,
-                   choices=("area", "delay", "power"),
+    p.add_argument("--objective", default=None, choices=OBJECTIVES,
                    help="metric to minimize (default: area when a delay"
                         " budget is given, delay otherwise)")
     p.add_argument("--strategy", default="greedy",
@@ -886,6 +765,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="clock for schedule/stream jobs")
     p.add_argument("--ii", type=int, default=None,
                    help="initiation interval for schedule jobs")
+    p.add_argument("--no-optimize", action="store_true",
+                   help="schedule jobs skip the DFG optimizer pass")
     p.add_argument("--clocks", default=None,
                    help="clock axis for sweep/tune jobs")
     p.add_argument("--latencies", default=None,
@@ -895,8 +776,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delay-ps", type=float, default=None)
     p.add_argument("--max-area", type=float, default=None)
     p.add_argument("--max-power-mw", type=float, default=None)
-    p.add_argument("--objective", default=None,
-                   choices=("area", "delay", "power"))
+    p.add_argument("--objective", default=None, choices=OBJECTIVES)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_submit)
 
@@ -922,7 +802,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     wants_json = bool(getattr(args, "json", False))
     try:
-        return args.func(args)
+        try:
+            return args.func(args)
+        except JobError as exc:  # the request layer's bad input
+            raise CLIError(str(exc), reason=exc.reason) from None
     except CLIError as err:
         if wants_json:
             print(json.dumps(err.record(), indent=2))

@@ -119,7 +119,6 @@ def propose_actions(
     state: DriverState,
     pipeline: Optional[PipelineSpec],
     enable_scc_move: bool = True,
-    enable_speculation: bool = True,
     allow_grades: bool = True,
     allow_banking: bool = True,
     resource_outlook: Optional[Dict[Tuple[str, int],
@@ -288,19 +287,18 @@ def propose_actions(
             solved_weight=r.weight, apply=forbid))
 
     # --------------------------------------------------------------- speculate
-    if enable_speculation:
-        for r in restraints:
-            if r.kind is not RestraintKind.PREDICATE_ORDER:
-                continue
-            if r.op_uid in state.speculated:
-                continue
+    for r in restraints:
+        if r.kind is not RestraintKind.PREDICATE_ORDER:
+            continue
+        if r.op_uid in state.speculated:
+            continue
 
-            def speculate(st: DriverState, uid: int = r.op_uid) -> None:
-                st.speculated.add(uid)
-                st.history.append(f"speculate op{uid}")
-            actions.append(Action(
-                f"speculate:{r.op_uid}", cost=0.2,
-                solved_weight=r.weight, apply=speculate))
+        def speculate(st: DriverState, uid: int = r.op_uid) -> None:
+            st.speculated.add(uid)
+            st.history.append(f"speculate op{uid}")
+        actions.append(Action(
+            f"speculate:{r.op_uid}", cost=0.2,
+            solved_weight=r.weight, apply=speculate))
 
     actions.sort(key=lambda a: (-a.gain, a.name))
     return actions

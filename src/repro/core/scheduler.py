@@ -71,7 +71,6 @@ class SchedulerOptions:
 
     max_passes: int = 200
     enable_scc_move: bool = True
-    enable_speculation: bool = True
     anticipate_muxes: bool = True
     allow_multicycle: bool = True
     allow_grades: bool = True
@@ -1236,7 +1235,6 @@ def schedule_region(
             actions = propose_actions(
                 region, library, clock_ps, analyzed, state, pipeline,
                 enable_scc_move=options.enable_scc_move,
-                enable_speculation=options.enable_speculation,
                 allow_grades=options.allow_grades,
                 allow_banking=options.allow_banking,
                 resource_outlook=outlook)

@@ -170,12 +170,11 @@ def compile_pipeline(
     clock_ps: float = 1600.0,
     options: Optional[SchedulerOptions] = None,
     cache: Optional["FlowCache"] = None,  # noqa: F821 - see flow.cache
-    run_optimizer: bool = False,
 ) -> ComposedPipeline:
     """Schedule every stage independently, then compose.
 
-    Each stage runs the registered ``pipeline`` flow on its own
-    :class:`~repro.flow.context.CompilationContext`; a shared ``cache``
+    Each stage runs the ``pipeline`` flow, without the optimizer, on its
+    own :class:`~repro.flow.context.CompilationContext`; a shared ``cache``
     makes repeated compositions (channel-depth sweeps, repeated
     benchmarks) schedule each distinct stage once.  Raises
     :class:`~repro.core.schedule.ScheduleError` (with the failing
@@ -184,19 +183,17 @@ def compile_pipeline(
     compositions.
     """
     from repro.flow.context import CompilationContext
-    from repro.flow.flow import get_flow
+    from repro.flow.flow import run_context
 
     pipeline.validate()
-    flow = get_flow("pipeline")
     results: Dict[str, StageResult] = {}
     for stage in pipeline.topo_order():
         ctx = CompilationContext(
             library=library, clock_ps=clock_ps, region=stage.region,
-            pipeline=stage.pipeline, run_optimizer=run_optimizer,
-            cache=cache)
+            pipeline=stage.pipeline, run_optimizer=False, cache=cache)
         if options is not None:
             ctx.options = options
-        flow.run(ctx)
+        run_context(ctx, "pipeline")
         if ctx.failed:
             first = ctx.errors[0]
             from repro.core.schedule import ScheduleError

@@ -93,10 +93,6 @@ class DesignSpace:
     # ------------------------------------------------------------------
     # composable axes
     # ------------------------------------------------------------------
-    def with_clocks(self, clocks_ps: Sequence[float]) -> "DesignSpace":
-        """A copy with a replaced clock axis."""
-        return replace(self, clocks_ps=tuple(clocks_ps))
-
     def with_microarchs(self,
                         microarchs: Sequence[Microarch]) -> "DesignSpace":
         """A copy with a replaced microarchitecture axis."""

@@ -6,8 +6,10 @@ compilations:
 
 * :class:`CompilationContext` -- inputs, accumulated artifacts and
   structured per-stage diagnostics;
-* :class:`FlowPass` / :class:`Flow` -- registered stages composed into
-  named flows (``schedule``, ``pipeline``, ``verilog``, ``sweep``);
+* :data:`FLOWS` / :func:`run_flow` / :func:`run_context` -- a fixed
+  table of named pass sequences (``schedule``, ``pipeline``,
+  ``verilog``, ``sweep``) and the one runner that times, traces and
+  cancels every pass the same way;
 * :class:`FlowCache` -- content-addressed result cache keyed by a
   deterministic hash of (region structure, library, clock, options);
 * :func:`run_sweep` / :func:`run_points` -- the sweep engine behind
@@ -32,39 +34,22 @@ from repro.flow.executor import (
     synthesize_design_point,
 )
 from repro.flow.sweepctx import SweepContext, SweepVariant
-from repro.flow.flow import (
-    FLOW_REGISTRY,
-    Flow,
-    get_flow,
-    register_flow,
-    run_flow,
-)
-from repro.flow.passes import (
-    PASS_REGISTRY,
-    FlowPass,
-    get_pass,
-    register_pass,
-)
+from repro.flow.flow import run_context, run_flow
+from repro.flow.passes import FLOWS
 
 __all__ = [
     "CompilationContext",
     "Diagnostic",
-    "FLOW_REGISTRY",
-    "Flow",
+    "FLOWS",
     "FlowCache",
-    "FlowPass",
-    "PASS_REGISTRY",
     "PassTiming",
     "PointResult",
     "SweepContext",
     "SweepResult",
     "SweepVariant",
     "compilation_key",
-    "get_flow",
-    "get_pass",
     "region_fingerprint",
-    "register_flow",
-    "register_pass",
+    "run_context",
     "run_flow",
     "run_points",
     "run_sweep",

@@ -1,9 +1,9 @@
 """The compilation context threaded through a flow.
 
-A :class:`CompilationContext` is the single mutable object a
-:class:`~repro.flow.flow.Flow` operates on: it carries the inputs (source
-text or a prebuilt region, library, clock, scheduler options, pipelining
-directive), accumulates artifacts as passes run (elaborated loops, the
+A :class:`CompilationContext` is the single mutable object a flow
+(:func:`~repro.flow.flow.run_context`) operates on: it carries the
+inputs (source text or a prebuilt region, library, clock, scheduler
+options, pipelining directive), accumulates artifacts as passes run (elaborated loops, the
 optimizer report, the schedule, the folded kernel, RTL text, the power
 report) and collects structured per-stage :class:`Diagnostic` entries
 instead of bare exceptions or ``None`` returns, so drivers can render or
@@ -63,8 +63,8 @@ class CompilationContext:
     source: Optional[str] = None
     #: ... or a prebuilt region (the frontend pass then no-ops).
     region: Optional[Region] = None
-    #: set False to skip the optimizer pass (microarchitecture sweeps
-    #: schedule the region exactly as built).
+    #: set False to skip the optimizer pass (``--no-optimize``; the
+    #: ``sweep`` flow has no optimizer pass at all).
     run_optimizer: bool = True
     #: result cache shared across contexts; None disables caching.
     cache: Optional["FlowCache"] = None  # noqa: F821 - see flow.cache
@@ -83,7 +83,7 @@ class CompilationContext:
     progress_cb: Optional[Callable[[str, str], None]] = None
     #: cooperative cancellation: any object with ``is_set() -> bool``
     #: (e.g. ``threading.Event``).  Checked between passes by
-    #: :meth:`~repro.flow.flow.Flow.run`; a set event stops the flow
+    #: :func:`~repro.flow.flow.run_context`; a set event stops the flow
     #: with a ``cancelled`` error diagnostic instead of an artifact.
     cancel_event: Optional[object] = None
     #: structured trace sink (a :class:`repro.obs.trace.Tracer`); the

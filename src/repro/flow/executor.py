@@ -50,7 +50,7 @@ from repro.explore.microarch import (
 from repro.explore.pareto import DesignPoint
 from repro.flow.cache import FlowCache, compilation_key
 from repro.flow.context import CompilationContext
-from repro.flow.flow import get_flow
+from repro.flow.flow import run_context
 from repro.flow.sweepctx import SweepContext, SweepVariant
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import Tracer, maybe_span
@@ -160,12 +160,11 @@ def _variant_point(
                     clock_ps=clock_ps) as span:
         ctx = CompilationContext(
             region=variant.region, library=library, clock_ps=clock_ps,
-            pipeline=variant.pipeline, run_optimizer=False, cache=cache,
-            tracer=tracer)
+            pipeline=variant.pipeline, cache=cache, tracer=tracer)
         ctx.scheduler_carryover = variant.carryover
         if options is not None:
             ctx.options = options
-        get_flow("sweep").run(ctx)
+        run_context(ctx, "sweep")
         result = _point_result(ctx, variant.microarch, clock_ps)
         if span is not None:
             span.set("feasible", not isinstance(result, InfeasiblePoint))

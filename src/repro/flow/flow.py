@@ -1,144 +1,82 @@
-"""Flows: named, composable pass sequences.
+"""Running a named flow over one compilation context.
 
-A :class:`Flow` runs registered passes over one
-:class:`~repro.flow.context.CompilationContext`, timing each pass and
-stopping at the first error diagnostic.  The built-in flows cover the
-repo's entry points:
+The flows are a fixed table (:data:`repro.flow.passes.FLOWS`):
 
 ========== ==========================================================
 ``schedule``  frontend -> optimize -> schedule
 ``pipeline``  schedule plus kernel folding
 ``verilog``   pipeline plus RTL emission
-``sweep``     schedule plus power estimation (the Figure 10/11 axes)
+``sweep``     frontend -> schedule -> power (the Figure 10/11 axes;
+              grid points schedule each variant as built)
 ========== ==========================================================
 
-``register_flow`` adds project-specific compositions; ``run_flow`` is
-the one-call convenience the CLI, examples and shims use.
+:func:`run_context` threads one
+:class:`~repro.flow.context.CompilationContext` through a flow's
+passes, timing each and stopping at the first error diagnostic;
+:func:`run_flow` builds the context from keyword arguments first.
+
+Example -- compile a prebuilt region to RTL through the ``verilog``
+flow::
+
+    from repro import artisan90
+    from repro.flow import run_flow
+    from repro.workloads import get_workload
+
+    ctx = run_flow("verilog", region=get_workload("fir")(),
+                   library=artisan90(), clock_ps=1600.0)
+    assert not ctx.failed
+    print(ctx.schedule.summary()["ii"], len(ctx.rtl.splitlines()))
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Sequence, Union
 
 from repro.flow.context import CompilationContext, PassTiming
-from repro.flow.passes import FlowPass, get_pass
+from repro.flow.passes import FLOWS
 from repro.obs.trace import maybe_span
 
 
-class Flow:
-    """An ordered pass composition with per-pass instrumentation.
+def run_context(ctx: CompilationContext, name: str) -> CompilationContext:
+    """Run the named flow's passes over ``ctx``; stops at the first error.
 
-    A flow is just a list of registered pass names validated for
-    artifact ordering; running one threads a single
-    :class:`~repro.flow.context.CompilationContext` through every pass,
-    timing each and stopping at the first error diagnostic.
-
-    Example -- compile a prebuilt region to RTL through the stock
-    ``verilog`` flow::
-
-        from repro import artisan90
-        from repro.flow import run_flow
-        from repro.workloads import get_workload
-
-        ctx = run_flow("verilog", region=get_workload("fir")(),
-                       library=artisan90(), clock_ps=1600.0)
-        assert not ctx.failed
-        print(ctx.schedule.summary()["ii"], len(ctx.rtl.splitlines()))
-
-    Custom compositions register once and run anywhere::
-
-        register_flow(Flow("sched_only", ["frontend", "schedule"]))
+    Between passes the flow honors the context's cancellation event (a
+    set event yields a ``cancelled`` error diagnostic instead of
+    further artifacts) and reports pass boundaries through the
+    context's progress hook -- the checkpoints the job service relies
+    on for live status and cooperative aborts.  Raises ``KeyError``
+    (listing the choices) for an unknown flow name.
     """
-
-    def __init__(self, name: str,
-                 passes: Sequence[Union[str, FlowPass]]) -> None:
-        self.name = name
-        self.passes: List[FlowPass] = [
-            p if isinstance(p, FlowPass) else get_pass(p) for p in passes]
-        self.validate()
-
-    def validate(self) -> None:
-        """Check that every pass's inputs are produced upstream.
-
-        ``source``/``region``/``cache`` arrive with the context, so only
-        artifacts some pass *provides* are checked for ordering.
-        """
-        produced = {"source", "region", "cache"}
-        all_provided = {a for p in self.passes for a in p.provides}
-        for p in self.passes:
-            for need in p.requires:
-                if need in all_provided and need not in produced:
-                    raise ValueError(
-                        f"flow {self.name!r}: pass {p.name!r} needs "
-                        f"{need!r} before any pass provides it")
-            produced.update(p.provides)
-
-    def run(self, ctx: CompilationContext) -> CompilationContext:
-        """Execute the passes in order; stops at the first error.
-
-        Between passes the flow honors the context's cancellation
-        event (a set event yields a ``cancelled`` error diagnostic
-        instead of further artifacts) and reports pass boundaries
-        through the context's progress hook -- the checkpoints the job
-        service relies on for live status and cooperative aborts.
-        """
-        with maybe_span(ctx.tracer, "flow.run", flow=self.name,
-                        region=ctx.region.name if ctx.region else None,
-                        clock_ps=ctx.clock_ps) as flow_span:
-            for p in self.passes:
-                if ctx.cancel_requested:
-                    ctx.error("flow",
-                              f"cancelled before pass {p.name!r}")
-                    break
-                ctx.notify(p.name, "start")
-                with maybe_span(ctx.tracer, "flow.pass",
-                                name=p.name) as pass_span:
-                    start = time.perf_counter()
-                    outcome = p.run(ctx)
-                    elapsed = time.perf_counter() - start
-                    if pass_span is not None:
-                        pass_span.set("outcome", outcome or "computed")
-                        pass_span.set("failed", ctx.failed)
-                ctx.timings.append(
-                    PassTiming(p.name, elapsed,
-                               cached=outcome == "cached"))
-                ctx.notify(p.name,
-                           "cached" if outcome == "cached" else "done")
-                if ctx.failed:
-                    break
-            if flow_span is not None:
-                flow_span.set("failed", ctx.failed)
-        return ctx
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Flow({self.name}: {' -> '.join(p.name for p in self.passes)})"
-
-
-#: every registered flow, by name.
-FLOW_REGISTRY: Dict[str, Flow] = {}
-
-
-def register_flow(flow: Flow) -> Flow:
-    """Register (or replace) a named flow."""
-    FLOW_REGISTRY[flow.name] = flow
-    return flow
-
-
-def get_flow(name: str) -> Flow:
-    """Look up a registered flow; raises ``KeyError`` with choices."""
     try:
-        return FLOW_REGISTRY[name]
+        passes = FLOWS[name]
     except KeyError:
         raise KeyError(f"unknown flow {name!r}; "
-                       f"choose from {sorted(FLOW_REGISTRY)}") from None
-
-
-register_flow(Flow("schedule", ["frontend", "optimize", "schedule"]))
-register_flow(Flow("pipeline", ["frontend", "optimize", "schedule", "fold"]))
-register_flow(Flow("verilog",
-                   ["frontend", "optimize", "schedule", "fold", "verilog"]))
-register_flow(Flow("sweep", ["frontend", "optimize", "schedule", "power"]))
+                       f"choose from {sorted(FLOWS)}") from None
+    with maybe_span(ctx.tracer, "flow.run", flow=name,
+                    region=ctx.region.name if ctx.region else None,
+                    clock_ps=ctx.clock_ps) as flow_span:
+        for pass_name, body in passes:
+            if ctx.cancel_requested:
+                ctx.error("flow", f"cancelled before pass {pass_name!r}")
+                break
+            ctx.notify(pass_name, "start")
+            with maybe_span(ctx.tracer, "flow.pass",
+                            name=pass_name) as pass_span:
+                start = time.perf_counter()
+                outcome = body(ctx)
+                elapsed = time.perf_counter() - start
+                if pass_span is not None:
+                    pass_span.set("outcome", outcome or "computed")
+                    pass_span.set("failed", ctx.failed)
+            ctx.timings.append(
+                PassTiming(pass_name, elapsed, cached=outcome == "cached"))
+            ctx.notify(pass_name,
+                       "cached" if outcome == "cached" else "done")
+            if ctx.failed:
+                break
+        if flow_span is not None:
+            flow_span.set("failed", ctx.failed)
+    return ctx
 
 
 def run_flow(name: str, **context_kwargs) -> CompilationContext:
@@ -149,5 +87,4 @@ def run_flow(name: str, **context_kwargs) -> CompilationContext:
     """
     if context_kwargs.get("options") is None:
         context_kwargs.pop("options", None)
-    ctx = CompilationContext(**context_kwargs)
-    return get_flow(name).run(ctx)
+    return run_context(CompilationContext(**context_kwargs), name)

@@ -1,13 +1,17 @@
-"""Registered compilation passes.
+"""The compilation passes and the fixed table of flows built from them.
 
 Each pass is a named, cache-aware stage over a
 :class:`~repro.flow.context.CompilationContext`.  The bodies are thin:
 they delegate to the existing engines (``compile_source``, ``optimize``,
 ``schedule_region``, ``fold_schedule``, ``generate_verilog``,
-``estimate_power``) and translate exceptions into structured
-diagnostics.  A pass returns ``"cached"`` when it served its artifact
-from the context's :class:`~repro.flow.cache.FlowCache`, ``"skipped"``
-when it had nothing to do, and ``None`` when it computed.
+``estimate_power``), looked up as module globals at call time, and
+translate exceptions into structured diagnostics.  A pass returns
+``"cached"`` when it served its artifact from the context's
+:class:`~repro.flow.cache.FlowCache`, ``"skipped"`` when it had nothing
+to do, and ``None`` when it computed.
+
+:data:`FLOWS` names every flow and lists its passes in order;
+:func:`repro.flow.flow.run_context` runs one.
 """
 
 from __future__ import annotations
@@ -26,48 +30,6 @@ from repro.rtl import generate_verilog
 from repro.tech.power import estimate_power
 
 PassFn = Callable[[CompilationContext], Optional[str]]
-
-
-@dataclass(frozen=True)
-class FlowPass:
-    """A named stage: metadata plus the function that runs it."""
-
-    name: str
-    fn: PassFn
-    #: context artifacts this pass reads (documentation + composition
-    #: checks in :meth:`repro.flow.flow.Flow.validate`).
-    requires: Tuple[str, ...] = ()
-    #: context artifacts this pass fills in.
-    provides: Tuple[str, ...] = ()
-    description: str = ""
-
-    def run(self, ctx: CompilationContext) -> Optional[str]:
-        """Execute the pass body."""
-        return self.fn(ctx)
-
-
-#: every registered pass, by name.
-PASS_REGISTRY: Dict[str, FlowPass] = {}
-
-
-def register_pass(name: str, requires: Tuple[str, ...] = (),
-                  provides: Tuple[str, ...] = (), description: str = ""):
-    """Decorator: register a pass function under ``name``."""
-    def wrap(fn: PassFn) -> FlowPass:
-        entry = FlowPass(name, fn, requires, provides,
-                         description or (fn.__doc__ or "").strip())
-        PASS_REGISTRY[name] = entry
-        return entry
-    return wrap
-
-
-def get_pass(name: str) -> FlowPass:
-    """Look up a registered pass; raises ``KeyError`` with choices."""
-    try:
-        return PASS_REGISTRY[name]
-    except KeyError:
-        raise KeyError(f"unknown pass {name!r}; "
-                       f"choose from {sorted(PASS_REGISTRY)}") from None
 
 
 def _ensure_key(ctx: CompilationContext) -> Optional[str]:
@@ -108,8 +70,6 @@ class _Infeasible:
 # ----------------------------------------------------------------------
 # pass bodies
 # ----------------------------------------------------------------------
-@register_pass("frontend", requires=("source",), provides=("region",),
-               description="parse + elaborate mini-language source")
 def frontend_pass(ctx: CompilationContext) -> Optional[str]:
     """Source text -> elaborated loops; the first loop becomes the region.
 
@@ -137,8 +97,6 @@ def frontend_pass(ctx: CompilationContext) -> Optional[str]:
     return None
 
 
-@register_pass("optimize", requires=("region",), provides=("opt_report",),
-               description="DFG cleanup passes to fixpoint")
 def optimize_pass(ctx: CompilationContext) -> Optional[str]:
     """Run the standard optimizer pipeline on the region's DFG."""
     if not ctx.run_optimizer:
@@ -147,8 +105,6 @@ def optimize_pass(ctx: CompilationContext) -> Optional[str]:
     return None
 
 
-@register_pass("schedule", requires=("region",), provides=("schedule",),
-               description="timing-driven pass scheduling + binding")
 def schedule_pass(ctx: CompilationContext) -> Optional[str]:
     """Schedule and bind the region (the paper's section IV/V engine)."""
     hit = _cached(ctx, "schedule")
@@ -176,8 +132,6 @@ def schedule_pass(ctx: CompilationContext) -> Optional[str]:
     return None
 
 
-@register_pass("fold", requires=("schedule",), provides=("folded",),
-               description="fold the iteration schedule onto the kernel")
 def fold_pass(ctx: CompilationContext) -> Optional[str]:
     """Fold a pipelined schedule (step II); no-op when sequential."""
     if ctx.pipeline is None:
@@ -198,8 +152,6 @@ def fold_pass(ctx: CompilationContext) -> Optional[str]:
     return None
 
 
-@register_pass("verilog", requires=("schedule",), provides=("rtl",),
-               description="emit Verilog RTL")
 def verilog_pass(ctx: CompilationContext) -> Optional[str]:
     """Generate RTL from the schedule (folded kernel when pipelined)."""
     hit = _cached(ctx, "verilog")
@@ -211,8 +163,6 @@ def verilog_pass(ctx: CompilationContext) -> Optional[str]:
     return None
 
 
-@register_pass("power", requires=("schedule",), provides=("power",),
-               description="average-power estimation")
 def power_pass(ctx: CompilationContext) -> Optional[str]:
     """Estimate average power at the full-rate operating point."""
     hit = _cached(ctx, "power")
@@ -222,3 +172,16 @@ def power_pass(ctx: CompilationContext) -> Optional[str]:
     ctx.power = estimate_power(ctx.schedule)
     _store(ctx, "power", ctx.power)
     return None
+
+
+_SCHEDULE = (("frontend", frontend_pass), ("optimize", optimize_pass),
+             ("schedule", schedule_pass))
+#: every flow by name: its passes, in order.
+FLOWS: Dict[str, Tuple[Tuple[str, PassFn], ...]] = {
+    "schedule": _SCHEDULE,
+    "pipeline": _SCHEDULE + (("fold", fold_pass),),
+    "verilog": _SCHEDULE + (("fold", fold_pass), ("verilog", verilog_pass)),
+    # grid points schedule the variant exactly as built: no optimizer
+    "sweep": (("frontend", frontend_pass), ("schedule", schedule_pass),
+              ("power", power_pass)),
+}

@@ -3,9 +3,9 @@
 The scheduler's hot loops account their work into a counter table
 (plain ``dict`` increments -- cheap enough to stay always-on at
 commit/pass granularity, far above the per-path-evaluation inner
-loops).  The CLI ``--profile`` flag and the ``repro profile``
-subcommand render the table; benchmarks snapshot it into their metrics
-so speedups stay attributable across PRs.
+loops).  The ``repro profile`` subcommand renders the table;
+benchmarks snapshot it into their metrics so speedups stay
+attributable across PRs.
 
 Since the unified observability layer landed, this module is a shim
 over :data:`repro.obs.metrics.REGISTRY`: :data:`counters` *is* the

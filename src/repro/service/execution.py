@@ -1,5 +1,8 @@
-"""What a job actually runs: parameter normalization, content keys and
-the four job kinds executed against the Flow/DSE stack.
+"""The request layer of the job service and the CLI alike: designs
+(a registry name first, then source text), libraries, clock and
+microarchitecture axes and tune goals resolve here, raising
+:class:`~repro.service.jobs.JobError` with a ``reason`` slug (HTTP 400
+on the server, exit 3 in the CLI); the four job kinds run here too.
 
 This module is deliberately process-agnostic: the engine calls
 :func:`execute_job` either inside a worker process (the normal path) or
@@ -22,17 +25,22 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
+from repro.cdfg.region import PipelineSpec, Region
+from repro.dse.goals import Goal, GoalError
 from repro.dse.search import STRATEGIES
 from repro.explore.microarch import (
     InfeasiblePoint,
     Microarch,
     PAPER_CLOCKS_PS,
+    PAPER_MICROARCHS,
 )
 from repro.flow.cache import FlowCache, region_fingerprint
 from repro.flow.context import CompilationContext
-from repro.flow.flow import get_flow
+from repro.flow.flow import run_context
 from repro.frontend import FrontendError, compile_source
 from repro.service.jobs import JobCancelled, JobError
 from repro.tech import LIBRARIES, Library
@@ -46,18 +54,106 @@ from repro.workloads import (
 #: the job kinds the service accepts.
 JOB_KINDS = ("schedule", "sweep", "tune", "stream")
 
+#: tune objectives by their request spelling.
+OBJECTIVES = ("area", "delay", "power")
+
 #: points per progress/cancellation checkpoint in sweep execution.
 SWEEP_WAVE = 4
 
 
-def parse_microarchs(spec_text: Optional[str]) -> List[Microarch]:
-    """Microarchs from a ``lat[,lat:ii,...]`` spec (CLI & job bodies).
+# ----------------------------------------------------------------------
+# resolution
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Kernel:
+    """A built region, its source's ``@pipeline`` directive and a
+    factory of fresh copies (sweeps and tuning mutate regions)."""
 
-    ``None``/empty falls back to the paper's eight microarchitectures.
-    Raises :class:`JobError` on malformed entries.
+    region: Region
+    pipeline: Optional[PipelineSpec]
+    build: Callable[[], Region]
+
+
+def design_params(target: str) -> dict:
+    """The design fields of a request naming ``target``: a registry
+    workload first, then a local source file, shipped as its text."""
+    if target in WORKLOAD_REGISTRY or not (
+            target.endswith(".py") or os.path.exists(target)):
+        return {"workload": target}
+    try:
+        with open(target) as handle:
+            return {"source": handle.read()}
+    except OSError as exc:
+        raise JobError(f"cannot read {target}: {exc}",
+                       reason="unreadable-source")
+
+
+def resolve_design(workload: Optional[str] = None,
+                   source: Optional[str] = None,
+                   filename: str = "<submitted>") -> List[Kernel]:
+    """Every kernel of a design: one for a registry ``workload``, one
+    per loop/function of ``source`` text.
+
+    Builds each region once.  A ``source`` that does not compile
+    raises :class:`~repro.frontend.FrontendError`, whose caret
+    diagnostic names ``filename``.
     """
-    from repro.explore.microarch import PAPER_MICROARCHS
+    if (workload is None) == (source is None):
+        raise JobError("exactly one of 'workload' or 'source' required")
+    if workload is not None:
+        factory = WORKLOAD_REGISTRY.get(workload)
+        if factory is None:
+            raise JobError(
+                f"unknown workload {workload!r}; choose from "
+                f"{sorted(WORKLOAD_REGISTRY)} or give source text",
+                reason="unknown-workload")
+        return [Kernel(factory(), None, factory)]
+    units = compile_source(source, filename=filename)
+    return [Kernel(unit.region, unit.pipeline,
+                   lambda i=i: compile_source(source,
+                                              filename=filename)[i].region)
+            for i, unit in enumerate(units)]
 
+
+def single_kernel(kernels: List[Kernel], origin: str) -> Kernel:
+    """The one kernel of a design that must have exactly one."""
+    if len(kernels) != 1:
+        raise JobError(f"{origin} must contain exactly one kernel, found "
+                       f"{[k.region.name for k in kernels]}",
+                       reason="kernel-count")
+    return kernels[0]
+
+
+def resolve_library(name: str) -> Library:
+    """A fresh instance of the named technology library."""
+    try:
+        return LIBRARIES[name]()
+    except KeyError:
+        raise JobError(f"unknown library {name!r}; "
+                       f"choose from {sorted(LIBRARIES)}",
+                       reason="unknown-library")
+
+
+def parse_clocks(value) -> List[float]:
+    """Clocks (ps) from a list or a comma-separated string; ``None``
+    means the paper's clock axis."""
+    if value is None:
+        return [float(c) for c in PAPER_CLOCKS_PS]
+    items = value.split(",") if isinstance(value, str) else value
+    try:
+        clocks = [float(c) for c in items
+                  if not isinstance(c, str) or c.strip()]
+    except (TypeError, ValueError):
+        raise JobError(f"bad clocks {value!r} (want comma-separated "
+                       f"picoseconds)", reason="bad-clock")
+    if not clocks:
+        raise JobError("empty clock list", reason="bad-clock")
+    return clocks
+
+
+def parse_microarchs(spec_text: Optional[str]) -> List[Microarch]:
+    """Microarchs from a ``lat[,lat:ii,...]`` spec; ``None``/empty
+    means the paper's eight microarchitectures."""
     if not spec_text:
         return list(PAPER_MICROARCHS)
     micros: List[Microarch] = []
@@ -71,65 +167,113 @@ def parse_microarchs(spec_text: Optional[str]) -> List[Microarch]:
                 micros.append(Microarch(f"NP{spec}", int(spec)))
         except ValueError:
             raise JobError(
-                f"bad microarch spec {spec!r} (want lat or lat:ii)")
+                f"bad microarch spec {spec!r} (want lat or lat:ii)",
+                reason="bad-microarch")
     return micros
 
 
-def _library(name: str) -> Library:
-    try:
-        return LIBRARIES[name]()
-    except KeyError:
-        raise JobError(f"unknown library {name!r}; "
-                       f"choose from {sorted(LIBRARIES)}")
-
-
-def _clock_list(value) -> List[float]:
-    """Clocks from a list or a comma-separated string."""
-    if value is None:
-        return [float(c) for c in PAPER_CLOCKS_PS]
-    if isinstance(value, str):
-        value = value.split(",")
-    try:
-        clocks = [float(c) for c in value]
-    except (TypeError, ValueError):
-        raise JobError(f"bad clocks {value!r}")
-    if not clocks:
-        raise JobError("empty clock list")
-    return clocks
-
-
-def _region_factory(params: dict) -> Callable:
-    """The region factory of a job's design spec.
-
-    ``workload`` names a registry entry; ``source`` carries Python-
-    subset or mini-language text compiled on the spot (exactly one
-    kernel, like the CLI's sweep path).  Factories recompile/rebuild
-    per call so regions are never shared mutable state.  Only the
-    spelling is checked here; a ``source`` that does not compile
-    raises :class:`JobError` from the factory.
-    """
-    workload = params.get("workload")
-    source = params.get("source")
-    if (workload is None) == (source is None):
-        raise JobError("exactly one of 'workload' or 'source' required")
-    if workload is not None:
-        factory = WORKLOAD_REGISTRY.get(workload)
-        if factory is None:
-            raise JobError(f"unknown workload {workload!r}; choose from "
-                           f"{sorted(WORKLOAD_REGISTRY)}")
-        return factory
-
-    def factory(text=source):
-        try:
-            units = compile_source(text, filename="<submitted>")
-        except FrontendError as exc:
-            raise JobError(f"frontend error: {exc.render()}")
-        if len(units) != 1:
-            raise JobError(
-                f"submitted source must contain exactly one kernel, "
-                f"found {[u.region.name for u in units]}")
-        return units[0].region
+def resolve_pipeline(name: str) -> Callable:
+    """The factory of a named streaming pipeline."""
+    factory = PIPELINE_REGISTRY.get(name)
+    if factory is None:
+        raise JobError(f"unknown pipeline {name!r}; choose from "
+                       f"{sorted(PIPELINE_REGISTRY)}",
+                       reason="unknown-pipeline")
     return factory
+
+
+def tune_objective(objective: Optional[str],
+                   delay_ps: Optional[float]) -> str:
+    """The objective of a tune request.  By default a delay budget
+    asks for the smallest design meeting it (area); without one the
+    tuner chases speed (delay) under the remaining budgets."""
+    if objective is None:
+        objective = "area" if delay_ps is not None else "delay"
+    if objective not in OBJECTIVES:
+        raise JobError(f"unknown objective {objective!r}; "
+                       f"choose from {OBJECTIVES}", reason="invalid-goal")
+    return objective
+
+
+def tune_goal(params: dict) -> Goal:
+    """The :class:`~repro.dse.Goal` of a tune request's fields."""
+    try:
+        return Goal.build(
+            objective=tune_objective(params.get("objective"),
+                                     params.get("delay_ps")),
+            delay_ps=params.get("delay_ps"),
+            max_area=params.get("max_area"),
+            max_power_mw=params.get("max_power_mw"))
+    except GoalError as exc:
+        raise JobError(f"invalid goal: {exc}", reason="invalid-goal")
+
+
+def compile_context(kernel: Kernel, library: Library, clock_ps: float,
+                    ii: Optional[int] = None, optimize: bool = True,
+                    **extra) -> CompilationContext:
+    """The unrun context of one compile request.  An explicit ``ii``
+    overrides the source's ``@pipeline`` directive; ``extra`` carries
+    the cache, tracer and cancellation hooks."""
+    return CompilationContext(
+        region=kernel.region, library=library, clock_ps=clock_ps,
+        pipeline=PipelineSpec(ii=ii) if ii is not None
+        else kernel.pipeline,
+        run_optimizer=optimize, **extra)
+
+
+def _kernel(params: dict) -> Kernel:
+    """The one kernel of a normalized job's design."""
+    try:
+        kernels = resolve_design(params.get("workload"),
+                                 params.get("source"))
+    except FrontendError as exc:
+        raise JobError(f"frontend error: {exc.render()}",
+                       reason="frontend")
+    return single_kernel(kernels, "submitted source")
+
+
+def normalize_params(kind: str, params: dict) -> dict:
+    """A request's parameter record with every default filled in.
+
+    Validates every field but the design, which
+    :func:`resolve_design` checks.  Raises :class:`JobError`.
+    """
+    if kind not in JOB_KINDS:
+        raise JobError(f"unknown job kind {kind!r}; "
+                       f"choose from {JOB_KINDS}")
+    if not isinstance(params, dict):
+        raise JobError("job params must be a JSON object")
+    out: dict = {"library": str(params.get("library", "artisan90"))}
+    resolve_library(out["library"])  # validate early
+    if kind == "stream":
+        out["pipeline"] = params.get("pipeline")
+        resolve_pipeline(out["pipeline"])
+        out["clock_ps"] = float(params.get("clock_ps", 1600.0))
+        return out
+    out["workload"] = params.get("workload")
+    out["source"] = params.get("source")
+    if kind == "schedule":
+        out["clock_ps"] = float(params.get("clock_ps", 1600.0))
+        ii = params.get("ii")
+        out["ii"] = int(ii) if ii is not None else None
+        out["optimize"] = bool(params.get("optimize", True))
+        return out
+    # sweep / tune share the grid axes
+    out["clocks_ps"] = parse_clocks(params.get("clocks_ps"))
+    out["latencies"] = params.get("latencies")
+    parse_microarchs(out["latencies"])  # validate early
+    if kind == "tune":
+        out["strategy"] = str(params.get("strategy", "greedy"))
+        if out["strategy"] not in STRATEGIES:
+            raise JobError(f"unknown strategy {out['strategy']!r}; "
+                           f"choose from {sorted(STRATEGIES)}")
+        for field in ("delay_ps", "max_area", "max_power_mw"):
+            value = params.get(field)
+            out[field] = float(value) if value is not None else None
+        out["objective"] = tune_objective(params.get("objective"),
+                                          out["delay_ps"])
+        tune_goal(out)  # validate early
+    return out
 
 
 def prepare_job(kind: str, params: dict) -> Tuple[dict, str]:
@@ -142,49 +286,7 @@ def prepare_job(kind: str, params: dict) -> Tuple[dict, str]:
     spelled-out defaults dedup together.  Raises :class:`JobError` on
     any problem (mapped to HTTP 400).
     """
-    if kind not in JOB_KINDS:
-        raise JobError(f"unknown job kind {kind!r}; "
-                       f"choose from {JOB_KINDS}")
-    if not isinstance(params, dict):
-        raise JobError("job params must be a JSON object")
-    out: dict = {"library": str(params.get("library", "artisan90"))}
-    _library(out["library"])  # validate early
-    if kind == "stream":
-        pipeline = params.get("pipeline")
-        if pipeline not in PIPELINE_REGISTRY:
-            raise JobError(
-                f"unknown pipeline {pipeline!r}; choose from "
-                f"{sorted(PIPELINE_REGISTRY)}")
-        out["pipeline"] = pipeline
-        out["clock_ps"] = float(params.get("clock_ps", 1600.0))
-        return out, job_key(kind, out)
-    out["workload"] = params.get("workload")
-    out["source"] = params.get("source")
-    if kind == "schedule":
-        out["clock_ps"] = float(params.get("clock_ps", 1600.0))
-        ii = params.get("ii")
-        out["ii"] = int(ii) if ii is not None else None
-    elif kind == "sweep":
-        out["clocks_ps"] = _clock_list(params.get("clocks_ps"))
-        out["latencies"] = params.get("latencies")
-        parse_microarchs(out["latencies"])  # validate early
-    elif kind == "tune":
-        out["clocks_ps"] = _clock_list(params.get("clocks_ps"))
-        out["latencies"] = params.get("latencies")
-        parse_microarchs(out["latencies"])
-        out["strategy"] = str(params.get("strategy", "greedy"))
-        if out["strategy"] not in STRATEGIES:
-            raise JobError(f"unknown strategy {out['strategy']!r}; "
-                           f"choose from {sorted(STRATEGIES)}")
-        for field in ("delay_ps", "max_area", "max_power_mw"):
-            value = params.get(field)
-            out[field] = float(value) if value is not None else None
-        objective = params.get("objective")
-        if objective is None:
-            objective = "area" if out["delay_ps"] is not None else "delay"
-        if objective not in ("area", "delay", "power"):
-            raise JobError(f"unknown objective {objective!r}")
-        out["objective"] = objective
+    out = normalize_params(kind, params)
     return out, job_key(kind, out)
 
 
@@ -203,11 +305,15 @@ def job_key(kind: str, params: dict) -> str:
         fingerprint = pipeline_fingerprint(
             PIPELINE_REGISTRY[params["pipeline"]]())
     else:
-        fingerprint = region_fingerprint(_region_factory(params)())
+        fingerprint = region_fingerprint(_kernel(params).region)
     identity = {
         key: value for key, value in params.items()
         if key not in ("workload", "source")
     }
+    if identity.get("optimize") is True:
+        # the default of a field added after keys were deployed: left
+        # out so every key issued before it keeps its bytes
+        del identity["optimize"]
     payload = {
         "kind": kind,
         "timing_model": timing_engine.TIMING_MODEL_VERSION,
@@ -228,70 +334,45 @@ def _checkpoint(cancel_event) -> None:
 
 def _run_schedule(params: dict, cache, progress,
                   cancel_event, tracer) -> Tuple[bool, dict, dict]:
-    from repro.cdfg.region import PipelineSpec
+    from repro.tech.power import estimate_power
 
-    ctx = CompilationContext(
-        region=_region_factory(params)(), library=_library(params["library"]),
-        clock_ps=params["clock_ps"],
-        pipeline=PipelineSpec(ii=params["ii"])
-        if params["ii"] is not None else None,
-        run_optimizer=False, cache=cache, cancel_event=cancel_event,
-        tracer=tracer)
+    ctx = compile_context(
+        _kernel(params), resolve_library(params["library"]),
+        params["clock_ps"], params["ii"], params["optimize"],
+        cache=cache, cancel_event=cancel_event, tracer=tracer)
     if progress is not None:
         ctx.progress_cb = lambda name, event: progress(
             {"pass": name, "event": event})
-    get_flow("sweep").run(ctx)
+    run_context(ctx, "pipeline")
     if ctx.cancel_requested:
         raise JobCancelled()
     if ctx.failed:
         return False, {"diagnostics": [str(d) for d in ctx.errors]}, {}
     result = {
         "schedule": ctx.schedule.summary(),
-        "power_mw": ctx.power.total_mw,
+        "power_mw": estimate_power(ctx.schedule).total_mw,
     }
     return True, result, {}
 
 
 def _run_sweep(params: dict, cache, store, progress,
                cancel_event, tracer) -> Tuple[bool, dict, dict]:
-    from repro.core.scheduler import SchedulerOptions
-    from repro.dse.store import candidate_key
+    from repro.dse.search import FlowEvaluator
+    from repro.dse.space import Candidate
     from repro.explore.pareto import DesignPoint
-    from repro.flow.executor import run_points
 
-    factory = _region_factory(params)
-    fingerprint = region_fingerprint(factory())
-    library = _library(params["library"])
-    micros = parse_microarchs(params["latencies"])
-    clocks = params["clocks_ps"]
-    grid = [(m, float(c)) for m in micros for c in clocks]
-    options = SchedulerOptions()
-    keys = [candidate_key(fingerprint, library.name, m, c, options)
-            for m, c in grid]
-    results: List[Optional[object]] = [None] * len(grid)
-    store_hits = 0
-    if store is not None:
-        for idx, key in enumerate(keys):
-            hit = store.get(key)
-            if hit is not None:
-                results[idx] = hit
-                store_hits += 1
-    pending = [idx for idx, r in enumerate(results) if r is None]
-    done = len(grid) - len(pending)
-    total = len(grid)
-    for base in range(0, len(pending), SWEEP_WAVE):
+    evaluator = FlowEvaluator(
+        _kernel(params).build, resolve_library(params["library"]),
+        cache=cache, store=store, tracer=tracer)
+    grid = [Candidate(m, c) for m in parse_microarchs(params["latencies"])
+            for c in params["clocks_ps"]]
+    results: list = []
+    for base in range(0, len(grid), SWEEP_WAVE):
         _checkpoint(cancel_event)
-        wave = pending[base:base + SWEEP_WAVE]
-        fresh = run_points(factory, library, [grid[i] for i in wave],
-                           options=options, jobs=1, cache=cache,
-                           tracer=tracer)
-        for idx, result in zip(wave, fresh):
-            results[idx] = result
-            if store is not None:
-                store.put(keys[idx], result)
-        done += len(wave)
+        results += evaluator.evaluate_many(grid[base:base + SWEEP_WAVE])
         if progress is not None:
-            progress({"points_done": done, "points_total": total})
+            progress({"points_done": len(results),
+                      "points_total": len(grid)})
     points = [r for r in results if isinstance(r, DesignPoint)]
     infeasible = [r for r in results if isinstance(r, InfeasiblePoint)]
     result = {
@@ -300,32 +381,35 @@ def _run_sweep(params: dict, cache, store, progress,
         "points": [p.to_json() for p in points],
         "infeasible_points": [q.to_json() for q in infeasible],
     }
-    stats = {"store_hits": store_hits,
-             "fresh_points": total - store_hits}
+    stats = {"store_hits": evaluator.store_hits,
+             "fresh_points": evaluator.fresh_evaluations}
     return bool(points), result, stats
+
+
+def run_tune(params: dict, region_factory: Callable, cache=None,
+             store=None, jobs: int = 1, tracer=None):
+    """Tune a design by a normalized ``tune`` record: the body of the
+    ``tune`` job and of ``repro tune``."""
+    from repro.dse import DesignSpace, tune
+
+    space = DesignSpace(tuple(parse_microarchs(params["latencies"])),
+                        tuple(params["clocks_ps"]))
+    return tune(region_factory, resolve_library(params["library"]),
+                tune_goal(params), space=space,
+                strategy=params["strategy"], cache=cache, store=store,
+                jobs=jobs, tracer=tracer)
 
 
 def _run_tune(params: dict, cache, store, progress,
               cancel_event, tracer) -> Tuple[bool, dict, dict]:
-    from repro.dse import DesignSpace, Goal, GoalError, tune
-
-    factory = _region_factory(params)
-    library = _library(params["library"])
-    try:
-        goal = Goal.build(objective=params["objective"],
-                          delay_ps=params["delay_ps"],
-                          max_area=params["max_area"],
-                          max_power_mw=params["max_power_mw"])
-    except GoalError as exc:
-        raise JobError(f"invalid goal: {exc}")
-    space = DesignSpace(tuple(parse_microarchs(params["latencies"])),
-                        tuple(float(c) for c in params["clocks_ps"]))
+    factory = _kernel(params).build
     _checkpoint(cancel_event)
     if progress is not None:
-        progress({"phase": "tune", "grid_size": space.size})
-    report = tune(factory, library, goal, space=space,
-                  strategy=params["strategy"], cache=cache, store=store,
-                  jobs=1, tracer=tracer)
+        progress({"phase": "tune", "grid_size":
+                  len(parse_microarchs(params["latencies"]))
+                  * len(params["clocks_ps"])})
+    report = run_tune(params, factory, cache=cache, store=store,
+                      tracer=tracer)
     _checkpoint(cancel_event)
     summary = report.summary()
     summary.pop("elapsed_s", None)  # keep the payload deterministic
@@ -334,8 +418,12 @@ def _run_tune(params: dict, cache, store, progress,
     return report.satisfied, summary, stats
 
 
-def _run_stream(params: dict, cache, progress,
-                cancel_event, tracer) -> Tuple[bool, dict, dict]:
+def run_stream(params: dict, cache=None, tracer=None,
+               phase: Optional[Callable[[str], None]] = None):
+    """Compose a normalized ``stream`` record's pipeline and verify it
+    against its token oracle: the body of the ``stream`` job and of
+    ``repro stream``.  Returns ``(composed, summary)``; ``phase`` is
+    called with ``"compose"`` and ``"simulate"`` before each step."""
     from repro.dataflow import (
         compile_pipeline,
         simulate_pipeline_machine,
@@ -343,30 +431,37 @@ def _run_stream(params: dict, cache, progress,
     )
     from repro.obs.trace import maybe_span
 
-    library = _library(params["library"])
-    factory = PIPELINE_REGISTRY[params["pipeline"]]
-    _checkpoint(cancel_event)
-    if progress is not None:
-        progress({"phase": "compose"})
-    with maybe_span(tracer, "stream.compose",
-                    pipeline=params["pipeline"]):
-        composed = compile_pipeline(factory(), library,
-                                    clock_ps=params["clock_ps"],
-                                    cache=cache)
-    _checkpoint(cancel_event)
-    if progress is not None:
-        progress({"phase": "simulate"})
-    with maybe_span(tracer, "stream.simulate",
-                    pipeline=params["pipeline"]):
-        inputs = PIPELINE_INPUTS.get(params["pipeline"], dict)()
+    name = params["pipeline"]
+    factory = resolve_pipeline(name)
+    if phase is not None:
+        phase("compose")
+    with maybe_span(tracer, "stream.compose", pipeline=name):
+        composed = compile_pipeline(
+            factory(), resolve_library(params["library"]),
+            clock_ps=params["clock_ps"], cache=cache)
+    if phase is not None:
+        phase("simulate")
+    with maybe_span(tracer, "stream.simulate", pipeline=name):
+        inputs = PIPELINE_INPUTS.get(name, dict)()
         oracle = simulate_pipeline_reference(factory(), inputs)
         machine = simulate_pipeline_machine(composed, inputs)
-        verified = machine.outputs == oracle.outputs
     summary = composed.summary()
     summary["cycles"] = machine.cycles
     summary["stalled_cycles"] = machine.stalled_cycles
-    summary["verified"] = verified
-    return verified, summary, {}
+    summary["verified"] = machine.outputs == oracle.outputs
+    return composed, summary
+
+
+def _run_stream(params: dict, cache, progress,
+                cancel_event, tracer) -> Tuple[bool, dict, dict]:
+    def phase(name: str) -> None:
+        _checkpoint(cancel_event)
+        if progress is not None:
+            progress({"phase": name})
+
+    _, summary = run_stream(params, cache=cache, tracer=tracer,
+                            phase=phase)
+    return summary["verified"], summary, {}
 
 
 def execute_job(kind: str, params: dict,

@@ -52,7 +52,15 @@ TERMINAL = frozenset({DONE, FAILED, CANCELLED})
 
 
 class JobError(Exception):
-    """A deterministic submission/parameter problem (HTTP 400)."""
+    """A deterministic submission/parameter problem (HTTP 400).
+
+    ``reason`` is a short slug naming the problem (``unknown-workload``,
+    ``bad-clock``, ...); the CLI reports it as its error reason.
+    """
+
+    def __init__(self, message: str, reason: str = "bad-input") -> None:
+        super().__init__(message)
+        self.reason = reason
 
 
 class JobCancelled(Exception):

@@ -11,11 +11,6 @@ from repro.timing.engine import (
     TimingEngine,
     registered_path_ps,
 )
-
-#: historical name of :class:`~repro.timing.engine.TimingEngine`, kept
-#: importable here for old call sites; the deprecated module path
-#: ``repro.timing.netlist`` has been removed.
-DatapathNetlist = TimingEngine
 from repro.timing.retime import retime
 from repro.timing.sta import (
     PathPoint,
@@ -31,7 +26,6 @@ __all__ = [
     "CandidateTiming",
     "CombCycleGuard",
     "CommitResult",
-    "DatapathNetlist",
     "PathPoint",
     "TimingEngine",
     "TimingReport",

@@ -314,9 +314,6 @@ class TimingStatics:
 class TimingEngine:
     """The incrementally maintained datapath timing model for one pass.
 
-    Also importable as ``DatapathNetlist`` (its historical name) from
-    :mod:`repro.timing`.
-
     Contract: every operation a binding is committed for must exist in
     the DFG when the engine is constructed -- the chaining-fanout and
     topological-order caches that drive re-propagation are built once.
@@ -410,9 +407,6 @@ class TimingEngine:
     # ------------------------------------------------------------------
     # static structure caches (delegated to the shareable statics)
     # ------------------------------------------------------------------
-    def _flatten_edges(self, uid: int) -> Tuple[Tuple[int, int, Optional[float]], ...]:
-        return self._statics.flatten_edges(uid)
-
     def _info(self, uid: int) -> Tuple[Tuple[int, int, Optional[float]], ...]:
         info = self._in_info.get(uid)
         if info is None:  # op added after engine construction
@@ -776,28 +770,6 @@ class TimingEngine:
         if not self._bound:
             return self.clock_ps
         return min(self.slack_of(b) for b in self._bound.values())
-
-    def affected_by_port_growth(
-            self, op: Operation, inst: ResourceInstance) -> List[BoundOp]:
-        """Already-bound ops on ``inst`` whose mux delay this binding grows.
-
-        A port gaining its second source births a sharing mux (unless
-        anticipation already charged it); beyond that, fanin growth slows
-        the select tree.  Either way every path through the instance
-        changes.  Kept as a query for tests and external callers; the
-        scheduler itself relies on :meth:`commit`'s re-propagation.
-        """
-        grown = False
-        for port, root, _static in self._info(op.uid):
-            before = self.port_fanin(inst, port)
-            after = self.port_fanin(inst, port, root)
-            if (after != before and self._port_mux_delay(inst, after)
-                    != self._port_mux_delay(inst, before)):
-                grown = True
-        if not grown:
-            return []
-        return [self._bound[o.uid] for o in inst.ops_bound()
-                if o.uid in self._bound]
 
     # ------------------------------------------------------------------
     # commit / rollback with incremental re-propagation

@@ -1,17 +1,11 @@
-"""Flow composition: named flows, diagnostics, timing instrumentation."""
+"""Named flows: the fixed pass table, diagnostics, timing
+instrumentation."""
 
 import pytest
 
 from repro.cdfg import PipelineSpec, RegionBuilder
 from repro.core.schedule import ScheduleError
-from repro.flow import (
-    CompilationContext,
-    Flow,
-    get_flow,
-    get_pass,
-    register_flow,
-    run_flow,
-)
+from repro.flow import FLOWS, run_flow
 from repro.workloads import build_example1
 
 MINI_SOURCE = """
@@ -25,17 +19,18 @@ module mac { in int<16> x; out int<16> y;
 
 
 def test_builtin_flows_registered():
-    for name in ("schedule", "pipeline", "verilog", "sweep"):
-        flow = get_flow(name)
-        assert flow.name == name
-        assert flow.passes[0].name == "frontend"
+    assert sorted(FLOWS) == ["pipeline", "schedule", "sweep", "verilog"]
+    for passes in FLOWS.values():
+        assert passes[0][0] == "frontend"
+    # grid points schedule each variant as built
+    assert [name for name, _ in FLOWS["sweep"]] == \
+        ["frontend", "schedule", "power"]
 
 
-def test_unknown_flow_and_pass():
-    with pytest.raises(KeyError, match="unknown flow"):
-        get_flow("nonexistent")
-    with pytest.raises(KeyError, match="unknown pass"):
-        get_pass("nonexistent")
+def test_unknown_flow_and_pass(lib):
+    with pytest.raises(KeyError, match="unknown flow 'nonexistent'; "
+                                       "choose from"):
+        run_flow("nonexistent", region=build_example1(), library=lib)
 
 
 def test_schedule_flow_on_region(lib):
@@ -70,7 +65,7 @@ def test_verilog_flow_from_source(lib):
 
 def test_sweep_flow_estimates_power(lib):
     ctx = run_flow("sweep", region=build_example1(), library=lib,
-                   clock_ps=1600.0, run_optimizer=False)
+                   clock_ps=1600.0)
     assert not ctx.failed
     assert ctx.power is not None and ctx.power.total_mw > 0
 
@@ -100,19 +95,6 @@ def test_missing_source_and_region_is_diagnosed(lib):
     ctx = run_flow("schedule", library=lib)
     assert ctx.failed
     assert "no source text" in ctx.errors[0].message
-
-
-def test_custom_flow_registration(lib):
-    register_flow(Flow("schedule-only", ["frontend", "schedule"]))
-    ctx = run_flow("schedule-only", region=build_example1(), library=lib,
-                   clock_ps=1600.0)
-    assert not ctx.failed
-    assert ctx.opt_report is None  # optimizer never ran
-
-
-def test_flow_validate_rejects_bad_order():
-    with pytest.raises(ValueError, match="needs 'schedule'"):
-        Flow("broken", ["fold", "schedule"])
 
 
 def test_context_summary_is_json_friendly(lib):

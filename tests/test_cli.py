@@ -176,12 +176,19 @@ def test_profile_unknown_workload(capsys):
     assert "unknown workload" in capsys.readouterr().err
 
 
-def test_schedule_profile_flag_reports_counters(capsys):
-    assert main(["schedule", "example1", "--json", "--profile"]) == 0
-    captured = capsys.readouterr()
-    json.loads(captured.out)  # stdout stays machine-readable
-    assert "profile counters:" in captured.err
-    assert "pass.count" in captured.err
+def test_profile_reports_counters_of_the_scheduled_design(capsys):
+    """``repro profile`` prints the scheduler's counter table for the
+    design ``schedule`` runs."""
+    assert main(["schedule", "example1", "--json"]) == 0
+    scheduled = json.loads(capsys.readouterr().out)
+    assert main(["profile", "example1", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)  # machine-readable
+    assert data["latency"] == scheduled["latency"]
+    assert data["counters"]["pass.count"] == data["passes"]
+    assert main(["profile", "example1"]) == 0
+    out = capsys.readouterr().out
+    assert "profile counters:" in out
+    assert "pass.count" in out
 
 
 # ----------------------------------------------------------------------

@@ -29,10 +29,10 @@ ERROR_CASES = [
      "unknown workload"),
     (["profile", "nope"], EXIT_BAD_INPUT, "unknown-workload",
      "unknown workload"),
-    # schedule accepts arbitrary source paths, so a name that is not a
-    # registered workload is reported as an unreadable file
-    (["schedule", "nope"], EXIT_BAD_INPUT, "unreadable-source",
-     "cannot read"),
+    # every command resolves a design the same way: a registry name
+    # first, then an existing file or a .py path
+    (["schedule", "nope"], EXIT_BAD_INPUT, "unknown-workload",
+     "unknown workload"),
     (["--library", "tsmc", "schedule", "fir"], EXIT_BAD_INPUT,
      "unknown-library", "unknown library"),
     (["stream", "nope"], EXIT_BAD_INPUT, "unknown-pipeline",
@@ -42,7 +42,7 @@ ERROR_CASES = [
     (["tune", "fir", "--latencies", "3:y"], EXIT_BAD_INPUT,
      "bad-microarch", "bad microarch spec"),
     (["sweep", "fir", "--clocks", "1600,fast"], EXIT_BAD_INPUT,
-     "bad-clock", "bad clock list"),
+     "bad-clock", "bad clocks"),
     (["tune", "fir", "--delay-ps", "-5"], EXIT_BAD_INPUT,
      "invalid-goal", "invalid goal"),
     (["tune", "fir", "--max-area", "0"], EXIT_BAD_INPUT,

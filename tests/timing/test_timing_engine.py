@@ -127,18 +127,6 @@ def test_multicycle_when_clock_too_fast(lib):
     assert not no_mc.ok
 
 
-def test_port_growth_detection(lib):
-    region = _chain_region()
-    netlist = TimingEngine(region.dfg, lib, CLOCK)
-    netlist.set_sharing_outlook({("mul", 32): 2}, {("mul", 32): 1})
-    pool = ResourcePool()
-    mul = pool.add(lib.typical(OpKind.MUL, 32))
-    ops = {op.name: op for op in region.dfg.ops}
-    netlist.commit(ops["m1"], mul, 0, netlist.evaluate(ops["m1"], mul, 0))
-    # m2 brings new sources to both ports but fanin stays <= 2: no recheck
-    assert netlist.affected_by_port_growth(ops["m2"], mul) == []
-
-
 def test_uncommit_restores_port_sources(lib):
     region = _chain_region()
     netlist = TimingEngine(region.dfg, lib, CLOCK)
@@ -181,10 +169,3 @@ def test_anticipation_flag_controls_input_mux(lib):
     t_with = with_mux.evaluate(ops["m1"], mul, 0)
     t_without = without.evaluate(ops["m1"], mul, 0)
     assert t_with.capture_ps - t_without.capture_ps == pytest.approx(110.0)
-
-
-def test_historical_alias_is_the_engine():
-    """``DatapathNetlist`` (the pre-unification name) is TimingEngine."""
-    from repro.timing import DatapathNetlist
-
-    assert DatapathNetlist is TimingEngine
