@@ -47,6 +47,22 @@ def _run_batch(store_path):
     return elapsed, finals
 
 
+def test_warm_store_serves_every_job_without_synthesis(tmp_path):
+    """The deterministic half of the warm-store contract: the cold
+    batch synthesizes every point, the warm batch serves every point
+    from the store and synthesizes none, and the results are equal job
+    by job."""
+    store = tmp_path / "counts.jsonl"
+    _cold_s, cold = _run_batch(store)
+    _warm_s, warm = _run_batch(store)
+    points = [len(job["clocks_ps"]) * 3 for job in JOBS]
+    assert [job.stats["fresh_points"] for job in cold] == points
+    assert [job.stats["store_hits"] for job in cold] == [0] * len(JOBS)
+    assert [job.stats["fresh_points"] for job in warm] == [0] * len(JOBS)
+    assert [job.stats["store_hits"] for job in warm] == points
+    assert [job.result for job in warm] == [job.result for job in cold]
+
+
 def test_warm_store_serves_5x_faster(tmp_path, bench_metrics):
     store = tmp_path / "throughput.jsonl"
     cold_s, cold = _run_batch(store)

@@ -17,11 +17,13 @@ grid against the seed path too; the CI sweep-scaling lane runs it as a
 jobs=1 vs jobs=4 smoke with ``REPRO_SWEEP_SMOKE=1``.
 """
 
+import hashlib
 import os
 import time
 
 import pytest
 
+from repro import profiling
 from repro.explore.microarch import InfeasiblePoint, Microarch
 from repro.flow.cache import FlowCache
 from repro.flow.executor import run_sweep, synthesize_design_point
@@ -68,6 +70,31 @@ def _render_points(results):
     return [repr(r) for r in results
             if not isinstance(r, InfeasiblePoint)] + \
         [repr(r) for r in results if isinstance(r, InfeasiblePoint)]
+
+
+#: the cold jobs=1 run of the full grid: sha256 of its render, and the
+#: relaxation work behind it (passes run, fast-forwards accepted and
+#: the passes they skipped).
+GRID_RENDER_SHA256 = (
+    "276b4a785c0fb97f78d28d8a9bb5431eac197f59f24bd2bcc74a3f25f8a16965")
+GRID_WORK = {"pass.count": 277, "scheduler.ffwd": 7,
+             "scheduler.ffwd_passes": 609}
+
+
+def test_sweep_grid_render_and_work_pinned(lib):
+    """The deterministic half of the speedup pin below: the full grid,
+    cold at jobs=1, renders exactly as recorded (13 points, 12
+    infeasible records, every reason string), with the same passes and
+    fast-forwards."""
+    factory = PYFUNC_REGISTRY["jpeg_dct"].build
+    before = profiling.snapshot()
+    result = run_sweep(factory, lib, GRID_MICROS, GRID_CLOCKS, jobs=1)
+    after = profiling.snapshot()
+    render = "\n".join(_render(result))
+    assert (len(result.points), len(result.infeasible)) == (13, 12)
+    assert hashlib.sha256(render.encode()).hexdigest() == GRID_RENDER_SHA256
+    assert {key: after.get(key, 0) - before.get(key, 0)
+            for key in GRID_WORK} == GRID_WORK
 
 
 @pytest.mark.skipif(SMOKE, reason="smoke lane runs the reduced curves")

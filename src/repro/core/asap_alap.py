@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Set
+from typing import Dict, Iterable, Optional, Set, Tuple
 
 from repro.cdfg.dfg import DFG
 from repro.cdfg.ops import MEMORY_KINDS, Operation, OpKind
@@ -54,6 +54,26 @@ class Mobility:
         """An independent copy (SCC window clamping mutates in place)."""
         return Mobility(self.asap, self.alap, self.cycles,
                         self.asap_arrival_ps)
+
+
+class AsapMemo:
+    """The latency-free half of :func:`compute_mobility`, memoized for
+    one region and library.
+
+    :func:`compute_asap` reads the latency only for the ALAP placeholder
+    :func:`compute_alap` overwrites on every op, so its result (or the
+    :class:`InfeasibleTiming` it raised) depends on the clock and the
+    speculated set alone; a new latency then runs only the backward
+    pass.  Optimistic op delays depend on nothing but the op and the
+    library.
+    """
+
+    def __init__(self) -> None:
+        #: (clock_ps, frozenset(speculated)) -> pristine ASAP map, or
+        #: the InfeasibleTiming it raised.
+        self.asap: Dict[Tuple[float, frozenset], object] = {}
+        #: op uid -> optimistic delay (see :func:`_optimistic_delay`).
+        self.delays: Dict[int, float] = {}
 
 
 def _memory_delay(op: Operation, library: Library) -> float:
@@ -198,21 +218,27 @@ def compute_alap(
     clock_ps: float,
     latency: int,
     mobility: Dict[int, Mobility],
+    delays: Optional[Dict[int, float]] = None,
 ) -> None:
     """Backward pass: fill in the latest start state, in place.
 
     Conservative in the paper's spirit of approximate analysis: a consumer
     chained in the same state requires the producer no later than the
     consumer; otherwise the producer must finish one state earlier.
+    ``delays`` memoizes each op's optimistic delay across calls.
     """
     ff = library.ff
+    if delays is None:
+        delays = {}
     order = region.dfg.topological_order()
     for op in reversed(order):
         mob = mobility[op.uid]
         latest = latency - mob.cycles
         if op.pinned_state is not None:
             latest = min(latest, op.pinned_state)
-        delay = _optimistic_delay(op, library)
+        delay = delays.get(op.uid)
+        if delay is None:
+            delay = delays[op.uid] = _optimistic_delay(op, library)
         for edge in region.dfg.out_edges(op.uid):
             if edge.distance >= 1:
                 continue
@@ -222,7 +248,10 @@ def compute_alap(
                 latest = min(latest,
                              cm.alap - edge.min_gap - (mob.cycles - 1))
                 continue
-            cons_delay = _optimistic_delay(cons, library)
+            cons_delay = delays.get(cons.uid)
+            if cons_delay is None:
+                cons_delay = delays[cons.uid] = _optimistic_delay(
+                    cons, library)
             fits_chain = (ff.clk_to_q_ps + delay + cons_delay
                           + ff.setup_ps <= clock_ps)
             if mob.cycles > 1 or not fits_chain:
@@ -242,10 +271,34 @@ def compute_mobility(
     clock_ps: float,
     latency: int,
     speculated: Optional[Set[int]] = None,
+    asap_memo: Optional[AsapMemo] = None,
 ) -> Dict[int, Mobility]:
-    """Full timing-aware ASAP/ALAP analysis for one latency choice."""
-    mobility = compute_asap(region, library, clock_ps, latency, speculated)
-    compute_alap(region, library, clock_ps, latency, mobility)
+    """Full timing-aware ASAP/ALAP analysis for one latency choice.
+
+    With ``asap_memo`` (built for this region and library) the forward
+    pass runs once per clock and speculated set, and every call copies
+    its pristine result before the backward pass fills it in.
+    """
+    if asap_memo is None:
+        mobility = compute_asap(region, library, clock_ps, latency,
+                                speculated)
+        compute_alap(region, library, clock_ps, latency, mobility)
+        return mobility
+    key = (clock_ps, frozenset(speculated or ()))
+    pristine = asap_memo.asap.get(key)
+    if pristine is None:
+        try:
+            pristine = compute_asap(region, library, clock_ps, latency,
+                                    speculated)
+        except InfeasibleTiming as exc:
+            asap_memo.asap[key] = exc
+            raise
+        asap_memo.asap[key] = pristine
+    elif isinstance(pristine, InfeasibleTiming):
+        raise pristine
+    mobility = {uid: mob.copy() for uid, mob in pristine.items()}
+    compute_alap(region, library, clock_ps, latency, mobility,
+                 asap_memo.delays)
     return mobility
 
 

@@ -30,7 +30,12 @@ from repro.cdfg.memory import static_bank
 from repro.cdfg.ops import Operation, OpKind
 from repro.cdfg.region import PipelineSpec, Region
 from repro.core.allocation import AllocationResult, build_pool, lower_bound, type_key_for
-from repro.core.asap_alap import InfeasibleTiming, Mobility, compute_mobility
+from repro.core.asap_alap import (
+    AsapMemo,
+    InfeasibleTiming,
+    Mobility,
+    compute_mobility,
+)
 from repro.core.priorities import compute_heights, priority_statics
 from repro.core.relaxation import (
     DriverState,
@@ -110,6 +115,9 @@ class _RegionCache:
         #: (clock_ps, latency, frozenset(speculated)) -> pristine
         #: mobility map, or the InfeasibleTiming it raised.
         self.mobility: Dict[Tuple, object] = {}
+        #: the latency-free ASAP half of those maps, so that a new
+        #: latency runs only the ALAP pass.
+        self.asap = AsapMemo()
         #: frozenset(speculated) -> (unresolved, consumers) dependency maps.
         self.depmaps: Dict[frozenset, Tuple[Dict[int, int],
                                             Dict[int, List[Tuple[int, int]]]]] = {}
@@ -122,6 +130,9 @@ class _RegionCache:
         self.fits_fresh: Dict[Tuple[float, int], bool] = {}
         #: uid -> (root, producer op) pairs for combinational chain edges.
         self.chain_roots: Dict[int, List[Tuple[int, Operation]]] = {}
+        #: uid -> (loop-carried out-edges, loop-carried ordering
+        #: in-edges): the edges modulo causality checks.
+        self.carried: Dict[int, Tuple[List, List]] = {}
 
 
 @dataclass
@@ -144,6 +155,37 @@ def _cand_key(inst: ResourceInstance) -> Tuple[float, int]:
     """Per-call candidate sort key over a base list pre-sorted by
     (area, index); stability supplies the index tie-break."""
     return (inst.rtype.area, -len(inst._ops_map))
+
+
+def _walk_order(base: List[ResourceInstance]) -> Tuple[
+        List[ResourceInstance], List[int], List[Optional[ResourceInstance]]]:
+    """A compatibility group's walk order, from its base list pre-sorted
+    by (area, index), with the order's grade table.  The stable re-sort
+    on (area, -occupancy) yields the (area, -occupancy, index) order; an
+    occupancy change of a member logs its name, so the grade table stays
+    valid exactly as long as the order does."""
+    order = list(base)
+    order.sort(key=_cand_key)
+    return (order, *_grade_table(order))
+
+
+def _grade_table(order: List[ResourceInstance]) -> Tuple[
+        List[int], List[Optional[ResourceInstance]]]:
+    """Per candidate its grade index, and per grade its first empty
+    candidate (None: every candidate of the grade hosts operations).
+    Grades are numbered in order of appearance."""
+    index: Dict[int, int] = {}
+    grade_of: List[int] = []
+    firsts: List[Optional[ResourceInstance]] = []
+    for inst in order:
+        g = index.get(id(inst.rtype))
+        if g is None:
+            g = index[id(inst.rtype)] = len(firsts)
+            firsts.append(None)
+        grade_of.append(g)
+        if firsts[g] is None and not inst._ops_map:
+            firsts[g] = inst
+    return grade_of, firsts
 
 
 def _equivalent_states(needed: List[int], latency: int,
@@ -226,12 +268,14 @@ class _Pass:
         self._forced_sccs: Set[int] = set()
         # per-pass memos (all decision-neutral)
         self._window_map: Optional[Dict[int, SCCWindow]] = None
-        self._compat: Dict[Tuple[OpKind, int], List[ResourceInstance]] = {}
-        #: sorted candidate order per compatibility key:
-        #: ``[log position, order, member names]``.  Revalidated against
-        #: the pool's mutation log -- only mutations of a group's own
-        #: members force a re-sort.
+        #: sorted candidate order per compatibility key: ``[log
+        #: position, base list, member names, order, grade of each
+        #: candidate, first empty member of each grade]``.  Revalidated
+        #: against the pool's mutation log -- only mutations of a
+        #: group's own members force a re-sort.
         self._cand_cache: Dict[Tuple[OpKind, int], List] = {}
+        #: the same entries by op uid.
+        self._cand_of: Dict[int, List] = {}
         #: the driver's forbidden pairs per op uid (fixed for the pass).
         self._forbidden: Dict[int, Set[str]] = {}
         for uid, name in state.forbidden:
@@ -239,7 +283,15 @@ class _Pass:
         #: (broken info, type key) -> the pass's one NEG_SLACK restraint
         #: for that doomed commit; see :meth:`_doom_restraint`.
         self._dooms: Dict[Tuple, Restraint] = {}
+        #: type key -> id(broken info) -> the same interned restraints,
+        #: and the info objects those ids belong to, kept alive so that
+        #: no other object can take an id over during the pass.
+        self._doom_ids: Dict[object, Dict[int, Restraint]] = {}
+        self._doom_infos: List[Tuple] = []
         self._n_priority_keys = 0
+        #: candidate-walk outcomes of the pass: visits, busy, doomed and
+        #: timing-failed candidates (see :data:`WALK_COUNTERS`).
+        self._walk_counts = [0, 0, 0, 0]
 
     # ------------------------------------------------------------------
     # setup
@@ -257,7 +309,7 @@ class _Pass:
             try:
                 cached = compute_mobility(
                     self.region, self.library, self.clock_ps, self.latency,
-                    self.state.speculated)
+                    self.state.speculated, asap_memo=self.cache.asap)
             except InfeasibleTiming as exc:
                 self.cache.mobility[key] = exc
                 raise
@@ -291,7 +343,7 @@ class _Pass:
                 # behaviour the Table 4 ablation measures
                 anchor_mobility = compute_mobility(
                     self.region, self.library, float("inf"), self.latency,
-                    self.state.speculated)
+                    self.state.speculated, asap_memo=self.cache.asap)
             self.windows = find_scc_windows(
                 self.region, anchor_mobility, self.pipeline.ii)
             ok = True
@@ -397,46 +449,46 @@ class _Pass:
     # ------------------------------------------------------------------
     # binding
     # ------------------------------------------------------------------
-    def _candidates(self, op: Operation) -> List[ResourceInstance]:
+    def _candidates(self, op: Operation) -> Tuple[
+            List[ResourceInstance], List[int], List[Optional[ResourceInstance]]]:
         """Compatible instances in walk order: cheapest grade first, and
         within a grade the instances already hosting operations, so
         sharing consolidates and over-allocated instances stay empty
-        (they are pruned after the pass succeeds); index breaks ties."""
-        # pool membership is fixed for the whole pass, so the
-        # compatibility scan depends only on (kind, width)
-        ckey = (op.kind, op.resource_width)
+        (they are pruned after the pass succeeds); index breaks ties.
+
+        Returned with the walk's grade table: each candidate's grade
+        index (grades numbered in order of first appearance) and each
+        grade's first empty candidate, or None.
+        """
         log = self.pool._order_log
         epoch = len(log)
-        order: Optional[List[ResourceInstance]] = None
-        ent = self._cand_cache.get(ckey)
-        if ent is not None:
-            last, order, members = ent
-            if last != epoch:
-                for name in log[last:]:
-                    if name in members or name == "*":
-                        order = None
-                        break
-                else:
-                    ent[0] = epoch
-        if order is None:
-            base = self._compat.get(ckey)
-            if base is None:
-                # pre-sorted by (area, index): the stable re-sort on
-                # (area, occupancy) below then yields the
-                # (area, -occupancy, index) order
+        ent = self._cand_of.get(op.uid)
+        if ent is None:
+            # pool membership is fixed for the whole pass, so the
+            # compatibility scan depends only on (kind, width)
+            ckey = (op.kind, op.resource_width)
+            ent = self._cand_cache.get(ckey)
+            if ent is None:
                 base = sorted(self.pool.compatible(op),
                               key=lambda i: (i.rtype.area, i.index))
-                self._compat[ckey] = base
-            order = list(base)
-            order.sort(key=_cand_key)
-            self._cand_cache[ckey] = [epoch, order, {i.name for i in base}]
+                ent = self._cand_cache[ckey] = [
+                    epoch, base, {i.name for i in base}, *_walk_order(base)]
+            self._cand_of[op.uid] = ent
+        if ent[0] != epoch:
+            for name in log[ent[0]:]:
+                if name in ent[2] or name == "*":
+                    ent[3:] = _walk_order(ent[1])
+                    break
+            ent[0] = epoch
+        order, grade_of, firsts = ent[3], ent[4], ent[5]
         banned = self._forbidden.get(op.uid)
         if banned:
             # the sort key is a unique total order, so filtering the
             # sorted list equals sorting the filtered list
-            return [inst for inst in order if inst.name not in banned]
-        # callers only iterate the returned list
-        return order
+            order = [inst for inst in order if inst.name not in banned]
+            grade_of, firsts = _grade_table(order)
+        # callers only iterate the returned lists
+        return order, grade_of, firsts
 
     def _chain_sources(self, op: Operation, state: int) -> List[str]:
         """Connection-graph names of committed producers chained into
@@ -482,19 +534,25 @@ class _Pass:
         and are checked in both directions: a consumer access placed too
         early violates its carried producer just as surely.
         """
+        carried = self.cache.carried.get(op.uid)
+        if carried is None:
+            carried = self.cache.carried[op.uid] = (
+                [edge for edge in self.dfg.out_edges(op.uid)
+                 if edge.distance >= 1],
+                [edge for edge in self.dfg.in_edges(op.uid)
+                 if edge.distance >= 1 and edge.order])
+        outs, ins = carried
+        if not (outs or ins):
+            return True
         ii = self.ii if self.ii is not None else self.latency
-        for edge in self.dfg.out_edges(op.uid):
-            if edge.distance < 1:
-                continue
+        for edge in outs:
             cb = self.netlist.binding(edge.dst)
             if cb is None:
                 continue
             gap = edge.min_gap if edge.order else 1
             if state > cb.state + edge.distance * ii - gap:
                 return False
-        for edge in self.dfg.in_edges(op.uid):
-            if edge.distance < 1 or not edge.order:
-                continue
+        for edge in ins:
             pb = self.netlist.binding(edge.src)
             if pb is None:
                 continue
@@ -505,7 +563,7 @@ class _Pass:
     def _try_bind(self, op: Operation, e: int) -> Tuple[bool, List[Restraint]]:
         """Attempt to bind ``op`` at state ``e``; returns (bound, restraints)."""
         restraints: List[Restraint] = []
-        needs_resource = self._type_key(op) is not None
+        type_key = self._type_key(op)
         # the input-arrival probe feeds restraint payloads and the
         # bound-first walk's raw arrival; it reads (never mutates) the
         # netlist, and every consumer below runs with the netlist in
@@ -551,7 +609,7 @@ class _Pass:
         if op.kind in (OpKind.LOAD, OpKind.STORE):
             return self._try_bind_memory(op, e, restraints)
 
-        if not needs_resource:
+        if type_key is None:
             timing = self.netlist.evaluate(
                 op, None, e, allow_multicycle=False)
             if not timing.ok and not accept_violation:
@@ -569,11 +627,10 @@ class _Pass:
             self._on_bound(op.uid, e, multicycle=False)
             return True, restraints
 
-        busy = 0
+        busy = visits = doomed = timing_failed = 0
         best_slack: Optional[float] = None
         fallback: Optional[Tuple[ResourceInstance, CandidateTiming]] = None
-        type_key = self._type_key(op)
-        candidates = self._candidates(op)
+        candidates, grade_of, firsts = self._candidates(op)
         if not candidates:
             # no instance at all (everything forbidden, or the pool lacks
             # the type): only adding a resource can help
@@ -624,45 +681,57 @@ class _Pass:
         # bound splits into a per-grade fanin limit and the instance's
         # widest committed port fanin, kept current by the engine.
         #
-        # The walk's per-grade table, keyed by ``id(rtype)``: [first
-        # empty member, its memoized timing, fanin limit (None: not yet
-        # computed; -1: nothing proven, always under accept_violation)].
-        grades: Dict[int, List] = {}
-        no_proof = -1 if accept_violation else None
-        for inst in candidates:
-            row = grades.get(id(inst.rtype))
-            if row is None:
-                row = grades[id(inst.rtype)] = [None, None, no_proof]
-            if inst._ops_map:
-                if row[2] is None:
-                    row[2] = self.netlist.single_cycle_bound(
-                        op, inst.rtype, arrival_probe())
-            elif row[0] is None:
-                row[0] = inst
+        # The walk's per-grade table, indexed like ``firsts`` (each
+        # grade's first empty member): the empty member's memoized
+        # timing, and the fanin limit (None: not yet computed; -1:
+        # nothing proven, always under accept_violation).
+        empty_timing: List[Optional[CandidateTiming]] = [None] * len(firsts)
+        limits = [-1 if accept_violation else None] * len(firsts)
         fanin_of = self.netlist.max_fanin.get
         allow_mc = self.options.allow_multicycle
-        for inst in candidates:
-            row = grades[id(inst.rtype)]
+        # the commit cache's probe for this walk's single-cycle
+        # bindings, built on first use, and the pass's interned doom
+        # restraints of this type key by identity of the engine's
+        # memoized broken info (see :meth:`_doom_restraint`)
+        doom = None
+        doom_ids = self._doom_ids.get(type_key)
+        if doom_ids is None:
+            doom_ids = self._doom_ids[type_key] = {}
+        # a single-state binding never runs past the last state (e <
+        # latency), and its window verdict is the walk's
+        single_late = window is not None and e > window.end
+        for inst, g in zip(candidates, grade_of):
+            visits += 1
             if not inst._ops_map:
-                timing = row[1]
+                timing = empty_timing[g]
                 if timing is None:
-                    timing = row[1] = self.netlist.evaluate(
+                    timing = empty_timing[g] = self.netlist.evaluate(
                         op, inst, e, allow_multicycle=allow_mc,
                         profile=prof)
-            elif fanin_of(inst.name, 0) <= row[2]:
-                timing = None
             else:
-                if row[0] is not None and not accept_violation:
-                    base = row[1]
-                    if base is None:
-                        base = row[1] = self.netlist.evaluate(
-                            op, row[0], e, allow_multicycle=allow_mc,
-                            profile=prof)
-                    if not base.ok:
-                        continue
-                timing = self.netlist.evaluate(
-                    op, inst, e, allow_multicycle=allow_mc, profile=prof)
+                limit = limits[g]
+                if limit is None:
+                    # a pure function of the op, the grade and the
+                    # walk's raw arrival: computed on first use
+                    limit = limits[g] = self.netlist.single_cycle_bound(
+                        op, inst.rtype, arrival_probe())
+                if fanin_of(inst.name, 0) <= limit:
+                    timing = None
+                else:
+                    if firsts[g] is not None and not accept_violation:
+                        base = empty_timing[g]
+                        if base is None:
+                            base = empty_timing[g] = self.netlist.evaluate(
+                                op, firsts[g], e, allow_multicycle=allow_mc,
+                                profile=prof)
+                        if not base.ok:
+                            timing_failed += 1
+                            continue
+                    timing = self.netlist.evaluate(
+                        op, inst, e, allow_multicycle=allow_mc,
+                        profile=prof)
             if timing is not None and not timing.ok:
+                timing_failed += 1
                 if best_slack is None or timing.slack_ps > best_slack:
                     best_slack = timing.slack_ps
                 if accept_violation:
@@ -675,20 +744,21 @@ class _Pass:
                 continue
             if timing is None or timing.cycles == 1:
                 needed = single
-                last = e
                 eq_states = eq_single
+                late = single_late
             else:
                 needed = list(range(e, e + timing.cycles))
-                last = needed[-1]
                 eq_states = None
-            if last > self.latency - 1:
-                if lat_r is None:
-                    lat_r = Restraint(
-                        kind=RestraintKind.LATENCY, op_uid=op.uid, state=e,
-                        type_key=type_key, fits_fresh_state=True)
-                restraints.append(lat_r)
-                continue
-            if window is not None and last > window.end:
+                if needed[-1] > self.latency - 1:
+                    if lat_r is None:
+                        lat_r = Restraint(
+                            kind=RestraintKind.LATENCY, op_uid=op.uid,
+                            state=e, type_key=type_key,
+                            fits_fresh_state=True)
+                    restraints.append(lat_r)
+                    continue
+                late = window is not None and needed[-1] > window.end
+            if late:
                 if scc_r is None:
                     scc_r = Restraint(
                         kind=RestraintKind.SCC_TIMING, op_uid=op.uid,
@@ -732,23 +802,32 @@ class _Pass:
             # A bound-first candidate probes that memo before paying for
             # its evaluation: a known doom needs no timing numbers
             broken_info = None
+            if doom is None and (timing is None or timing.cycles == 1):
+                doom = self.netlist.doom_probe(op, e)
             if timing is None:
-                _key, broken_info = self.netlist.cached_doom(op, inst, e)
+                _key, broken_info = doom(inst)
                 if broken_info is None:
                     timing = self.netlist.evaluate(
                         op, inst, e, allow_multicycle=allow_mc,
                         profile=prof)
             if broken_info is None:
                 _result, broken_info = self.netlist.try_commit(
-                    op, inst, e, timing)
+                    op, inst, e, timing,
+                    doom if timing.cycles == 1 else None)
             if broken_info is not None:
-                restraints.append(self._doom_restraint(broken_info, type_key))
+                r = doom_ids.get(id(broken_info))
+                if r is None:
+                    r = self._doom_restraint(broken_info, type_key)
+                restraints.append(r)
+                doomed += 1
                 continue
             inst.occupy(op, needed)
             self.guard.commit(chain)
             self._on_bound(op.uid, needed[-1], multicycle=timing.cycles > 1)
+            self._tally_walk(visits, busy, doomed, timing_failed)
             return True, restraints
 
+        self._tally_walk(visits, busy, doomed, timing_failed)
         if fallback is not None:
             # bind with a timing violation; logic synthesis will pay for it
             inst, timing = fallback
@@ -772,6 +851,15 @@ class _Pass:
             restraints.append(self._timing_restraint(
                 op, e, dummy, arrival_probe(), type_key))
         return False, restraints
+
+    def _tally_walk(self, visits: int, busy: int, doomed: int,
+                    timing_failed: int) -> None:
+        """Add one candidate walk's outcome counts to the pass's."""
+        counts = self._walk_counts
+        counts[0] += visits
+        counts[1] += busy
+        counts[2] += doomed
+        counts[3] += timing_failed
 
     def _stream_port_free(self, op: Operation, e: int) -> bool:
         """Whether ``op``'s channel port is free at state ``e``.
@@ -895,6 +983,10 @@ class _Pass:
             r = self._dooms[key] = Restraint(
                 kind=RestraintKind.NEG_SLACK, op_uid=uid, state=state,
                 type_key=type_key, slack_ps=slack, input_arrival_ps=arrival)
+        # the engine hands out one memoized info object per doomed
+        # cache entry: later hits on it skip the payload hash
+        self._doom_ids.setdefault(type_key, {})[id(broken_info)] = r
+        self._doom_infos.append(broken_info)
         return r
 
     def _timing_restraint(self, op: Operation, e: int,
@@ -984,6 +1076,8 @@ class _Pass:
             profiling.bump("engine.commit_cache_miss",
                            self.netlist.n_cache_misses)
             profiling.bump("scheduler.priority_keys", self._n_priority_keys)
+            for key, n in zip(WALK_COUNTERS, self._walk_counts):
+                profiling.bump(key, n)
 
     def _run(self) -> PassOutcome:
         if not self._prepare():
@@ -1102,13 +1196,20 @@ def _ffwd_replays(batch, pool, netlist) -> float:
     return replays
 
 
+#: outcomes of the bind-walk's candidate visits, summed per pass: every
+#: visit, and the visits that ended busy, doomed (the commit would break
+#: a neighbour's path) or failing timing.
+WALK_COUNTERS = ("scheduler.walk_visits", "scheduler.walk_busy",
+                 "scheduler.walk_doomed", "scheduler.walk_timing_failed")
+
 #: counters whose per-pass deltas annotate ``scheduler.pass`` spans.
-#: Timing-engine commits stay aggregated at pass granularity on
-#: purpose: per-commit spans would blow the tracing overhead budget
-#: (try_commit runs orders of magnitude more often than passes).
-_ENGINE_SPAN_KEYS = ("engine.evaluate", "engine.commit",
-                     "engine.rollback", "engine.commit_cache_hit",
-                     "engine.commit_cache_miss")
+#: Timing-engine commits and candidate visits stay aggregated at pass
+#: granularity on purpose: per-commit spans would blow the tracing
+#: overhead budget (try_commit runs orders of magnitude more often than
+#: passes).
+_SPAN_COUNTERS = ("engine.evaluate", "engine.commit",
+                  "engine.rollback", "engine.commit_cache_hit",
+                  "engine.commit_cache_miss") + WALK_COUNTERS
 
 
 def schedule_region(
@@ -1152,9 +1253,11 @@ def schedule_region(
             f"{region.name}: latency bound {region.max_latency} below "
             f"minimum {min_latency}")
 
+    cache = carryover or _RegionCache(region, library)
     try:
         alloc_mobility = compute_mobility(
-            region, library, clock_ps, region.max_latency)
+            region, library, clock_ps, region.max_latency,
+            asap_memo=cache.asap)
     except InfeasibleTiming as exc:
         raise ScheduleError(
             f"{region.name}: infeasible even at max latency: {exc}") from exc
@@ -1163,7 +1266,6 @@ def schedule_region(
         pipeline.ii if pipeline else None)
 
     state = DriverState(latency=min_latency)
-    cache = carryover or _RegionCache(region, library)
     outcome: Optional[PassOutcome] = None
     prev_fp = None
     pass_no = 0
@@ -1174,14 +1276,14 @@ def schedule_region(
                         latency=state.latency) as pspan:
             if pspan is not None:
                 eng_before = {key: profiling.counters.get(key, 0)
-                              for key in _ENGINE_SPAN_KEYS}
+                              for key in _SPAN_COUNTERS}
             pass_run = _Pass(region, library, clock_ps, state.latency,
                              pipeline, allocation, state, options,
                              cache=cache)
             outcome = pass_run.run()
             if pspan is not None:
                 pspan.set("success", outcome.success)
-                for key in _ENGINE_SPAN_KEYS:
+                for key in _SPAN_COUNTERS:
                     pspan.set(key.replace(".", "_"),
                               profiling.counters.get(key, 0)
                               - eng_before[key])

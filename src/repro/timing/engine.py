@@ -46,7 +46,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.cdfg.dfg import DFG
 from repro.cdfg.ops import Operation, OpKind
@@ -62,6 +62,14 @@ TIMING_MODEL_VERSION = 2
 EPS = 1e-9
 
 _FREE_KINDS = (OpKind.SLICE, OpKind.ZEXT, OpKind.SEXT, OpKind.MOVE)
+
+#: a doom probe's verdict for a binding that bypasses the commit cache.
+_NO_DOOM: Tuple[None, None] = (None, None)
+
+
+def _no_doom(inst: ResourceInstance) -> Tuple[None, None]:
+    """The doom probe of bindings that all bypass the commit cache."""
+    return _NO_DOOM
 
 
 @dataclass(slots=True)
@@ -390,10 +398,11 @@ class TimingEngine:
         self._dep_uid: Dict[int, Set[Tuple]] = {}
         #: instance name -> cache keys depending on its sharing state.
         self._dep_inst: Dict[str, Set[Tuple]] = {}
-        #: (op uid, instance name) -> (instance version, growth
-        #: signature); the signature only changes when the instance's
-        #: port sources do, which the version counter tracks.
-        self._sig_cache: Dict[Tuple[int, str], Tuple[int, Tuple]] = {}
+        #: op uid -> instance name -> (instance version, cache key of
+        #: the growth signature, None when it is empty); the signature
+        #: only changes when the instance's port sources do, which the
+        #: version counter tracks.
+        self._sig_cache: Dict[int, Dict[str, Tuple[int, Optional[Tuple]]]] = {}
         self._uid_ver: Dict[int, int] = {}
         self._inst_ver: Dict[str, int] = {}
         # -- profiling counters (folded into repro.profiling per pass) --
@@ -971,46 +980,60 @@ class TimingEngine:
             sig.append((port, final))
         return tuple(sig)
 
-    def cached_doom(self, op: Operation, inst: Optional[ResourceInstance],
-                    state: int, cycles: int = 1,
-                    ) -> Tuple[Optional[Tuple],
-                               Optional[Tuple[int, int, float, float]]]:
-        """Probe the commit-outcome cache for a ``cycles``-long binding.
+    def doom_probe(self, op: Operation, state: int, cycles: int = 1,
+                   ) -> Callable[[ResourceInstance], Tuple]:
+        """The commit-outcome cache's probe for ``cycles``-long bindings
+        of ``op`` at ``state``: a function ``inst -> (cache key, broken
+        info)``.
 
-        Returns ``(cache key, broken info)``: the key under which
-        :meth:`try_commit` memoizes a doomed outcome (None when the
-        binding bypasses the cache), and the memoized broken info when a
-        commit is already known to break a neighbour.  Reads only
-        sources, versions and committed states -- never the candidate's
-        own timing -- so a caller holding a proof that the candidate
-        passes can skip evaluating it when the probe hits.
+        The key is the one under which :meth:`try_commit` memoizes a
+        doomed outcome (None when the binding bypasses the cache), and
+        the info is the memoized broken neighbour when a commit is
+        already known to break one.  The probe reads only sources,
+        versions and committed states -- never the candidate's own
+        timing -- so a caller holding a proof that the candidate passes
+        can skip evaluating it when the probe hits.
+
+        Everything that does not depend on the instance -- the steering
+        mux and chain-dirt bypasses, the memo lookups -- is settled here
+        once, so one probe serves a whole candidate walk: the walk only
+        provisionally commits, and every rollback restores the bindings
+        these checks read.
         """
-        if inst is None or op.is_mux:
-            return None, None
+        if op.is_mux:
+            return _no_doom
         if cycles == 1:
             for cons in self._chain_out.get(op.uid, ()):
                 cb = self._bound.get(cons)
                 if cb is not None and cb.state == state:
-                    return None, None  # chain dirt: candidate-specific
-        iname = inst.name
-        skey = (op.uid, iname)
-        iver = self._inst_ver.get(iname, 0)
-        cached_sig = self._sig_cache.get(skey)
-        if cached_sig is not None and cached_sig[0] == iver:
-            sig = cached_sig[1]
-        else:
-            sig = self._growth_signature(op, inst)
-            self._sig_cache[skey] = (iver, sig)
-        if not sig:
-            return None, None
-        cache_key = (iname, sig)
-        info = self._broken_cache.get(cache_key)
-        if info is not None:
-            self.n_cache_hits += 1
-        return cache_key, info
+                    return _no_doom  # chain dirt: candidate-specific
+        inst_ver = self._inst_ver
+        sigs = self._sig_cache.setdefault(op.uid, {})
+        broken = self._broken_cache
+        growth = self._growth_signature
+
+        def probe(inst: ResourceInstance) -> Tuple:
+            iname = inst.name
+            iver = inst_ver.get(iname, 0)
+            cached = sigs.get(iname)
+            if cached is not None and cached[0] == iver:
+                cache_key = cached[1]
+            else:
+                sig = growth(op, inst)
+                cache_key = (iname, sig) if sig else None
+                sigs[iname] = (iver, cache_key)
+            if cache_key is None:
+                return _NO_DOOM
+            info = broken.get(cache_key)
+            if info is not None:
+                self.n_cache_hits += 1
+            return cache_key, info
+
+        return probe
 
     def try_commit(self, op: Operation, inst: Optional[ResourceInstance],
                    state: int, timing: CandidateTiming,
+                   probe: Optional[Callable] = None,
                    ) -> Tuple[Optional[CommitResult],
                               Optional[Tuple[int, int, float, float]]]:
         """Commit unless the re-propagation breaks a committed binding.
@@ -1033,8 +1056,15 @@ class TimingEngine:
         producer would newly chain into a committed same-state consumer
         bypass the cache: their disturbance depends on the candidate
         itself.
+
+        ``probe`` is a :meth:`doom_probe` for ``op`` at ``state`` and
+        ``timing.cycles`` that the caller already holds; one is built
+        when it is absent.
         """
-        cache_key, info = self.cached_doom(op, inst, state, timing.cycles)
+        if probe is None:
+            probe = (_no_doom if inst is None
+                     else self.doom_probe(op, state, timing.cycles))
+        cache_key, info = probe(inst)
         if info is not None:
             return None, info
         visited: Optional[List[int]] = [] if cache_key is not None else None
@@ -1074,7 +1104,11 @@ class TimingEngine:
             self._broken_cache[cache_key] = info
             dep_uid = self._dep_uid
             for uid in fp_uids:
-                dep_uid.setdefault(uid, set()).add(cache_key)
+                keys = dep_uid.get(uid)
+                if keys is None:
+                    dep_uid[uid] = {cache_key}
+                else:
+                    keys.add(cache_key)
             self._dep_inst.setdefault(inst.name, set()).add(cache_key)
         return None, info
 

@@ -89,14 +89,22 @@ SUITE_RESTRAINT_LOG = {"restraints.entries": 2762,
                        "restraints.records": 12254}
 
 
+#: candidate-walk outcomes over the same suite: every visit, and the
+#: visits that ended busy, doomed or failing timing.
+SUITE_WALK_WORK = {"scheduler.walk_visits": 35671,
+                   "scheduler.walk_busy": 13170,
+                   "scheduler.walk_doomed": 10640,
+                   "scheduler.walk_timing_failed": 9621}
+
+
 def test_industrial_suite_engine_work_is_pinned():
+    pinned = {**SUITE_ENGINE_WORK, **SUITE_RESTRAINT_LOG, **SUITE_WALK_WORK}
     before = profiling.snapshot()
     for _spec, region in industrial_suite(n_designs=4, max_ops=300):
         _schedule(region)
     after = profiling.snapshot()
-    delta = {key: after.get(key, 0) - before.get(key, 0)
-             for key in (*SUITE_ENGINE_WORK, *SUITE_RESTRAINT_LOG)}
-    assert delta == {**SUITE_ENGINE_WORK, **SUITE_RESTRAINT_LOG}
+    delta = {key: after.get(key, 0) - before.get(key, 0) for key in pinned}
+    assert delta == pinned
 
 
 @pytest.mark.parametrize("name", PAPER_WORKLOADS)
@@ -114,6 +122,11 @@ def test_tracing_bit_identical_on_paper_examples(name):
     assert spans and all(s["name"] == "scheduler.pass" for s in spans)
     # the last pass is the accepting one and records its decision
     assert spans[-1]["attrs"].get("success") is True
+    # every pass carries its candidate-walk counts; a pass that binds
+    # anything visits at least one candidate
+    for key in ("visits", "busy", "doomed", "timing_failed"):
+        assert all(f"scheduler_walk_{key}" in s["attrs"] for s in spans)
+    assert spans[-1]["attrs"]["scheduler_walk_visits"] > 0
 
 
 @given(seed=st.integers(0, 10_000), n_ops=st.integers(3, 14),

@@ -1,0 +1,103 @@
+#!/usr/bin/env python3
+"""How scheduling time grows with design size: the Fig. 9 scaling probe.
+
+The paper's Fig. 9 claims that scheduling time follows the number of
+relaxation passes, not CDFG size.  This probe takes the largest design
+of the reduced Fig. 9 ladder (``industrial_suite(10, max_ops=1200)``,
+ind09) and scales its spec to ``n_ops`` 1200 and 2400 (``--full`` adds
+4800), with ``n_inputs = n_ops // 60``; the built DFG is about 1.2x the
+spec size.  Each point is scheduled once on artisan90 at 1600 ps.
+
+For each point it prints the built op count, the relaxation passes, the
+CPU seconds of ``schedule_region`` and the bind-walk's candidate visits
+(``scheduler.walk_visits``).  Then it prints the exponent of a
+least-squares fit ``cpu ~ ops^k`` in log-log space and the Pearson
+correlation between passes and CPU seconds over the points (with the
+two default points it is +-1 by construction; it says something only
+with ``--full``).
+
+Run:  python tools/scaling_probe.py [--full]
+
+It is a bench-lane probe: one run takes about a minute (``--full``:
+several more), so it is kept out of the tier-1 suite and out of
+perfbench's fixed workloads.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import math
+import sys
+import time
+from pathlib import Path
+from typing import List, Sequence, Tuple
+
+REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "src"))
+
+from repro import profiling  # noqa: E402
+from repro.core import schedule_region  # noqa: E402
+from repro.tech import artisan90  # noqa: E402
+from repro.workloads.synthetic import (generate_design,  # noqa: E402
+                                       industrial_suite)
+
+CLOCK_PS = 1600.0
+SIZES = (1200, 2400)
+FULL_SIZES = SIZES + (4800,)
+
+
+def probe(n_ops: int) -> Tuple[int, int, float, int]:
+    """(built ops, passes, CPU seconds, walk visits) of one point."""
+    spec = industrial_suite(n_designs=10, max_ops=1200)[-1][0]
+    spec = dataclasses.replace(spec, n_ops=n_ops, n_inputs=n_ops // 60)
+    region = generate_design(spec)
+    before = profiling.counters.get("scheduler.walk_visits", 0)
+    start = time.process_time()
+    schedule = schedule_region(region, artisan90(), CLOCK_PS)
+    cpu = time.process_time() - start
+    visits = profiling.counters.get("scheduler.walk_visits", 0) - before
+    return len(region.dfg.ops), schedule.passes, cpu, visits
+
+
+def fitted_exponent(ops: Sequence[float], cpu: Sequence[float]) -> float:
+    """Slope of the least-squares line through (log ops, log cpu)."""
+    xs = [math.log(x) for x in ops]
+    ys = [math.log(y) for y in cpu]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    sxx = sum((x - mx) ** 2 for x in xs)
+    return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sxx
+
+
+def correlation(a: Sequence[float], b: Sequence[float]) -> float:
+    """Pearson correlation; NaN when either side is constant."""
+    ma, mb = sum(a) / len(a), sum(b) / len(b)
+    saa = sum((x - ma) ** 2 for x in a)
+    sbb = sum((y - mb) ** 2 for y in b)
+    if saa == 0 or sbb == 0:
+        return math.nan
+    sab = sum((x - ma) * (y - mb) for x, y in zip(a, b))
+    return sab / math.sqrt(saa * sbb)
+
+
+def main(argv: List[str] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--full", action="store_true",
+                        help="add the n_ops 4800 point")
+    args = parser.parse_args(argv)
+    rows = []
+    print(f"{'spec n_ops':>10} {'ops':>6} {'passes':>6} {'cpu s':>8} "
+          f"{'s/pass':>7} {'walk visits':>12}")
+    for n_ops in FULL_SIZES if args.full else SIZES:
+        ops, passes, cpu, visits = probe(n_ops)
+        rows.append((ops, passes, cpu))
+        print(f"{n_ops:>10} {ops:>6} {passes:>6} {cpu:>8.2f} "
+              f"{cpu / passes:>7.3f} {visits:>12}", flush=True)
+    ops, passes, cpu = zip(*rows)
+    print(f"fitted exponent (cpu ~ ops^k): k = {fitted_exponent(ops, cpu):.2f}")
+    print(f"passes-vs-time correlation: r = {correlation(passes, cpu):.2f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
