@@ -16,7 +16,7 @@ this binding close a cycle?" queries.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 
 class CombCycleGuard:
@@ -26,99 +26,104 @@ class CombCycleGuard:
     per-operation names for dedicated logic (muxes, unbound operations);
     only shared instances can close false cycles, but dedicated nodes may
     sit on the path of one.
+
+    The graph only grows during a scheduling pass, so the guard keeps its
+    transitive closure instead of the edges: per node, a bitmask of the
+    nodes it reaches and one of the nodes that reach it (each including
+    the node itself).  A commit ORs the new reach into every ancestor of
+    the edge's source, and the new ancestry into every descendant of its
+    destination; a query is a bit test and never mutates anything.
     """
 
     def __init__(self) -> None:
-        self._succs: Dict[str, Set[str]] = {}
-        #: reference counts so bindings can be retracted
-        self._edges: Dict[Tuple[str, str], int] = {}
-        #: memoized single-edge ``would_cycle`` verdicts, cleared on any
-        #: graph mutation.  A verdict is a pure function of the current
-        #: graph, and failing walks never mutate the graph -- so when a
-        #: doomed operation retries the same candidate chain at each
-        #: successive state, the identical reachability question repeats
-        #: thousands of times between commits.
-        self._memo: Dict[Tuple[str, str], bool] = {}
+        #: node name -> bit index
+        self._index: Dict[str, int] = {}
+        #: per bit index: nodes reachable from it, itself included
+        self._desc: List[int] = []
+        #: per bit index: nodes it is reachable from, itself included
+        self._anc: List[int] = []
 
-    def _reachable(self, src: str, dst: str) -> bool:
-        if src == dst:
-            return True
-        succs = self._succs
-        first = succs.get(src)
-        if not first:
-            return False
-        seen: Set[str] = {src}
-        stack = list(first)
-        while stack:
-            cur = stack.pop()
-            if cur == dst:
-                return True
-            if cur in seen:
-                continue
-            seen.add(cur)
-            nxt = succs.get(cur)
-            if nxt:
-                stack.extend(nxt)
-        return False
+    def _node(self, name: str) -> int:
+        i = self._index.get(name)
+        if i is None:
+            i = self._index[name] = len(self._desc)
+            self._desc.append(1 << i)
+            self._anc.append(1 << i)
+        return i
 
-    def would_cycle(self, new_edges: List[Tuple[str, str]]) -> bool:
+    def would_cycle(self, new_edges: Sequence[Tuple[str, str]]) -> bool:
         """Whether adding all ``new_edges`` would create a directed cycle.
 
         Self edges (chaining two ops on one instance within a state is
         impossible anyway) are reported as cycles.
         """
-        # fast paths: no chaining at all, or a single new connection
-        # (no compound-edge interaction to simulate)
         if not new_edges:
             return False
-        if len(new_edges) == 1:
-            edge = new_edges[0]
-            hit = self._memo.get(edge)
-            if hit is not None:
-                return hit
-            src, dst = edge
-            verdict = self._memo[edge] = self._reachable(dst, src)
-            return verdict
-        # check against existing graph plus the earlier new edges
-        added: List[Tuple[str, str]] = []
-        try:
-            for src, dst in new_edges:
-                if self._reachable(dst, src):
-                    return True
-                self._add(src, dst)
-                added.append((src, dst))
-            return False
-        finally:
-            for src, dst in added:
-                self._remove(src, dst)
+        dst = new_edges[0][1]
+        for _src, other in new_edges:
+            if other != dst:
+                return self._would_cycle_batch(new_edges)
+        # every edge enters ``dst``: a path from ``dst`` back to a source
+        # through one of the new edges revisits ``dst``, so cutting it at
+        # the last visit leaves a path in the committed graph alone
+        index = self._index
+        j = index.get(dst)
+        reach = self._desc[j] if j is not None else 0
+        for src, _dst in new_edges:
+            if src == dst:
+                return True
+            i = index.get(src)
+            if i is not None and reach >> i & 1:
+                return True
+        return False
 
-    def _add(self, src: str, dst: str) -> None:
-        if self._memo:
-            self._memo.clear()
-        self._succs.setdefault(src, set()).add(dst)
-        self._edges[(src, dst)] = self._edges.get((src, dst), 0) + 1
+    def _would_cycle_batch(self, new_edges: Sequence[Tuple[str, str]]) -> bool:
+        """General form for edges into several destinations: add them in
+        order, each checked against the closure plus the earlier ones.
+        Nodes the graph does not hold yet get scratch bits above it."""
+        index, desc = self._index, self._desc
+        scratch: Dict[str, int] = {}
 
-    def _remove(self, src: str, dst: str) -> None:
-        if self._memo:
-            self._memo.clear()
-        count = self._edges.get((src, dst), 0) - 1
-        if count <= 0:
-            self._edges.pop((src, dst), None)
-            if src in self._succs:
-                self._succs[src].discard(dst)
-        else:
-            self._edges[(src, dst)] = count
+        def closure_of(name: str) -> Tuple[int, int]:
+            i = index.get(name)
+            if i is not None:
+                return i, desc[i]
+            i = scratch.get(name)
+            if i is None:
+                i = scratch[name] = len(desc) + len(scratch)
+            return i, 1 << i
 
-    def commit(self, new_edges: List[Tuple[str, str]]) -> None:
-        """Add connection edges for an accepted binding."""
+        # (source bit, destination closure over the graph plus the earlier
+        # new edges) per new edge.  One in-order pass is exact: along a
+        # path, the part between two edges of increasing index only uses
+        # edges of lower index, which the stored closure already holds.
+        added: List[Tuple[int, int]] = []
         for src, dst in new_edges:
-            self._add(src, dst)
+            i, _ = closure_of(src)
+            _, reach = closure_of(dst)
+            for a, a_reach in added:
+                if reach >> a & 1:
+                    reach |= a_reach
+            if reach >> i & 1:
+                return True
+            added.append((i, reach))
+        return False
 
-    def retract(self, edges: List[Tuple[str, str]]) -> None:
-        """Remove previously committed edges (backtracking)."""
-        for src, dst in edges:
-            self._remove(src, dst)
-
-    def edge_count(self) -> int:
-        """Number of distinct connection edges currently present."""
-        return len(self._edges)
+    def commit(self, new_edges: Sequence[Tuple[str, str]]) -> None:
+        """Add connection edges for an accepted binding."""
+        desc, anc = self._desc, self._anc
+        for src, dst in new_edges:
+            i, j = self._node(src), self._node(dst)
+            if desc[i] >> j & 1:
+                continue  # already reachable: the closure is unchanged
+            reach, back = desc[j], anc[i]
+            rest = back
+            while rest:
+                low = rest & -rest
+                desc[low.bit_length() - 1] |= reach
+                rest ^= low
+            rest = reach
+            while rest:
+                low = rest & -rest
+                anc[low.bit_length() - 1] |= back
+                rest ^= low

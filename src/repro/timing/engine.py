@@ -133,6 +133,9 @@ class CommitResult:
     undo_sources: Tuple[Tuple[Tuple[str, int], int], ...] = ()
     #: (binding, previous out arrival, previous capture) per re-timed op.
     undo_timing: Tuple[Tuple[BoundOp, float, float], ...] = ()
+    #: whether a sharing-mux delay of the new binding's instance changed,
+    #: which re-examines every op the instance hosts.
+    mux_grew: bool = False
 
     @property
     def retimed(self) -> Tuple[BoundOp, ...]:
@@ -385,17 +388,26 @@ class TimingEngine:
         self._chain_consumers = statics.chain_consumers
         self._chain_out = statics.chain_out
         # -- commit-outcome cache ---------------------------------------
-        #: serve repeated doomed commits (the ~96%-rollback candidate
-        #: walks) from a memo instead of re-propagating the netlist; see
-        #: :meth:`try_commit`.  Entries are invalidated eagerly: every
-        #: *kept* commit deletes the entries whose recorded read footprint
-        #: it touches (via the reverse dependency maps below), so a probe
-        #: is a single dict lookup.  Rollbacks restore the netlist
-        #: exactly, so provisional commit/rollback pairs never invalidate.
+        #: serve repeated doomed commits (most of a candidate walk's
+        #: try_commits) from a memo instead of re-propagating the
+        #: netlist; see :meth:`try_commit`.  Entries are invalidated
+        #: eagerly: every *kept* commit deletes the entries whose recorded
+        #: read footprint it can change (via the reverse dependency maps
+        #: below), so a probe is a single dict lookup.  Rollbacks restore
+        #: the netlist exactly, so provisional commit/rollback pairs never
+        #: invalidate.
         self._broken_cache: Dict[Tuple, Tuple] = {}
-        #: footprint uid -> cache keys depending on it (stale keys are
-        #: tolerated: invalidation pops with a default).
+        #: visited uid -> cache keys whose doomed propagation re-timed or
+        #: examined that binding; any kept commit or retime of it drops
+        #: them (stale keys are tolerated: invalidation pops with a
+        #: default).
         self._dep_uid: Dict[int, Set[Tuple]] = {}
+        #: (uid, reader state) -> cache keys whose propagation read that
+        #: uid as an input root or chain consumer of an op bound in that
+        #: state.  Those reads see only "bound in the reader's state", so
+        #: only a kept commit or retime of the uid *in that state* drops
+        #: them; a retime never moves a binding to another state.
+        self._dep_read: Dict[Tuple[int, int], Set[Tuple]] = {}
         #: instance name -> cache keys depending on its sharing state.
         self._dep_inst: Dict[str, Set[Tuple]] = {}
         #: op uid -> instance name -> (instance version, cache key of
@@ -403,7 +415,6 @@ class TimingEngine:
         #: only changes when the instance's port sources do, which the
         #: version counter tracks.
         self._sig_cache: Dict[int, Dict[str, Tuple[int, Optional[Tuple]]]] = {}
-        self._uid_ver: Dict[int, int] = {}
         self._inst_ver: Dict[str, int] = {}
         # -- profiling counters (folded into repro.profiling per pass) --
         self.n_evaluate = 0
@@ -792,7 +803,10 @@ class TimingEngine:
         The returned :class:`CommitResult` lists the other committed
         bindings whose stored arrivals changed; callers that must
         guarantee timing check :meth:`CommitResult.broken` and
-        :meth:`uncommit` on violation.
+        :meth:`uncommit` on violation.  An op is committed at most once
+        until it is uncommitted: the commit-outcome cache keys the reads
+        of a binding by its state, which nothing but :meth:`uncommit`
+        may move.
 
         ``_provisional`` suppresses commit-outcome-cache invalidation:
         :meth:`try_commit` sets it and invalidates itself only when the
@@ -806,6 +820,7 @@ class TimingEngine:
         self._bound[op.uid] = bound
         dirty: Set[int] = set()
         added: List[Tuple[Tuple[str, int], int]] = []
+        mux_grew = False
         if inst is not None and not op.is_mux:
             iname = inst.name
             hosted = self._inst_ops.setdefault(iname, set())
@@ -825,6 +840,7 @@ class TimingEngine:
                     self.max_fanin[iname] = len(sources)
                 if self._port_mux_delay(inst, len(sources)) != before:
                     dirty.update(hosted)
+                    mux_grew = True
             hosted.add(op.uid)
             self._inst_ver[iname] = self._inst_ver.get(iname, 0) + 1
         # a single-cycle producer now chains combinationally into any
@@ -835,19 +851,12 @@ class TimingEngine:
                 cb = self._bound.get(cons)
                 if cb is not None and cb.state == state:
                     dirty.add(cons)
-        retimed = self._propagate(dirty, _visited)
-        uid_ver = self._uid_ver
-        uid_ver[op.uid] = uid_ver.get(op.uid, 0) + 1
-        for other, _out, _capture in retimed:
-            uid = other.op.uid
-            uid_ver[uid] = uid_ver.get(uid, 0) + 1
+        result = CommitResult(bound, tuple(added),
+                              tuple(self._propagate(dirty, _visited)),
+                              mux_grew)
         if not _provisional and self._broken_cache:
-            changed = [op.uid]
-            changed.extend(o.op.uid for o, _out, _cap in retimed)
-            self._invalidate_commit_cache(
-                changed,
-                inst.name if (inst is not None and not op.is_mux) else None)
-        return CommitResult(bound, tuple(added), tuple(retimed))
+            self._invalidate_commit_cache(result)
+        return result
 
     def rollback(self, result: CommitResult) -> None:
         """Revert a commit in O(changed).
@@ -856,15 +865,14 @@ class TimingEngine:
         scheduler's reject-on-violation path); anything older must go
         through :meth:`uncommit`.
 
-        Version counters are decremented back to their pre-commit values,
-        so a commit+rollback pair is invisible to the commit-outcome
-        cache -- doomed candidate walks must not invalidate it.
+        The instance version counter is decremented back to its
+        pre-commit value, so a commit+rollback pair is invisible to the
+        commit-outcome cache -- doomed candidate walks must not
+        invalidate it.
         """
         self.n_rollback += 1
         bound = result.bound
         self._bound.pop(bound.op.uid, None)
-        uid_ver = self._uid_ver
-        uid_ver[bound.op.uid] = uid_ver.get(bound.op.uid, 0) - 1
         if bound.inst is not None and not bound.op.is_mux:
             iname = bound.inst.name
             self._inst_ver[iname] = self._inst_ver.get(iname, 0) - 1
@@ -889,8 +897,6 @@ class TimingEngine:
         for other, out, capture in result.undo_timing:
             other.out_arrival_ps = out
             other.capture_ps = capture
-            uid = other.op.uid
-            uid_ver[uid] = uid_ver.get(uid, 0) - 1
 
     def _refresh_max_fanin(self, iname: str) -> None:
         """Recompute an instance's widest port fanin after sources left."""
@@ -1048,14 +1054,26 @@ class TimingEngine:
           the payload of the scheduler's NEG_SLACK restraint.
 
         Doomed outcomes are memoized per ``(instance, growth signature)``.
-        Each entry records the read footprint of the walk that produced
-        it in reverse dependency maps, and every *kept* commit eagerly
-        deletes the entries it touches -- so a probe is a single dict
-        lookup (:meth:`cached_doom`).  Provisional commit/rollback pairs
-        restore the netlist exactly and never invalidate.  Bindings whose
-        producer would newly chain into a committed same-state consumer
-        bypass the cache: their disturbance depends on the candidate
-        itself.
+        Each entry records the read footprint of the propagation that
+        produced it in reverse dependency maps, and every *kept* commit
+        eagerly deletes the entries it can change -- so a probe is a
+        single dict lookup (:meth:`doom_probe`).  The footprint has two
+        parts:
+
+        * the bindings the propagation visited, keyed by uid: a kept
+          commit or retime of any of them drops the entry;
+        * the input roots and chain consumers those bindings read, keyed
+          by ``(uid, state of the reading binding)``.  :meth:`_path`
+          reads a root only through "bound in the reader's state and
+          single-cycle" and :meth:`_propagate` reads a consumer only
+          through "bound in the visited binding's state", so only a kept
+          commit or retime of that uid in that state can change what was
+          read; a retime never changes a binding's state.
+
+        Provisional commit/rollback pairs restore the netlist exactly and
+        never invalidate.  Bindings whose producer would newly chain into
+        a committed same-state consumer bypass the cache: their
+        disturbance depends on the candidate itself.
 
         ``probe`` is a :meth:`doom_probe` for ``op`` at ``state`` and
         ``timing.cycles`` that the caller already holds; one is built
@@ -1073,65 +1091,98 @@ class TimingEngine:
         broken = result.broken(self.clock_ps)
         if broken is None:
             if self._broken_cache:
-                changed = [op.uid]
-                changed.extend(o.op.uid for o, _out, _cap
-                               in result.undo_timing)
-                self._invalidate_commit_cache(
-                    changed,
-                    inst.name if (inst is not None and not op.is_mux)
-                    else None)
+                self._invalidate_commit_cache(result)
             return result, None
         slack = self.slack_of(broken)
         arrival = self.worst_input_arrival(broken.op, broken.state)
-        self.rollback(result)
         info = (broken.op.uid, broken.state, slack, arrival)
         if cache_key is not None:
             self.n_cache_misses += 1
-            # footprint: every binding the doomed walk read -- the
-            # re-timed/visited uids, the roots their paths consulted, the
-            # chain consumers examined for cascading, and the broken
-            # op's own inputs (for the arrival probe)
-            fp_uids: Set[int] = set(visited or ())
-            for uid in list(fp_uids):
-                for _port, root, static in self._info(uid):
-                    if static is None:
-                        fp_uids.add(root)
-                for cons in self._chain_consumers.get(uid, ()):
-                    fp_uids.add(cons)
-            for _port, root, static in self._info(broken.op.uid):
-                if static is None:
-                    fp_uids.add(root)
             self._broken_cache[cache_key] = info
-            dep_uid = self._dep_uid
-            for uid in fp_uids:
-                keys = dep_uid.get(uid)
-                if keys is None:
-                    dep_uid[uid] = {cache_key}
-                else:
-                    keys.add(cache_key)
+            self._record_footprint(cache_key, visited)
             self._dep_inst.setdefault(inst.name, set()).add(cache_key)
+        self.rollback(result)
         return None, info
 
-    def _invalidate_commit_cache(self, uids: List[int],
-                                 iname: Optional[str]) -> None:
-        """Drop cache entries whose footprint a kept commit touched."""
+    def _record_footprint(self, cache_key: Tuple,
+                          visited: List[int]) -> None:
+        """Register a doomed entry under every binding its propagation
+        visited and every ``(root or chain consumer, reader state)`` it
+        read (see :meth:`try_commit`).  The broken binding is itself
+        visited, so the inputs :meth:`worst_input_arrival` read for the
+        payload are covered too."""
+        dep_uid = self._dep_uid
+        dep_read = self._dep_read
+        bound_map = self._bound
+        in_info = self._in_info
+        chain_out = self._chain_out
+        reads: Set[Tuple[int, int]] = set()
+        for uid in visited:
+            keys = dep_uid.get(uid)
+            if keys is None:
+                dep_uid[uid] = {cache_key}
+            else:
+                keys.add(cache_key)
+            bound = bound_map.get(uid)
+            if bound is None:
+                continue  # nothing was read for it
+            state = bound.state
+            info = in_info.get(uid)
+            if info is None:
+                info = self._info(uid)
+            for _port, root, static in info:
+                if static is None:
+                    reads.add((root, state))
+            for cons in chain_out.get(uid, ()):
+                reads.add((cons, state))
+        for read in reads:
+            keys = dep_read.get(read)
+            if keys is None:
+                dep_read[read] = {cache_key}
+            else:
+                keys.add(cache_key)
+
+    def _invalidate_commit_cache(self, result: CommitResult) -> None:
+        """Drop the cache entries a kept commit can change: those that
+        visited the new or a re-timed binding, those that read one of
+        them in its state, and those on the new binding's instance.
+
+        When the commit grew a sharing mux, the entries that visited any
+        op the instance hosts go too, re-timed or not: a grown port term
+        that stayed under a hosted op's committed maximum can still
+        exceed it once a doomed propagation raised the arrival behind
+        that same port."""
         cache = self._broken_cache
         dep_uid = self._dep_uid
-        for uid in uids:
-            keys = dep_uid.pop(uid, None)
-            if keys:
-                for key in keys:
-                    cache.pop(key, None)
-        if iname is not None:
+        dep_read = self._dep_read
+        bound = result.bound
+        touched = [bound]
+        touched.extend(b for b, _out, _capture in result.undo_timing)
+        for b in touched:
+            uid = b.op.uid
+            for keys in (dep_uid.pop(uid, None),
+                         dep_read.pop((uid, b.state), None)):
+                if keys:
+                    for key in keys:
+                        cache.pop(key, None)
+        if bound.inst is not None and not bound.op.is_mux:
+            iname = bound.inst.name
             keys = self._dep_inst.pop(iname, None)
             if keys:
                 for key in keys:
                     cache.pop(key, None)
+            if result.mux_grew:
+                for uid in self._inst_ops[iname]:
+                    keys = dep_uid.pop(uid, None)
+                    if keys:
+                        for key in keys:
+                            cache.pop(key, None)
 
     def _clear_commit_cache(self) -> None:
         """Wholesale reset (outlook changes, uncommit, retime_all)."""
         self._broken_cache.clear()
         self._dep_uid.clear()
+        self._dep_read.clear()
         self._dep_inst.clear()
         self._sig_cache.clear()
 
