@@ -22,7 +22,8 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import (Dict, List, NamedTuple, Optional, Sequence, Set, Tuple,
+                    Union)
 
 from repro import profiling
 from repro.cdfg.dfg import DFG
@@ -133,6 +134,13 @@ class _RegionCache:
         #: uid -> (loop-carried out-edges, loop-carried ordering
         #: in-edges): the edges modulo causality checks.
         self.carried: Dict[int, Tuple[List, List]] = {}
+        #: uid -> (kind, resource width, type key): the op's part of a
+        #: walk class key (see :meth:`_Pass._replay`).
+        self.walk_kinds: Dict[int, Tuple] = {}
+        #: ops that never join a walk class: a predicate that is not
+        #: always true makes their busy verdicts their own.
+        self.predicated: Set[int] = {
+            op.uid for op in region.dfg.ops if not op.predicate.is_true}
 
 
 @dataclass
@@ -186,6 +194,37 @@ def _grade_table(order: List[ResourceInstance]) -> Tuple[
         if firsts[g] is None and not inst._ops_map:
             firsts[g] = inst
     return grade_of, firsts
+
+
+class _FailedWalk(NamedTuple):
+    """What a candidate walk that bound nothing leaves for
+    :meth:`_Pass._try_bind`: the restraints it recorded in the loop, its
+    outcome counts, its best timing slack, the accept-violation fallback,
+    whether it raised a latency restraint (which names the op) and the
+    restraints it adds for the op after the loop."""
+
+    restraints: Sequence[Restraint]
+    visits: int
+    busy: int
+    doomed: int
+    timing_failed: int
+    best_slack: Optional[float]
+    fallback: Optional[Tuple[ResourceInstance, CandidateTiming]]
+    latency: bool
+    #: the restraints added for the op after the loop: NO_RESOURCE when
+    #: a candidate was busy, the timing restraint of the best slack when
+    #: one failed timing (none when the fallback binds).
+    tail: Tuple[Restraint, ...]
+
+
+def _retargeted(r: Restraint, uid: int) -> Restraint:
+    """A copy of a walk-tail restraint (NO_RESOURCE or timing) that
+    names op ``uid``."""
+    return Restraint(
+        kind=r.kind, op_uid=uid, state=r.state, type_key=r.type_key,
+        slack_ps=r.slack_ps, fresh_instance_fails=r.fresh_instance_fails,
+        fits_fresh_state=r.fits_fresh_state, scc_index=r.scc_index,
+        input_arrival_ps=r.input_arrival_ps)
 
 
 def _equivalent_states(needed: List[int], latency: int,
@@ -290,14 +329,23 @@ class _Pass:
         self._doom_infos: List[Tuple] = []
         self._n_priority_keys = 0
         #: candidate-walk outcomes of the pass: visits, busy, doomed and
-        #: timing-failed candidates (see :data:`WALK_COUNTERS`).
-        self._walk_counts = [0, 0, 0, 0]
+        #: timing-failed candidates, and replayed walks (see
+        #: :data:`WALK_COUNTERS`).
+        self._walk_counts = [0, 0, 0, 0, 0]
+        #: walk class -> (kept-commit count, failed walk); see
+        #: :meth:`_replay`.
+        self._walks: Dict[Tuple, Tuple[int, _FailedWalk]] = {}
+        #: ops that cannot join a walk class in this pass: predicated,
+        #: banned from an instance or in an SCC window (set once the
+        #: windows are known, see :meth:`_run`).
+        self._classless: Set[int] = set()
 
     # ------------------------------------------------------------------
     # setup
     # ------------------------------------------------------------------
-    def _mobility(self) -> Dict[int, Mobility]:
-        """This pass's mobility map, via the carryover cache.
+    def _mobility(self) -> Union[Dict[int, Mobility], InfeasibleTiming]:
+        """This pass's mobility map, or the InfeasibleTiming its analysis
+        raised, via the carryover cache.
 
         The cache stores the pristine result per (latency, speculated
         set) and hands out per-op copies: SCC window clamping and the
@@ -310,30 +358,30 @@ class _Pass:
                 cached = compute_mobility(
                     self.region, self.library, self.clock_ps, self.latency,
                     self.state.speculated, asap_memo=self.cache.asap)
+                profiling.bump("mobility.compute")
             except InfeasibleTiming as exc:
-                self.cache.mobility[key] = exc
-                raise
+                # cached without its traceback: the frames would pin
+                # this pass (netlist, pool, log) in the carryover cache
+                cached = exc.with_traceback(None)
             self.cache.mobility[key] = cached
-            profiling.bump("mobility.compute")
-        elif isinstance(cached, InfeasibleTiming):
-            profiling.bump("mobility.cache_hit")
-            raise cached
         else:
             profiling.bump("mobility.cache_hit")
+        if isinstance(cached, InfeasibleTiming):
+            return cached
         return {uid: mob.copy() for uid, mob in cached.items()}
 
     def _prepare(self) -> bool:
         """Mobility + SCC windows; returns False (with restraints) on failure."""
-        try:
-            self.mobility = self._mobility()
-        except InfeasibleTiming as exc:
-            uid = exc.uid if exc.uid is not None else -1
+        mobility = self._mobility()
+        if isinstance(mobility, InfeasibleTiming):
+            uid = mobility.uid if mobility.uid is not None else -1
             self.log.record(Restraint(
                 kind=RestraintKind.LATENCY, op_uid=uid,
                 state=self.latency - 1, fits_fresh_state=True))
             if uid >= 0:
                 self.log.mark_failed(uid)
             return False
+        self.mobility = mobility
         if self.pipeline is not None:
             blind_anchor = (not self.options.enable_scc_move
                             and self.options.accept_negative_slack)
@@ -627,9 +675,17 @@ class _Pass:
             self._on_bound(op.uid, e, multicycle=False)
             return True, restraints
 
-        busy = visits = doomed = timing_failed = 0
-        best_slack: Optional[float] = None
-        fallback: Optional[Tuple[ResourceInstance, CandidateTiming]] = None
+        # a failed walk of the op's walk class in this state answers
+        # this one when no commit was kept since (see :meth:`_replay`)
+        cls = walk = None
+        if not accept_violation and op.uid not in self._classless:
+            cls, walk = self._replay(op, e, type_key)
+        if walk is not None:
+            self._tally_walk(walk.visits, walk.busy, walk.doomed,
+                             walk.timing_failed)
+            restraints = list(walk.restraints)
+            restraints.extend(_retargeted(r, op.uid) for r in walk.tail)
+            return False, restraints
         candidates, grade_of, firsts = self._candidates(op)
         if not candidates:
             # no instance at all (everything forbidden, or the pool lacks
@@ -642,6 +698,80 @@ class _Pass:
                 fresh_instance_fails=not fresh.ok,
                 fits_fresh_state=self._fits_fresh_state(op)))
             return False, restraints
+        walk = self._walk(op, e, type_key, accept_violation, arrival_probe,
+                          restraints, candidates, grade_of, firsts)
+        if walk is None:
+            return True, restraints
+        self._tally_walk(walk.visits, walk.busy, walk.doomed,
+                         walk.timing_failed)
+        if walk.fallback is not None:
+            # bind with a timing violation; logic synthesis will pay for it
+            inst, timing = walk.fallback
+            chain = self._chain_edges(op, inst, e)
+            self.netlist.commit(op, inst, e, timing)
+            inst.occupy(op, [e])
+            self.guard.commit(chain)
+            self._on_bound(op.uid, e, multicycle=False)
+            return True, restraints
+        if cls is not None and not walk.latency:
+            netlist = self.netlist
+            self._walks[cls] = (netlist.n_commit - netlist.n_rollback,
+                                walk._replace(restraints=tuple(restraints)))
+        restraints.extend(walk.tail)
+        return False, restraints
+
+    def _replay(self, op: Operation, e: int, type_key,
+                ) -> Tuple[Optional[Tuple], Optional[_FailedWalk]]:
+        """The walk class of binding ``op`` at ``e`` (None when the op
+        cannot join one), and the class's stored failed walk when no
+        commit was kept since it ran.
+
+        A class is (state, kind, resource width, type key, input ports).
+        An op joins only when nothing else about it reaches the walk:
+        its predicate is true (busy checks read only the occupants'), it
+        has no SCC window and no forbidden pairs (the candidate list and
+        the window verdicts are the class's) -- the caller skips the ops
+        in ``_classless`` -- and the engine finds its timing and commit
+        outcomes generic (:meth:`TimingEngine.generic_ports`).
+        Everything a walk reads -- bindings, port sources, occupancy,
+        the comb-cycle guard and the commit cache's entries -- changes
+        only when a commit is kept: a doomed commit rolls back exactly,
+        and a failed walk leaves every doom it met cached.  So while the
+        engine's kept-commit count stands, a later walk of the class
+        visits the same candidates to the same outcomes and records the
+        same interned restraints.  Only the tail restraints name the op;
+        the rest of their fields (arrival FF clk->q, the fresh-instance
+        and fresh-state verdicts, the best slack) are the class's, so
+        the caller copies them for its op (:func:`_retargeted`).
+        """
+        kind = self.cache.walk_kinds.get(op.uid)
+        if kind is None:
+            kind = self.cache.walk_kinds[op.uid] = (
+                op.kind, op.resource_width, type_key)
+        netlist = self.netlist
+        ports = netlist.generic_ports(op, e)
+        if ports is None:
+            return None, None
+        cls = (e, kind, ports)
+        ent = self._walks.get(cls)
+        if ent is None or ent[0] != netlist.n_commit - netlist.n_rollback:
+            return cls, None
+        self._walk_counts[4] += 1
+        return cls, ent[1]
+
+    def _walk(self, op: Operation, e: int, type_key,
+              accept_violation: bool, arrival_probe,
+              restraints: List[Restraint],
+              candidates: List[ResourceInstance], grade_of: List[int],
+              firsts: List[Optional[ResourceInstance]],
+              ) -> Optional[_FailedWalk]:
+        """Visit ``op``'s candidates at ``e`` in walk order and bind it to
+        the first that is free, meets timing and breaks no neighbour;
+        returns None when it did, else the failed walk.  The restraints
+        met in the loop are appended to ``restraints`` either way."""
+        busy = visits = doomed = timing_failed = 0
+        best_slack: Optional[float] = None
+        fallback: Optional[Tuple[ResourceInstance, CandidateTiming]] = None
         # loop-invariant lookups hoisted out of the candidate walk: the
         # SCC window depends only on the op, and the equivalence class of
         # a single-cycle binding only on (state, latency, ii)
@@ -825,32 +955,26 @@ class _Pass:
             self.guard.commit(chain)
             self._on_bound(op.uid, needed[-1], multicycle=timing.cycles > 1)
             self._tally_walk(visits, busy, doomed, timing_failed)
-            return True, restraints
+            return None
 
-        self._tally_walk(visits, busy, doomed, timing_failed)
-        if fallback is not None:
-            # bind with a timing violation; logic synthesis will pay for it
-            inst, timing = fallback
-            chain = self._chain_edges(op, inst, e)
-            self.netlist.commit(op, inst, e, timing)
-            inst.occupy(op, [e])
-            self.guard.commit(chain)
-            self._on_bound(op.uid, e, multicycle=False)
-            return True, restraints
-
-        if busy:
-            fresh = self.netlist.evaluate_fresh(op, e)
-            restraints.append(Restraint(
-                kind=RestraintKind.NO_RESOURCE, op_uid=op.uid, state=e,
-                type_key=type_key,
-                input_arrival_ps=arrival_probe(),
-                fresh_instance_fails=not fresh.ok,
-                fits_fresh_state=self._fits_fresh_state(op)))
-        if best_slack is not None:
-            dummy = CandidateTiming(False, 0.0, 0.0, best_slack)
-            restraints.append(self._timing_restraint(
-                op, e, dummy, arrival_probe(), type_key))
-        return False, restraints
+        # the restraints the failed walk adds for the op after its loop
+        tail: List[Restraint] = []
+        if fallback is None:
+            if busy:
+                fresh = self.netlist.evaluate_fresh(op, e)
+                tail.append(Restraint(
+                    kind=RestraintKind.NO_RESOURCE, op_uid=op.uid, state=e,
+                    type_key=type_key,
+                    input_arrival_ps=arrival_probe(),
+                    fresh_instance_fails=not fresh.ok,
+                    fits_fresh_state=self._fits_fresh_state(op)))
+            if best_slack is not None:
+                dummy = CandidateTiming(False, 0.0, 0.0, best_slack)
+                tail.append(self._timing_restraint(
+                    op, e, dummy, arrival_probe(), type_key))
+        return _FailedWalk(restraints, visits, busy, doomed, timing_failed,
+                           best_slack, fallback, lat_r is not None,
+                           tuple(tail))
 
     def _tally_walk(self, visits: int, busy: int, doomed: int,
                     timing_failed: int) -> None:
@@ -1086,6 +1210,8 @@ class _Pass:
         if self.cache.heights is None:
             self.cache.heights = compute_heights(self.dfg, self.library)
         self._heights = self.cache.heights
+        self._classless = self.cache.predicated.union(
+            self._forbidden, *(window.ops for window in self.windows))
         self._build_dependency_maps()
         for uid, count in self._unresolved.items():
             if count == 0:
@@ -1198,9 +1324,11 @@ def _ffwd_replays(batch, pool, netlist) -> float:
 
 #: outcomes of the bind-walk's candidate visits, summed per pass: every
 #: visit, and the visits that ended busy, doomed (the commit would break
-#: a neighbour's path) or failing timing.
+#: a neighbour's path) or failing timing; then the failed walks answered
+#: by a replay (their visits count as if walked).
 WALK_COUNTERS = ("scheduler.walk_visits", "scheduler.walk_busy",
-                 "scheduler.walk_doomed", "scheduler.walk_timing_failed")
+                 "scheduler.walk_doomed", "scheduler.walk_timing_failed",
+                 "scheduler.walk_replays")
 
 #: counters whose per-pass deltas annotate ``scheduler.pass`` spans.
 #: Timing-engine commits and candidate visits stay aggregated at pass

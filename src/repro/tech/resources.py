@@ -87,16 +87,6 @@ class ResourceInstance:
             self._order_log.append(self.name)
         self._ops_map[op.uid] = op
 
-    def release(self, op: Operation) -> None:
-        """Undo a previous :meth:`occupy` of ``op`` (backtracking)."""
-        for state in list(self._occupancy):
-            self._occupancy[state] = [
-                o for o in self._occupancy[state] if o.uid != op.uid]
-            if not self._occupancy[state]:
-                del self._occupancy[state]
-        if self._ops_map.pop(op.uid, None) is not None:
-            self._order_log.append(self.name)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ResourceInstance({self.name})"
 

@@ -26,8 +26,8 @@ delay models (the historical design this module replaced):
   :class:`BoundOp`.  The scheduler inspects the returned
   :class:`CommitResult` and rolls back bindings that push a neighbour's
   path past its budget, so negative-slack chains can never survive to
-  sign-off.  Uncommitting re-propagates the same way, shrinking muxes
-  back.
+  sign-off.  A rollback restores every number the commit changed,
+  shrinking muxes back.
 * **Hot lookups are memoized.**  Source resolution through free wiring
   ops, per-operation input-edge tuples, mux-tree delays and
   fastest-grade probes are all cached; candidate evaluation is the
@@ -196,6 +196,10 @@ class TimingStatics:
         #: the part of ``chain_consumers`` a same-state producer actually
         #: chains into: port reads and other I/O launch registered.
         self.chain_out: Dict[int, Tuple[int, ...]] = {}
+        #: per-op input ports for :meth:`TimingEngine.generic_ports`,
+        #: built on first use; see :meth:`port_key`.
+        self.port_keys: Dict[int, Optional[Tuple[int, ...]]] = {}
+        self._port_tuples: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
         self._topo_index: Optional[Dict[int, int]] = None
         self._mux_steps: Optional[List[Tuple[int, float]]] = None
         self._build()
@@ -282,6 +286,23 @@ class TimingStatics:
             port = 1 if affine_store else edge.port
             info.append((port, root, static))
         return tuple(info)
+
+    def port_key(self, uid: int) -> Optional[Tuple[int, ...]]:
+        """The op's input ports in edge order when every input can launch
+        registered at FF clk->q, one input per port; None for an op with
+        a constant input (it launches at 0) or with two inputs on one
+        port.  Memoized, and equal tuples are one object."""
+        key = self.port_keys.get(uid, False)
+        if key is False:
+            info = self.flatten_edges(uid)
+            ports = tuple(port for port, _root, _static in info)
+            key = None
+            if len(set(ports)) == len(ports) and all(
+                    static is None or static == self._ff_clk_q
+                    for _port, _root, static in info):
+                key = self._port_tuples.setdefault(ports, ports)
+            self.port_keys[uid] = key
+        return key
 
     def capture_overhead(self, op: Operation) -> float:
         """Delay from the op output to the capturing FF's D pin.
@@ -371,9 +392,13 @@ class TimingEngine:
         #: committed non-mux op uids hosted per instance name.
         self._inst_ops: Dict[str, Set[int]] = {}
         #: widest port fanin per instance name (absent = no sources),
-        #: kept current by commit/rollback/uncommit; the per-instance
-        #: half of :meth:`single_cycle_bound`.  Read-only outside.
+        #: kept current by commit/rollback; the per-instance half of
+        #: :meth:`single_cycle_bound`.  Read-only outside.
         self.max_fanin: Dict[str, int] = {}
+        #: (root, port) -> how many instances have that root among the
+        #: port's sources (absent = none), kept current with the port
+        #: sources; see :meth:`generic_ports`.
+        self._feeds: Dict[Tuple[int, int], int] = {}
         if statics is None:
             statics = TimingStatics(dfg, library)
         self._statics = statics
@@ -803,10 +828,9 @@ class TimingEngine:
         The returned :class:`CommitResult` lists the other committed
         bindings whose stored arrivals changed; callers that must
         guarantee timing check :meth:`CommitResult.broken` and
-        :meth:`uncommit` on violation.  An op is committed at most once
-        until it is uncommitted: the commit-outcome cache keys the reads
-        of a binding by its state, which nothing but :meth:`uncommit`
-        may move.
+        :meth:`rollback` on violation.  An op is committed at most once
+        until that commit is rolled back: the commit-outcome cache keys
+        the reads of a binding by its state, which nothing may move.
 
         ``_provisional`` suppresses commit-outcome-cache invalidation:
         :meth:`try_commit` sets it and invalidates itself only when the
@@ -836,6 +860,8 @@ class TimingEngine:
                 before = self._port_mux_delay(inst, len(sources))
                 sources.add(root)
                 added.append(((iname, port), root))
+                feed = (root, port)
+                self._feeds[feed] = self._feeds.get(feed, 0) + 1
                 if len(sources) > self.max_fanin.get(iname, 0):
                     self.max_fanin[iname] = len(sources)
                 if self._port_mux_delay(inst, len(sources)) != before:
@@ -862,8 +888,8 @@ class TimingEngine:
         """Revert a commit in O(changed).
 
         Only valid while ``result`` is the most recent commit (the
-        scheduler's reject-on-violation path); anything older must go
-        through :meth:`uncommit`.
+        scheduler's reject-on-violation path); a kept commit is never
+        undone.
 
         The instance version counter is decremented back to its
         pre-commit value, so a commit+rollback pair is invisible to the
@@ -888,6 +914,12 @@ class TimingEngine:
             if sources is None:
                 continue
             sources.discard(root)
+            feed = (root, port)
+            left = self._feeds[feed] - 1
+            if left:
+                self._feeds[feed] = left
+            else:
+                del self._feeds[feed]
             if not sources:
                 del by_port[port]
                 if not by_port:
@@ -985,6 +1017,42 @@ class TimingEngine:
             final = (len(base) if base is not None else 0) + len(added[port])
             sig.append((port, final))
         return tuple(sig)
+
+    def generic_ports(self, op: Operation,
+                      state: int) -> Optional[Tuple[int, ...]]:
+        """``op``'s input-port tuple when nothing about ``op`` but that
+        tuple reaches the timing or the commit outcome of binding it at
+        ``state`` to any instance; None otherwise.
+
+        That holds when every input launches registered at FF clk->q (no
+        constant, no root bound single-cycle in ``state``), none of its
+        roots already feeds the same port of any instance, and no chain
+        consumer of ``op`` is bound in ``state``.  Then each port's fanin
+        on an instance is its source count plus one, so the candidate's
+        timing, growth signature and cache key are the instance's
+        generic ones for the tuple and the op's kind, and a provisional
+        commit re-times only the instance's hosted ops and their chains,
+        which read the same fanins.
+        """
+        ports = self._statics.port_keys.get(op.uid, False)
+        if ports is False:
+            ports = self._statics.port_key(op.uid)
+        if ports is None:
+            return None
+        bound_map = self._bound
+        fed = self._feeds
+        for port, root, static in self._info(op.uid):
+            if static is None:
+                b = bound_map.get(root)
+                if b is not None and b.state == state and b.cycles == 1:
+                    return None
+            if (root, port) in fed:
+                return None
+        for cons in self._chain_consumers.get(op.uid, ()):
+            cb = bound_map.get(cons)
+            if cb is not None and cb.state == state:
+                return None
+        return ports
 
     def doom_probe(self, op: Operation, state: int, cycles: int = 1,
                    ) -> Callable[[ResourceInstance], Tuple]:
@@ -1179,54 +1247,12 @@ class TimingEngine:
                             cache.pop(key, None)
 
     def _clear_commit_cache(self) -> None:
-        """Wholesale reset (outlook changes, uncommit, retime_all)."""
+        """Wholesale reset (outlook changes, retime_all)."""
         self._broken_cache.clear()
         self._dep_uid.clear()
         self._dep_read.clear()
         self._dep_inst.clear()
         self._sig_cache.clear()
-
-    def uncommit(self, op: Operation) -> List[BoundOp]:
-        """Remove a binding (pass restarts, backtracking) and re-time the
-        survivors it had disturbed."""
-        bound = self._bound.pop(op.uid, None)
-        if bound is None:
-            return []
-        # uncommit does not maintain the version counters; drop the
-        # commit-outcome memo wholesale instead
-        self._clear_commit_cache()
-        dirty: Set[int] = set()
-        inst = bound.inst
-        if inst is not None and not op.is_mux:
-            hosted = self._inst_ops.get(inst.name)
-            if hosted is not None:
-                hosted.discard(op.uid)
-            # rebuild the instance's port source sets from survivors
-            old_ports = self._port_sources.pop(inst.name, {})
-            before = {port: self._port_mux_delay(inst, len(sources))
-                      for port, sources in old_ports.items()}
-            rebuilt: Dict[int, Set[int]] = {}
-            for other in self._bound.values():
-                if other.inst is not inst or other.op.is_mux:
-                    continue
-                for port, root, _static in self._info(other.op.uid):
-                    rebuilt.setdefault(port, set()).add(root)
-            if rebuilt:
-                self._port_sources[inst.name] = rebuilt
-            self._refresh_max_fanin(inst.name)
-            for port, old_delay in before.items():
-                now = self._port_mux_delay(
-                    inst, len(rebuilt.get(port, ())))
-                if now != old_delay:
-                    dirty.update(u for u in self._inst_ops.get(inst.name, ())
-                                 if u != op.uid)
-        # consumers that chained on this producer fall back to registered
-        if bound.cycles == 1:
-            for cons in self._chain_consumers.get(op.uid, ()):
-                cb = self._bound.get(cons)
-                if cb is not None and cb.state == bound.state:
-                    dirty.add(cons)
-        return [b for b, _out, _cap in self._propagate(dirty)]
 
     def _propagate(self, dirty: Set[int],
                    visited: Optional[List[int]] = None,

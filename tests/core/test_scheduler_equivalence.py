@@ -3,7 +3,8 @@
 The scheduler core's optimizations -- carried-over mobility, memoized
 priority orders, the commit-outcome cache, counted restraint logs,
 interned doom restraints, incremental candidate ordering, bound-first
-admission -- are *decision-neutral by construction*.  The golden corpus
+admission, sibling-walk replay -- are *decision-neutral by
+construction*.  The golden corpus
 (``tests/golden/decisions.json``, see ``tools/golden_corpus.py``) holds
 the decisions of the reference bind-walk they replaced, recorded where
 the two agreed.  This suite pins, on the paper examples and the
@@ -78,9 +79,10 @@ def test_fast_paths_bit_identical_on_industrial_suite():
 #: the commit/cache traffic the bound-first walk must leave unchanged.
 #: Misses and propagation visits are pinned too: a commit-cache entry
 #: dropped by a commit that cannot change what it read comes back as a
-#: miss, a provisional commit and a re-propagation.
+#: miss, a provisional commit and a re-propagation.  Replayed walks
+#: probe no cache, so the hits count only the walks made for real.
 SUITE_ENGINE_WORK = {"engine.evaluate": 9737, "engine.commit": 2830,
-                     "engine.commit_cache_hit": 10202,
+                     "engine.commit_cache_hit": 6330,
                      "engine.commit_cache_miss": 438,
                      "engine.propagated": 6280}
 
@@ -102,8 +104,14 @@ SUITE_WALK_WORK = {"scheduler.walk_visits": 35671,
                    "scheduler.walk_timing_failed": 9621}
 
 
+#: failed walks answered by a stored walk of their class instead of a
+#: visit of the candidates; their outcomes count in SUITE_WALK_WORK.
+SUITE_REPLAYS = {"scheduler.walk_replays": 718}
+
+
 def test_industrial_suite_engine_work_is_pinned():
-    pinned = {**SUITE_ENGINE_WORK, **SUITE_RESTRAINT_LOG, **SUITE_WALK_WORK}
+    pinned = {**SUITE_ENGINE_WORK, **SUITE_RESTRAINT_LOG, **SUITE_WALK_WORK,
+              **SUITE_REPLAYS}
     before = profiling.snapshot()
     for _spec, region in industrial_suite(n_designs=4, max_ops=300):
         _schedule(region)
@@ -129,7 +137,7 @@ def test_tracing_bit_identical_on_paper_examples(name):
     assert spans[-1]["attrs"].get("success") is True
     # every pass carries its candidate-walk counts; a pass that binds
     # anything visits at least one candidate
-    for key in ("visits", "busy", "doomed", "timing_failed"):
+    for key in ("visits", "busy", "doomed", "timing_failed", "replays"):
         assert all(f"scheduler_walk_{key}" in s["attrs"] for s in spans)
     assert spans[-1]["attrs"]["scheduler_walk_visits"] > 0
 

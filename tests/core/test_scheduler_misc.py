@@ -1,11 +1,16 @@
 """Scheduler behaviours beyond the paper walkthroughs."""
 
+import gc
+
 import pytest
 
 from repro.cdfg import PipelineSpec, RegionBuilder
 from repro.core import ScheduleError, SchedulerOptions, schedule_region
+from repro.core.scheduler import _Pass
 from repro.tech import artisan90
+from repro.timing.engine import TimingEngine
 from repro.workloads import build_example1
+from repro.workloads.synthetic import industrial_suite
 
 CLOCK = 1600.0
 
@@ -152,3 +157,23 @@ def test_overconstrained_error_lists_diagnostics(lib):
     assert err.diagnostics, "diagnostics list must be populated"
     shown = err.diagnostics[:ScheduleError.MAX_SHOWN]
     assert all(line in str(err) for line in shown)
+
+
+def test_schedule_leaves_no_pass_for_the_collector(lib):
+    """A finished schedule frees its passes by reference counting: no
+    reference cycle (such as a cached exception's traceback, whose
+    frames hold a pass) keeps a pass or its netlist for the collector.
+    The design's early passes fail mobility analysis, whose verdict the
+    carryover cache keeps."""
+    _spec, region = industrial_suite(n_designs=4, max_ops=300)[0]
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        schedule_region(region, lib, CLOCK)
+        gc.collect()
+        kept = [obj for obj in gc.garbage
+                if isinstance(obj, (_Pass, TimingEngine))]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert kept == []

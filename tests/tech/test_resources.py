@@ -58,17 +58,6 @@ def test_mutually_exclusive_ops_share_state(lib):
     assert len(inst.occupants(1)) == 2
 
 
-def test_release(lib):
-    dfg = DFG("t")
-    pool = ResourcePool()
-    inst = pool.add(lib.typical(OpKind.MUL, 32))
-    op = _op(dfg)
-    inst.occupy(op, [0, 1])
-    inst.release(op)
-    assert inst.states_used() == []
-    assert inst.is_free(_op(dfg), [0, 1])
-
-
 def test_pool_compatible_filters_by_kind_and_width(lib):
     dfg = DFG("t")
     pool = ResourcePool()

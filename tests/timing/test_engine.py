@@ -81,20 +81,6 @@ def test_rollback_restores_sources_and_timing(lib):
     assert engine.audit(r1.bound).capture_ps == before_capture
 
 
-def test_uncommit_shrinks_muxes_back(lib):
-    region = _sharing_region()
-    engine = TimingEngine(region.dfg, lib, CLOCK, anticipate_muxes=False)
-    pool = ResourcePool()
-    mul = pool.add(lib.typical(OpKind.MUL, 32))
-    ops = _ops(region)
-    r1 = engine.commit(ops["m1"], mul, 0, engine.evaluate(ops["m1"], mul, 0))
-    before = r1.bound.capture_ps
-    engine.commit(ops["m2"], mul, 1, engine.evaluate(ops["m2"], mul, 1))
-    assert r1.bound.capture_ps > before
-    engine.uncommit(ops["m2"])
-    assert r1.bound.capture_ps == before
-
-
 def test_broken_reports_neighbour_pushed_past_budget(lib):
     """A commit whose mux growth breaks a neighbour is detectable from
     the CommitResult alone -- the scheduler's rejection signal."""
@@ -222,8 +208,7 @@ def _random_netlist(seed):
     return b.build()
 
 
-_STEP = st.tuples(st.sampled_from(["commit", "try", "uncommit",
-                                   "rollback"]),
+_STEP = st.tuples(st.sampled_from(["commit", "try", "rollback"]),
                   st.integers(0, 11), st.integers(0, 5), st.integers(0, 3))
 
 
@@ -234,7 +219,7 @@ _STEP = st.tuples(st.sampled_from(["commit", "try", "uncommit",
 @settings(max_examples=property_examples(25), deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_single_cycle_bound_is_sound(seed, clock, anticipate, steps):
-    """Over random commit / try_commit / uncommit / rollback sequences:
+    """Over random commit / try_commit / rollback sequences:
     an instance within the bound's fanin limit passes the exact
     evaluation in one cycle, and the engine's per-instance max fanin
     matches its port sources."""
@@ -267,9 +252,6 @@ def test_single_cycle_bound_is_sound(seed, clock, anticipate, steps):
             if timing.ok:
                 result, _broken = engine.try_commit(op, inst, state, timing)
                 last = result or last
-        elif action == "uncommit" and bound:
-            engine.uncommit(op)
-            last = None
         elif action == "rollback" and last is not None:
             engine.rollback(last)
             last = None

@@ -127,22 +127,6 @@ def test_multicycle_when_clock_too_fast(lib):
     assert not no_mc.ok
 
 
-def test_uncommit_restores_port_sources(lib):
-    region = _chain_region()
-    netlist = TimingEngine(region.dfg, lib, CLOCK)
-    netlist.set_sharing_outlook({("mul", 32): 2}, {("mul", 32): 1})
-    pool = ResourcePool()
-    mul = pool.add(lib.typical(OpKind.MUL, 32))
-    ops = {op.name: op for op in region.dfg.ops}
-    netlist.commit(ops["m1"], mul, 0, netlist.evaluate(ops["m1"], mul, 0))
-    before = netlist.port_fanin(mul, 0)
-    t2 = netlist.evaluate(ops["m2"], mul, 1)
-    netlist.commit(ops["m2"], mul, 1, t2)
-    assert netlist.port_fanin(mul, 0) == before + 1
-    netlist.uncommit(ops["m2"])
-    assert netlist.port_fanin(mul, 0) == before
-
-
 def test_resolve_source_through_free_ops(lib):
     b = RegionBuilder("t", is_loop=False)
     x = b.read("x", 32)

@@ -10,13 +10,14 @@ spec size.  Each point is scheduled once on artisan90 at 1600 ps.
 
 For each point it prints the built op count, the relaxation passes, the
 CPU seconds of ``schedule_region``, the bind-walk's candidate visits
-(``scheduler.walk_visits``) and the commit-outcome cache's misses
-(``engine.commit_cache_miss``: each one is a provisional commit, a
-re-propagation and a rollback).  Then it prints the exponent of a
-least-squares fit ``cpu ~ ops^k`` in log-log space and the Pearson
-correlation between passes and CPU seconds over the points (with the
-two default points it is +-1 by construction; it says something only
-with ``--full``).
+(``scheduler.walk_visits``), the failed walks answered by a replay of
+their walk class instead of a visit (``scheduler.walk_replays``) and
+the commit-outcome cache's misses (``engine.commit_cache_miss``: each
+one is a provisional commit, a re-propagation and a rollback).  Then it
+prints the exponent of a least-squares fit ``cpu ~ ops^k`` in log-log
+space and the Pearson correlation between passes and CPU seconds over
+the points (with the two default points it is +-1 by construction; it
+says something only with ``--full``).
 
 Run:  python tools/scaling_probe.py [--full]
 
@@ -49,20 +50,22 @@ SIZES = (1200, 2400)
 FULL_SIZES = SIZES + (4800,)
 
 
-def probe(n_ops: int) -> Tuple[int, int, float, int, int]:
-    """(built ops, passes, CPU seconds, walk visits, commit-cache misses)
-    of one point."""
+def probe(n_ops: int) -> Tuple[int, int, float, int, int, int]:
+    """(built ops, passes, CPU seconds, walk visits, walk replays,
+    commit-cache misses) of one point."""
     spec = industrial_suite(n_designs=10, max_ops=1200)[-1][0]
     spec = dataclasses.replace(spec, n_ops=n_ops, n_inputs=n_ops // 60)
     region = generate_design(spec)
-    counted = ("scheduler.walk_visits", "engine.commit_cache_miss")
+    counted = ("scheduler.walk_visits", "scheduler.walk_replays",
+               "engine.commit_cache_miss")
     before = [profiling.counters.get(key, 0) for key in counted]
     start = time.process_time()
     schedule = schedule_region(region, artisan90(), CLOCK_PS)
     cpu = time.process_time() - start
-    visits, misses = (profiling.counters.get(key, 0) - b
-                      for key, b in zip(counted, before))
-    return len(region.dfg.ops), schedule.passes, cpu, visits, misses
+    visits, replays, misses = (profiling.counters.get(key, 0) - b
+                               for key, b in zip(counted, before))
+    return (len(region.dfg.ops), schedule.passes, cpu, visits, replays,
+            misses)
 
 
 def fitted_exponent(ops: Sequence[float], cpu: Sequence[float]) -> float:
@@ -92,12 +95,14 @@ def main(argv: List[str] = None) -> int:
     args = parser.parse_args(argv)
     rows = []
     print(f"{'spec n_ops':>10} {'ops':>6} {'passes':>6} {'cpu s':>8} "
-          f"{'s/pass':>7} {'walk visits':>12} {'cache misses':>12}")
+          f"{'s/pass':>7} {'walk visits':>12} {'replays':>8} "
+          f"{'cache misses':>12}")
     for n_ops in FULL_SIZES if args.full else SIZES:
-        ops, passes, cpu, visits, misses = probe(n_ops)
+        ops, passes, cpu, visits, replays, misses = probe(n_ops)
         rows.append((ops, passes, cpu))
         print(f"{n_ops:>10} {ops:>6} {passes:>6} {cpu:>8.2f} "
-              f"{cpu / passes:>7.3f} {visits:>12} {misses:>12}", flush=True)
+              f"{cpu / passes:>7.3f} {visits:>12} {replays:>8} "
+              f"{misses:>12}", flush=True)
     ops, passes, cpu = zip(*rows)
     print(f"fitted exponent (cpu ~ ops^k): k = {fitted_exponent(ops, cpu):.2f}")
     print(f"passes-vs-time correlation: r = {correlation(passes, cpu):.2f}")
