@@ -73,19 +73,33 @@ def _render_points(results):
 
 
 #: the cold jobs=1 run of the full grid: sha256 of its render, and the
-#: relaxation work behind it (passes run, fast-forwards accepted and
-#: the passes they skipped).
+#: work behind it: passes run, fast-forwards accepted and the passes
+#: they skipped; timing-engine evaluations, commits, rollbacks and
+#: commit-cache hits and misses; candidate-walk outcomes; restraint
+#: records; and RAM-port bind attempts, with those that found every
+#: port busy.
 GRID_RENDER_SHA256 = (
     "276b4a785c0fb97f78d28d8a9bb5431eac197f59f24bd2bcc74a3f25f8a16965")
 GRID_WORK = {"pass.count": 277, "scheduler.ffwd": 7,
-             "scheduler.ffwd_passes": 609}
+             "scheduler.ffwd_passes": 609,
+             "engine.evaluate": 204_701, "engine.commit": 44_611,
+             "engine.rollback": 1_302, "engine.commit_cache_hit": 23_859,
+             "engine.commit_cache_miss": 1_302,
+             "scheduler.walk_visits": 534_838,
+             "scheduler.walk_busy": 215_294,
+             "scheduler.walk_doomed": 21_833,
+             "scheduler.walk_timing_failed": 266_070,
+             "scheduler.walk_replays": 183,
+             "restraints.records": 74_930,
+             "scheduler.mem_walks": 37_587,
+             "scheduler.mem_port_busy": 22_242}
 
 
 def test_sweep_grid_render_and_work_pinned(lib):
     """The deterministic half of the speedup pin below: the full grid,
     cold at jobs=1, renders exactly as recorded (13 points, 12
-    infeasible records, every reason string), with the same passes and
-    fast-forwards."""
+    infeasible records, every reason string), with the same passes,
+    fast-forwards, engine, walk, restraint and RAM-port work."""
     factory = PYFUNC_REGISTRY["jpeg_dct"].build
     before = profiling.snapshot()
     result = run_sweep(factory, lib, GRID_MICROS, GRID_CLOCKS, jobs=1)

@@ -132,6 +132,10 @@ def lower_bound(
     (weighted by their cycle count), discounted by mutual exclusivity;
     capacity is the number of distinct usable slots in the interval.  The
     lower bound is the max over intervals of ``ceil(demand / capacity)``.
+
+    An interval whose demand could not beat the best bound so far even
+    with no exclusivity discount skips the group count: the greedy
+    grouping yields at most one group per operation inside.
     """
     by_type: Dict[TypeKey, List[Operation]] = {}
     for op in region.schedulable_ops():
@@ -143,28 +147,27 @@ def lower_bound(
     demand: Dict[TypeKey, int] = {}
     for key, ops in sorted(by_type.items()):
         demand[key] = len(ops)
-        starts = sorted({mobility[op.uid].asap for op in ops})
-        ends = sorted({mobility[op.uid].alap + mobility[op.uid].cycles - 1
-                       for op in ops})
+        mobs = [mobility[op.uid] for op in ops]
+        asap = [mob.asap for mob in mobs]
+        end = [mob.alap + mob.cycles - 1 for mob in mobs]
+        # multi-cycle occupancy weighs in with its extra cycles
+        extra_of = [mob.cycles - 1 for mob in mobs]
         best = 1
-        for a in starts:
-            for b in ends:
+        for a in sorted(set(asap)):
+            from_a = [i for i, lo in enumerate(asap) if lo >= a]
+            for b in sorted(set(end)):
                 if b < a:
                     continue
-                inside = [op for op in ops
-                          if mobility[op.uid].asap >= a
-                          and (mobility[op.uid].alap
-                               + mobility[op.uid].cycles - 1) <= b]
+                inside = [i for i in from_a if end[i] <= b]
                 if not inside:
                     continue
-                eff = _exclusive_groups(inside)
-                # weight multi-cycle occupancy
-                extra = sum(mobility[op.uid].cycles - 1 for op in inside)
-                eff += extra
+                extra = sum(extra_of[i] for i in inside)
                 span = b - a + 1
                 capacity = min(span, ii) if ii is not None else span
-                need = -(-eff // capacity)
-                best = max(best, need)
+                if -(-(len(inside) + extra) // capacity) <= best:
+                    continue
+                eff = _exclusive_groups([ops[i] for i in inside]) + extra
+                best = max(best, -(-eff // capacity))
         counts[key] = best
     return AllocationResult(counts=counts, demand=demand)
 

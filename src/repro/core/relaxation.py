@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
+from repro.cdfg.memory import static_bank
+from repro.cdfg.ops import Operation
 from repro.cdfg.region import PipelineSpec, Region
 from repro.core.restraints import Restraint, RestraintKind
 from repro.tech.library import Library, ResourceType
@@ -61,17 +63,31 @@ class Action:
         return self.solved_weight / max(self.cost, 1e-6)
 
 
-def _bank_pressure(region: Region, mem_name: str, banks: int) -> int:
+#: per declared memory, its accesses with their dynamic-address flags.
+MemoryAccessIndex = Dict[str, List[Tuple[Operation, bool]]]
+
+
+def memory_access_index(region: Region) -> MemoryAccessIndex:
+    """Every declared memory's accesses (insertion order), each with
+    whether it takes its address from a DFG value: the one scan of the
+    DFG the scheduler's passes and the add-bank action read."""
+    index: MemoryAccessIndex = {name: [] for name in region.memories}
+    for op in region.memory_ops:
+        index.setdefault(op.payload, []).append(
+            (op, region.access_is_dynamic(op)))
+    return index
+
+
+def _bank_pressure(accesses: List[Tuple[Operation, bool]],
+                   banks: int) -> int:
     """Worst number of accesses landing on one bank at a banking factor.
 
     Dynamic accesses land on every bank (their address is unknown), so
     they contribute to all of them.
     """
-    from repro.cdfg.memory import static_bank
-
     per_bank = [0] * banks
-    for op in region.memory_accesses(mem_name):
-        bank = static_bank(op, banks, region.access_is_dynamic(op))
+    for op, dynamic in accesses:
+        bank = static_bank(op, banks, dynamic)
         if bank is None:
             per_bank = [n + 1 for n in per_bank]
         else:
@@ -79,18 +95,18 @@ def _bank_pressure(region: Region, mem_name: str, banks: int) -> int:
     return max(per_bank) if per_bank else 0
 
 
-def _bank_proposal(region: Region, library: Library, decl,
-                   cur_banks: int):
+def _bank_proposal(accesses: List[Tuple[Operation, bool]],
+                   library: Library, decl, cur_banks: int):
     """Smallest banking factor that lowers pressure, with its area cost.
 
     Returns ``(new_banks, extra_area)`` or None when no factor up to the
     cap helps (all conflicting accesses dynamic, or already spread).
     """
-    cur_pressure = _bank_pressure(region, decl.name, cur_banks)
+    cur_pressure = _bank_pressure(accesses, cur_banks)
     cap = min(decl.depth, 16)
     new_banks = cur_banks * 2
     while new_banks <= cap:
-        if _bank_pressure(region, decl.name, new_banks) < cur_pressure:
+        if _bank_pressure(accesses, new_banks) < cur_pressure:
             # extra cost ~ the added per-bank periphery (total bitcells
             # are unchanged; more macros mean more decoders/sense amps)
             periphery = library.mem.periphery_area
@@ -123,12 +139,15 @@ def propose_actions(
     allow_banking: bool = True,
     resource_outlook: Optional[Dict[Tuple[str, int],
                                     Tuple[int, int]]] = None,
+    memory_accesses: Optional[MemoryAccessIndex] = None,
 ) -> List[Action]:
     """Generate scored actions for the analyzed restraint set.
 
     ``resource_outlook`` maps type keys to ``(demand, instances)`` so the
     add-state action can jump straight to the latency the slot deficit
     requires instead of converging one state per pass.
+    ``memory_accesses`` is the region's :func:`memory_access_index`
+    when the caller keeps one (built here on demand otherwise).
     """
     actions: List[Action] = []
     ii = pipeline.ii if pipeline else None
@@ -238,7 +257,10 @@ def propose_actions(
         if decl is None:
             continue
         cur_banks = state.bank_overrides.get(mem_name, decl.banks)
-        proposal = _bank_proposal(region, library, decl, cur_banks)
+        if memory_accesses is None:
+            memory_accesses = memory_access_index(region)
+        proposal = _bank_proposal(memory_accesses[mem_name], library,
+                                  decl, cur_banks)
         if proposal is None:
             continue
         new_banks, extra_area = proposal

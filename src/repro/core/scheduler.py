@@ -19,8 +19,10 @@ scheduler, which is the point of the paper.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import (Dict, List, NamedTuple, Optional, Sequence, Set, Tuple,
                     Union)
@@ -43,6 +45,8 @@ from repro.core.relaxation import (
     apply_action_batch,
     applied_actions,
     driver_fingerprint,
+    MemoryAccessIndex,
+    memory_access_index,
     propose_actions,
 )
 from repro.core.restraints import Restraint, RestraintKind, RestraintLog
@@ -141,6 +145,9 @@ class _RegionCache:
         #: always true makes their busy verdicts their own.
         self.predicated: Set[int] = {
             op.uid for op in region.dfg.ops if not op.predicate.is_true}
+        #: each declared memory's accesses with their dynamic-address
+        #: flags (the passes' RAM-port setup and the add-bank action).
+        self.mem_accesses: MemoryAccessIndex = memory_access_index(region)
 
 
 @dataclass
@@ -159,21 +166,18 @@ def _node_name(op: Operation, inst: Optional[ResourceInstance]) -> str:
     return inst.name if inst is not None else f"op{op.uid}"
 
 
-def _cand_key(inst: ResourceInstance) -> Tuple[float, int]:
-    """Per-call candidate sort key over a base list pre-sorted by
-    (area, index); stability supplies the index tie-break."""
-    return (inst.rtype.area, -len(inst._ops_map))
+_walk_key = operator.attrgetter("walk_key")
 
 
 def _walk_order(base: List[ResourceInstance]) -> Tuple[
         List[ResourceInstance], List[int], List[Optional[ResourceInstance]]]:
     """A compatibility group's walk order, from its base list pre-sorted
     by (area, index), with the order's grade table.  The stable re-sort
-    on (area, -occupancy) yields the (area, -occupancy, index) order; an
-    occupancy change of a member logs its name, so the grade table stays
-    valid exactly as long as the order does."""
-    order = list(base)
-    order.sort(key=_cand_key)
+    on each member's kept (area, -occupancy) key
+    (:attr:`ResourceInstance.walk_key`) yields the (area, -occupancy,
+    index) order; an occupancy change of a member logs its name, so the
+    grade table stays valid exactly as long as the order does."""
+    order = sorted(base, key=_walk_key)
     return (order, *_grade_table(order))
 
 
@@ -227,13 +231,25 @@ def _retargeted(r: Restraint, uid: int) -> Restraint:
         input_arrival_ps=r.input_arrival_ps)
 
 
-def _equivalent_states(needed: List[int], latency: int,
-                       ii: Optional[int]) -> List[int]:
-    """States to check for occupancy: needed states plus equivalents."""
+def _state_class_table(latency: int,
+                       ii: Optional[int]) -> List[List[int]]:
+    """Per state ``e`` of a pass, the states a single-state binding at
+    ``e`` must find free: ``[e]`` in a sequential pass, and ``e``'s whole
+    equivalence class (every state ``s`` with ``s % ii == e % ii``,
+    ascending) in a pipelined one.  States of one class share a list."""
     if ii is None:
-        return needed
+        return [[e] for e in range(latency)]
+    by_class = [list(range(c, latency, ii)) for c in range(min(ii, latency))]
+    return [by_class[e % ii] for e in range(latency)]
+
+
+@functools.lru_cache(maxsize=4096)
+def _equivalent_states(needed: Tuple[int, ...], latency: int,
+                       ii: int) -> Tuple[int, ...]:
+    """States a pipelined multi-state binding on ``needed`` must find
+    free: every state equivalent to one of them, ascending."""
     classes = {s % ii for s in needed}
-    return [s for s in range(latency) if s % ii in classes]
+    return tuple(s for s in range(latency) if s % ii in classes)
 
 
 class _Pass:
@@ -269,13 +285,21 @@ class _Pass:
         # effective banking factor honors the driver's add-bank overrides
         self.memories: Dict[str, MemoryConfig] = build_memory_configs(
             region.memories, library, state.bank_overrides)
-        #: per memory op: (memory name, dynamic address?, static bank).
-        self._mem_shape: Dict[int, Tuple[str, bool, Optional[int]]] = {}
-        for op in region.memory_ops:
-            dynamic = region.access_is_dynamic(op)
-            banks = self.memories[op.payload].banks
-            self._mem_shape[op.uid] = (
-                op.payload, dynamic, static_bank(op, banks, dynamic))
+        #: per memory op: (memory name, its port sets); see
+        #: :meth:`_try_bind_memory`.
+        self._port_sets: Dict[int, Tuple[str, List[List[
+            MemoryPortInstance]]]] = {}
+        for name, accesses in cache.mem_accesses.items():
+            cfg = self.memories[name]
+            for op, dynamic in accesses:
+                bank = static_bank(op, cfg.banks, dynamic)
+                if bank is not None:
+                    sets = [[cfg.port_insts[bank][p]]
+                            for p in range(cfg.ports)]
+                else:
+                    sets = [[cfg.port_insts[b][p] for b in range(cfg.banks)]
+                            for p in range(cfg.ports)]
+                self._port_sets[op.uid] = (name, sets)
         self.netlist = TimingEngine(
             self.dfg, library, clock_ps,
             anticipate_muxes=options.anticipate_muxes,
@@ -287,12 +311,15 @@ class _Pass:
         for name, cfg in self.memories.items():
             key = (cfg.rtype.family, cfg.rtype.width)
             demand[key] = demand.get(key, 0) + len(
-                region.memory_accesses(name))
+                cache.mem_accesses[name])
             counts[key] = counts.get(key, 0) + cfg.banks * cfg.ports
         self.netlist.set_sharing_outlook(demand, counts)
         self.guard = CombCycleGuard()
         self.windows: List[SCCWindow] = []
         self.mobility: Dict[int, Mobility] = {}
+        #: per state, the states a single-state binding there occupies
+        #: or must find free (see :func:`_state_class_table`).
+        self._eq_single = _state_class_table(latency, self.ii)
         # readiness machinery
         self._unresolved: Dict[int, int] = {}
         self._earliest: Dict[int, int] = {}
@@ -332,6 +359,9 @@ class _Pass:
         #: timing-failed candidates, and replayed walks (see
         #: :data:`WALK_COUNTERS`).
         self._walk_counts = [0, 0, 0, 0, 0]
+        #: RAM-port bind attempts, and those that found every port set
+        #: busy (see :data:`MEM_COUNTERS`).
+        self._mem_counts = [0, 0]
         #: walk class -> (kept-commit count, failed walk); see
         #: :meth:`_replay`.
         self._walks: Dict[Tuple, Tuple[int, _FailedWalk]] = {}
@@ -777,7 +807,7 @@ class _Pass:
         # a single-cycle binding only on (state, latency, ii)
         window = self._window_of(op.uid)
         single = [e]
-        eq_single = _equivalent_states(single, self.latency, self.ii)
+        eq_single = self._eq_single[e]
         # identical in-walk failures re-record ONE Restraint object (the
         # log counts repeats); constructing a fresh copy per candidate
         # was pure allocation overhead with the same analysis outcome
@@ -897,7 +927,7 @@ class _Pass:
                 restraints.append(scc_r)
                 continue
             if eq_states is None:
-                eq_states = _equivalent_states(needed, self.latency, self.ii)
+                eq_states = self._eq_states(needed)
             # inlined ResourceInstance.is_free (keep in sync): one call
             # per candidate, a million times per heavy design
             occ = inst._occupancy
@@ -993,7 +1023,7 @@ class _Pass:
         of) states.  Predicate-disjoint accesses may share the port --
         only one of them executes per iteration.
         """
-        eq = set(_equivalent_states([e], self.latency, self.ii))
+        eq = self._eq_single[e]
         for other in self.region.channel_accesses(op.payload, op.kind):
             if other.uid == op.uid:
                 continue
@@ -1003,6 +1033,14 @@ class _Pass:
             if ob.state in eq and not op.predicate.disjoint(other.predicate):
                 return False
         return True
+
+    def _eq_states(self, needed: List[int]) -> Sequence[int]:
+        """States a binding on ``needed`` must find free: ``needed``
+        itself in a sequential pass, plus every equivalent state in a
+        pipelined one."""
+        if self.ii is None:
+            return needed
+        return _equivalent_states(tuple(needed), self.latency, self.ii)
 
     def _try_bind_memory(self, op: Operation, e: int,
                          restraints: List[Restraint]
@@ -1016,39 +1054,57 @@ class _Pass:
         reserves the same port index on *every* bank.  Timing (address
         mux + array access + read-data capture) is charged through the
         incremental engine against the primary port instance.
+
+        Bound-first, like the candidate walk: a memory access is not a
+        steering mux, so :meth:`TimingEngine._path` does the same
+        arithmetic for it as for a functional unit, and a port set whose
+        primary port's widest fanin is within the RAM grade's
+        :meth:`~TimingEngine.single_cycle_bound` provably meets timing in
+        one cycle.  Its window, busy, comb-cycle and cached-doom checks
+        then need no evaluation; the numbers are computed only for the
+        commit.
         """
-        mem, _dynamic, bank = self._mem_shape[op.uid]
+        mem, port_sets = self._port_sets[op.uid]
         cfg = self.memories[mem]
-        if bank is not None:
-            candidate_sets = [[cfg.port_insts[bank][p]]
-                              for p in range(cfg.ports)]
-        else:
-            candidate_sets = [[cfg.port_insts[b][p]
-                               for b in range(cfg.banks)]
-                              for p in range(cfg.ports)]
+        netlist = self.netlist
+        counts = self._mem_counts
+        counts[0] += 1
+        window = self._window_of(op.uid)
+        single_late = window is not None and e > window.end
+        eq_single = self._eq_single[e]
+        raw = netlist.worst_input_arrival(op, e)
+        limit = netlist.single_cycle_bound(op, cfg.rtype, raw)
+        fanin_of = netlist.max_fanin.get
+        doom = None
         busy = 0
         best_slack: Optional[float] = None
-        for insts in candidate_sets:
+        for insts in port_sets:
             primary = insts[0]
-            timing = self.netlist.evaluate(
-                op, primary, e, allow_multicycle=False)
-            if not timing.ok:
-                if best_slack is None or timing.slack_ps > best_slack:
-                    best_slack = timing.slack_ps
-                continue
-            needed = list(range(e, e + timing.cycles))
-            if needed[-1] > self.latency - 1:
-                restraints.append(Restraint(
-                    kind=RestraintKind.LATENCY, op_uid=op.uid, state=e,
-                    fits_fresh_state=True))
-                continue
-            window = self._window_of(op.uid)
-            if window is not None and needed[-1] > window.end:
+            if fanin_of(primary.name, 0) <= limit:
+                timing = None
+                needed = [e]
+                eq_states = eq_single
+                late = single_late
+            else:
+                timing = netlist.evaluate(
+                    op, primary, e, allow_multicycle=False)
+                if not timing.ok:
+                    if best_slack is None or timing.slack_ps > best_slack:
+                        best_slack = timing.slack_ps
+                    continue
+                needed = list(range(e, e + timing.cycles))
+                if needed[-1] > self.latency - 1:
+                    restraints.append(Restraint(
+                        kind=RestraintKind.LATENCY, op_uid=op.uid, state=e,
+                        fits_fresh_state=True))
+                    continue
+                late = window is not None and needed[-1] > window.end
+                eq_states = self._eq_states(needed)
+            if late:
                 restraints.append(Restraint(
                     kind=RestraintKind.SCC_TIMING, op_uid=op.uid, state=e,
                     scc_index=window.index, fits_fresh_state=True))
                 continue
-            eq_states = _equivalent_states(needed, self.latency, self.ii)
             if not all(inst.is_free(op, eq_states) for inst in insts):
                 busy += 1
                 continue
@@ -1058,8 +1114,18 @@ class _Pass:
                     kind=RestraintKind.COMB_CYCLE, op_uid=op.uid, state=e,
                     inst_name=primary.name))
                 continue
-            result, broken_info = self.netlist.try_commit(op, primary, e,
-                                                          timing)
+            broken_info = None
+            if doom is None and (timing is None or timing.cycles == 1):
+                doom = netlist.doom_probe(op, e)
+            if timing is None:
+                _key, broken_info = doom(primary)
+                if broken_info is None:
+                    timing = netlist.evaluate(
+                        op, primary, e, allow_multicycle=False)
+            if broken_info is None:
+                _result, broken_info = netlist.try_commit(
+                    op, primary, e, timing,
+                    doom if timing.cycles == 1 else None)
             if broken_info is not None:
                 restraints.append(self._doom_restraint(broken_info, None))
                 continue
@@ -1075,6 +1141,7 @@ class _Pass:
         # below II states) -- mirrored by the add-state action
         fresh_state_helps = self.ii is None or self.latency < self.ii
         if busy:
+            counts[1] += 1
             restraints.append(Restraint(
                 kind=RestraintKind.MEM_PORT, op_uid=op.uid, state=e,
                 mem_name=mem, fits_fresh_state=fresh_state_helps))
@@ -1083,7 +1150,7 @@ class _Pass:
             restraints.append(Restraint(
                 kind=RestraintKind.NEG_SLACK, op_uid=op.uid, state=e,
                 slack_ps=best_slack,
-                input_arrival_ps=self.netlist.worst_input_arrival(op, e),
+                input_arrival_ps=raw,
                 fresh_instance_fails=True,
                 fits_fresh_state=registered_path_ps(
                     self.library, cfg.rtype) <= budget))
@@ -1201,6 +1268,8 @@ class _Pass:
                            self.netlist.n_cache_misses)
             profiling.bump("scheduler.priority_keys", self._n_priority_keys)
             for key, n in zip(WALK_COUNTERS, self._walk_counts):
+                profiling.bump(key, n)
+            for key, n in zip(MEM_COUNTERS, self._mem_counts):
                 profiling.bump(key, n)
 
     def _run(self) -> PassOutcome:
@@ -1330,6 +1399,11 @@ WALK_COUNTERS = ("scheduler.walk_visits", "scheduler.walk_busy",
                  "scheduler.walk_doomed", "scheduler.walk_timing_failed",
                  "scheduler.walk_replays")
 
+#: RAM-port bind attempts summed per pass: every attempt, and the
+#: attempts that found a port set busy (each records one MEM_PORT
+#: restraint).
+MEM_COUNTERS = ("scheduler.mem_walks", "scheduler.mem_port_busy")
+
 #: counters whose per-pass deltas annotate ``scheduler.pass`` spans.
 #: Timing-engine commits and candidate visits stay aggregated at pass
 #: granularity on purpose: per-commit spans would blow the tracing
@@ -1337,7 +1411,7 @@ WALK_COUNTERS = ("scheduler.walk_visits", "scheduler.walk_busy",
 #: passes).
 _SPAN_COUNTERS = ("engine.evaluate", "engine.commit",
                   "engine.rollback", "engine.commit_cache_hit",
-                  "engine.commit_cache_miss") + WALK_COUNTERS
+                  "engine.commit_cache_miss") + WALK_COUNTERS + MEM_COUNTERS
 
 
 def schedule_region(
@@ -1467,7 +1541,8 @@ def schedule_region(
                 enable_scc_move=options.enable_scc_move,
                 allow_grades=options.allow_grades,
                 allow_banking=options.allow_banking,
-                resource_outlook=outlook)
+                resource_outlook=outlook,
+                memory_accesses=cache.mem_accesses)
             if not actions:
                 if pspan is not None:
                     pspan.set("action", None)

@@ -37,10 +37,13 @@ class ResourceInstance:
         #: Several operations may legally share a state when their
         #: predicates are mutually exclusive.
         self._occupancy: Dict[int, List[Operation]] = {}
-        #: incrementally maintained distinct-occupant index (uid -> op):
-        #: the binder sorts candidate instances by occupant count on
-        #: every binding attempt, so this must be O(1), not a rebuild.
+        #: incrementally maintained distinct-occupant index (uid -> op).
         self._ops_map: Dict[int, Operation] = {}
+        #: the binder's candidate sort key, ``(area, -distinct
+        #: occupants)``, kept current by :meth:`occupy` and
+        #: :meth:`ResourcePool.regrade` so a walk-order re-sort reads
+        #: one attribute per instance instead of building the key.
+        self.walk_key: Tuple[float, int] = (rtype.area, 0)
         #: shared mutation log: the name of every instance whose
         #: candidate-ordering inputs (occupant count, grade) change is
         #: appended here ("*" means everything changed).  The pool
@@ -84,8 +87,9 @@ class ResourceInstance:
         for state in states:
             self._occupancy.setdefault(state, []).append(op)
         if op.uid not in self._ops_map:
+            self._ops_map[op.uid] = op
+            self.walk_key = (self.rtype.area, -len(self._ops_map))
             self._order_log.append(self.name)
-        self._ops_map[op.uid] = op
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ResourceInstance({self.name})"
@@ -214,18 +218,12 @@ class ResourcePool:
         """Sum of instance areas (excluding registers and muxes)."""
         return sum(inst.rtype.area for inst in self._instances)
 
-    def clear_occupancy(self) -> None:
-        """Release all bindings (between scheduling passes)."""
-        for inst in self._instances:
-            inst._occupancy.clear()
-            inst._ops_map.clear()
-        self._order_log.append("*")
-
     def regrade(self, inst: ResourceInstance, rtype: ResourceType) -> None:
         """Swap an instance's type for a different grade of the family."""
         if rtype.family != inst.rtype.family or rtype.width != inst.rtype.width:
             raise ValueError("regrade must stay within the family/width")
         inst.rtype = rtype
+        inst.walk_key = (rtype.area, -len(inst._ops_map))
         self._order_log.append(inst.name)
 
     def __len__(self) -> int:

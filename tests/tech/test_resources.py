@@ -81,12 +81,3 @@ def test_pool_counting_and_area(lib):
     assert len(pool) == 3
     assert pool.total_area() == pytest.approx(2 * 6996.0 + 1124.0)
     assert pool.summary() == {"add_32": 1, "mul_32": 2}
-
-
-def test_clear_occupancy(lib):
-    dfg = DFG("t")
-    pool = ResourcePool()
-    inst = pool.add(lib.typical(OpKind.MUL, 32))
-    inst.occupy(_op(dfg), [0])
-    pool.clear_occupancy()
-    assert inst.states_used() == []

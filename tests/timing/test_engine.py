@@ -2,6 +2,7 @@
 the admission == sign-off contract that replaced the old dual-model
 design (the seed-126 negative-slack escape)."""
 
+import dataclasses
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.cdfg import OpKind, RegionBuilder
 from repro.tech import ResourcePool, artisan90, generic45
+from repro.tech.resources import MemoryPortInstance
 from repro.timing.engine import (
     TIMING_MODEL_VERSION,
     TimingEngine,
@@ -267,3 +269,99 @@ def test_single_cycle_bound_is_sound(seed, clock, anticipate, steps):
                                                           raw):
                         timing = engine.evaluate(cand, inst, s)
                         assert timing.ok and timing.cycles == 1
+
+
+def _random_ram_netlist(seed):
+    """Random loads and stores of one 64-word array, most of them
+    addressed (and the stores fed) by other values: reads, adds and
+    earlier loads, so addresses can chain (deterministic)."""
+    rng = random.Random(seed)
+    b = RegionBuilder(f"ram{seed}", is_loop=False)
+    arr = b.array("a", 64)
+    vals = [b.read(f"x{i}", 32) for i in range(4)]
+    vals.append(b.load(arr, vals[0], name="l"))
+    for i in range(12):
+        x, y = rng.choice(vals), rng.choice(vals)
+        addr = x if rng.random() < 0.7 else None
+        pick = rng.random()
+        if pick < 0.3:
+            vals.append(b.add(x, y, name=f"a{i}"))
+        elif pick < 0.65:
+            vals.append(b.load(arr, addr, offset=i, name=f"l{i}"))
+        else:
+            b.store(arr, y, addr, offset=i, name=f"s{i}")
+    b.write("out", vals[-1])
+    return b.build()
+
+
+@pytest.mark.parametrize("make_lib", [artisan90, generic45])
+@given(seed=st.integers(0, 10_000),
+       stretch=st.integers(90, 150),
+       anticipate=st.booleans(),
+       ports=st.integers(1, 2),
+       steps=st.lists(_STEP, min_size=1, max_size=25))
+@settings(max_examples=property_examples(25), deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_single_cycle_bound_is_sound_on_ram_ports(make_lib, seed, stretch,
+                                                   anticipate, ports,
+                                                   steps):
+    """The memory binder's bound-first admission: over random commit /
+    try_commit / rollback sequences of LOADs and STOREs on the RAM
+    ports of two banks, a port within the RAM grade's fanin limit
+    passes the exact single-cycle evaluation in one cycle.  The clock
+    is drawn around the RAM's registered path (``stretch`` percent of
+    it), where the address and write-data muxes decide."""
+    lib = make_lib()
+    region = _random_ram_netlist(seed)
+    ops = region.memory_ops
+    rtype = lib.memory_resource(32, 32, ports)
+    assert rtype.access_cycles == 1
+    clock = registered_path_ps(lib, rtype) * stretch / 100
+    insts = [MemoryPortInstance(rtype, "a", bank, port)
+             for bank in range(2) for port in range(ports)]
+    engine = TimingEngine(region.dfg, lib, clock,
+                          anticipate_muxes=anticipate)
+    key = (rtype.family, rtype.width)
+    engine.set_sharing_outlook({key: 9}, {key: 3})
+    last = None
+    for action, op_idx, inst_idx, state in steps:
+        op = ops[op_idx % len(ops)]
+        inst = insts[inst_idx % len(insts)]
+        bound = engine.binding(op.uid) is not None
+        if action == "commit" and not bound:
+            last = engine.commit(op, inst, state, engine.evaluate(
+                op, inst, state, allow_multicycle=False))
+        elif action == "try" and not bound:
+            timing = engine.evaluate(op, inst, state, allow_multicycle=False)
+            if timing.ok:
+                result, _broken = engine.try_commit(op, inst, state, timing)
+                last = result or last
+        elif action == "rollback" and last is not None:
+            engine.rollback(last)
+            last = None
+        assert engine.max_fanin == _fanin_table(engine)
+        for cand in ops:
+            for inst in insts:
+                fanin = engine.max_fanin.get(inst.name, 0)
+                for s in range(4):
+                    raw = engine.worst_input_arrival(cand, s)
+                    if fanin <= engine.single_cycle_bound(cand, rtype, raw):
+                        timing = engine.evaluate(cand, inst, s,
+                                                 allow_multicycle=False)
+                        assert timing.ok and timing.cycles == 1
+
+
+@pytest.mark.parametrize("make_lib", [artisan90, generic45])
+def test_single_cycle_bound_declines_multicycle_ram(make_lib):
+    """A registered-read RAM macro (``access_cycles`` 2) is never
+    admitted by the bound, even at a clock its single-cycle twin
+    meets."""
+    lib = make_lib()
+    region = _random_ram_netlist(0)
+    engine = TimingEngine(region.dfg, lib, 10_000.0)
+    rtype = lib.memory_resource(32, 64, 1)
+    slow = dataclasses.replace(rtype, access_cycles=2)
+    for op in region.memory_ops:
+        raw = engine.worst_input_arrival(op, 0)
+        assert engine.single_cycle_bound(op, rtype, raw) >= 0
+        assert engine.single_cycle_bound(op, slow, raw) == -1
