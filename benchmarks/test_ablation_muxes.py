@@ -48,8 +48,7 @@ def test_mux_anticipation(lib, benchmark):
         before = profiling.snapshot()
         schedule = schedule_region(
             build_idct2d(columns=1), lib, TIGHT_CLOCK_PS,
-            options=SchedulerOptions(anticipate_muxes=anticipate,
-                                     validate_result=False))
+            options=SchedulerOptions(anticipate_muxes=anticipate))
         after = profiling.snapshot()
         # doomed commits: rolled back, or served by the commit-outcome
         # cache (which would otherwise hide the churn)

@@ -16,8 +16,6 @@ import os
 import statistics
 import time
 
-import pytest
-
 from repro import profiling
 from repro.core import ScheduleError, schedule_region
 from repro.rtl.reports import format_table
@@ -118,22 +116,14 @@ def test_fig9(lib, benchmark, bench_metrics):
 
     # the paper's claim: runtime tracks pass count, not size.
     times = [t for _n, _o, _p, _l, t in ok]
-    passes = [p for _n, _o, _p, _l, p in ok]
+    passes = [p for _n, _o, p, _l, _t in ok]
     sizes = [o for _n, o, _p, _l, _t in ok]
-    try:
-        import numpy as np
-    except ImportError:
-        np = None
-        if FULL:
-            pytest.skip("numpy unavailable: skipping the full-sweep "
-                        "correlation analysis")
-    if np is not None:
-        corr_passes = float(np.corrcoef(passes, times)[0, 1])
-        corr_ops = float(np.corrcoef(sizes, times)[0, 1])
-        bench_metrics["corr_time_passes"] = round(corr_passes, 3)
-        bench_metrics["corr_time_ops"] = round(corr_ops, 3)
-        print(f"\ncorr(time, passes) = {corr_passes:.2f}, "
-              f"corr(time, ops) = {corr_ops:.2f}")
+    corr_passes = statistics.correlation(passes, times)
+    corr_ops = statistics.correlation(sizes, times)
+    bench_metrics["corr_time_passes"] = round(corr_passes, 3)
+    bench_metrics["corr_time_ops"] = round(corr_ops, 3)
+    print(f"\ncorr(time, passes) = {corr_passes:.2f}, "
+          f"corr(time, ops) = {corr_ops:.2f}")
     assert max(times) < 600.0, "no design may take longer than 10 minutes"
     if not FULL and not os.environ.get("REPRO_NO_BUDGET"):
         # the pinned speedup: the optimized scheduler core must stay

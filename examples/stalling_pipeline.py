@@ -3,8 +3,8 @@
 Section V of the paper: "Nested loops must either be unrolled or
 correspond to the 'stalling' of the pipeline (waiting for an external
 condition).  The stalling loops are ignored during the scheduling passes
-and inserted back in the CFG during the fold back step ... no stage must
-be active while the stalling condition is true."
+and inserted back in the [control flow graph] during the fold back
+step ... no stage must be active while the stalling condition is true."
 
 This example builds a pipelined accumulator with a back-pressure stall
 point, folds it, shows the stall position survive to the kernel, and

@@ -21,7 +21,6 @@ Quickstart::
 """
 
 from repro.cdfg import (
-    CFG,
     DFG,
     DFGError,
     OpKind,
@@ -66,7 +65,6 @@ from repro.tech.power import PowerReport, estimate_power
 __version__ = "1.0.0"
 
 __all__ = [
-    "CFG",
     "Channel",
     "CompilationContext",
     "ComposedPipeline",

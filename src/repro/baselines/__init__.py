@@ -1,12 +1,9 @@
 """Baseline schedulers the paper's approach is compared against."""
 
-from repro.baselines.asap_list import NaiveResult, asap_list_schedule
 from repro.baselines.modulo import ModuloFailure, ModuloResult, modulo_schedule
 
 __all__ = [
     "ModuloFailure",
     "ModuloResult",
-    "NaiveResult",
-    "asap_list_schedule",
     "modulo_schedule",
 ]

@@ -15,7 +15,7 @@ sharing muxes the scheduler never saw are added.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.cdfg.ops import Operation, OpKind
@@ -23,7 +23,7 @@ from repro.cdfg.region import Region
 from repro.core.allocation import type_key_for
 from repro.tech.library import Library
 from repro.tech.resources import ResourceInstance, ResourcePool
-from repro.timing.engine import CandidateTiming, TimingEngine
+from repro.timing.engine import TimingEngine
 from repro.timing.sta import verify_timing
 
 
@@ -42,11 +42,6 @@ class ModuloResult:
     pool: ResourcePool
     netlist: TimingEngine
     wns_ps: float
-
-    @property
-    def timing_met(self) -> bool:
-        """Whether the post-binding audit met the clock."""
-        return self.wns_ps >= -1e-9
 
 
 def _cycle_latency(op: Operation, library: Library,
@@ -118,7 +113,6 @@ def _try_ii(region: Region, lat: Dict[int, int], ii: int,
     mrt: Dict[Tuple[Tuple[str, int], int], int] = {}
     budget = budget_ratio * len(schedulable)
     never_scheduled = {op.uid: 0 for op in schedulable}
-    from repro.tech import artisan90  # type key only; any library works
 
     queue = list(order)
     while queue:

@@ -6,7 +6,6 @@ binds its operations to control steps and resources (paper section II).
 """
 
 from repro.cdfg.builder import LoopVar, MemoryHandle, RegionBuilder, Value
-from repro.cdfg.cfg import CFG, CFGEdge, CFGNode, NodeKind
 from repro.cdfg.dfg import DFG, DataEdge, DFGError
 from repro.cdfg.memory import MemoryDecl, min_conflict_distance, static_bank
 from repro.cdfg.ops import (
@@ -19,13 +18,10 @@ from repro.cdfg.ops import (
     OpKind,
     arity_of,
 )
-from repro.cdfg.predicates import Predicate, mutually_exclusive
+from repro.cdfg.predicates import Predicate
 from repro.cdfg.region import PipelineSpec, Region
 
 __all__ = [
-    "CFG",
-    "CFGEdge",
-    "CFGNode",
     "CONDITION_KINDS",
     "DFG",
     "DFGError",
@@ -37,7 +33,6 @@ __all__ = [
     "MUX_KINDS",
     "MemoryDecl",
     "MemoryHandle",
-    "NodeKind",
     "Operation",
     "OpKind",
     "PipelineSpec",
@@ -47,6 +42,5 @@ __all__ = [
     "Value",
     "arity_of",
     "min_conflict_distance",
-    "mutually_exclusive",
     "static_bank",
 ]

@@ -12,14 +12,10 @@ connected components the pipeliner must keep within II states
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Set, Tuple)
+from typing import Dict, List, Optional, Set
 
 from repro.cdfg.ops import Operation, OpKind, arity_of
 from repro.cdfg.predicates import Predicate
-
-if TYPE_CHECKING:  # networkx is imported only by :meth:`DFG.to_networkx`
-    import networkx as nx
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,8 +58,6 @@ class DFG:
         self._in_edges: Dict[int, List[DataEdge]] = {}
         self._out_edges: Dict[int, List[DataEdge]] = {}
         self._next_uid = 0
-        #: bumped on every structural mutation; external caches key on it.
-        self._version = 0
         # derived-structure caches, all invalidated by _mutated(); the
         # scheduler re-queries these per pass, so caching them is the
         # difference between O(passes * V log V) and O(V log V) total
@@ -73,13 +67,7 @@ class DFG:
         self._sccs_cache: Optional[List[Set[int]]] = None
         self._fanin_masks_cache: Optional[Dict[int, int]] = None
 
-    @property
-    def version(self) -> int:
-        """Monotonic structure version (bumped on every mutation)."""
-        return self._version
-
     def _mutated(self) -> None:
-        self._version += 1
         if self._in_sorted:
             self._in_sorted.clear()
         if self._data_in_sorted:
@@ -167,14 +155,6 @@ class DFG:
         self._out_edges[edge.src].remove(edge)
         self._mutated()
 
-    def replace_input(self, dst: Operation, port: int, new_src: Operation) -> None:
-        """Re-drive ``dst``'s input ``port`` from ``new_src`` (same distance)."""
-        old = self.in_edge(dst.uid, port)
-        if old is None:
-            raise DFGError(f"replace_input: port {port} of {dst.name} not driven")
-        self.disconnect(old)
-        self.connect(new_src, dst, port, old.distance)
-
     def remove_op(self, op: Operation) -> None:
         """Remove an operation; it must have no remaining edges."""
         if self._in_edges[op.uid] or self._out_edges[op.uid]:
@@ -232,10 +212,6 @@ class DFG:
                 key=lambda e: e.port)
         return edges
 
-    def order_in_edges(self, uid: int) -> List[DataEdge]:
-        """Incoming memory-dependence edges only."""
-        return [e for e in self._in_edges[uid] if e.order]
-
     def out_edges(self, uid: int) -> List[DataEdge]:
         """Outgoing edges of an operation."""
         return list(self._out_edges[uid])
@@ -252,33 +228,11 @@ class DFG:
         edge = self.in_edge(uid, port)
         return self._ops[edge.src] if edge is not None else None
 
-    def preds(self, uid: int, include_carried: bool = True) -> List[Operation]:
-        """Producers feeding ``uid`` (optionally skipping loop-carried edges)."""
-        edges = self._in_edges[uid]
-        return [self._ops[e.src] for e in edges
-                if include_carried or e.distance == 0]
-
     def succs(self, uid: int, include_carried: bool = True) -> List[Operation]:
         """Consumers of ``uid``'s result (optionally skipping carried edges)."""
         edges = self._out_edges[uid]
         return [self._ops[e.dst] for e in edges
                 if include_carried or e.distance == 0]
-
-    def fanout_cone_size(self, uid: int) -> int:
-        """Number of operations transitively reachable through distance-0 edges.
-
-        Used by the scheduler priority function (paper section IV.B: "the
-        size of the fanout cone of an operation").
-        """
-        seen: Set[int] = set()
-        stack = [e.dst for e in self._out_edges[uid] if e.distance == 0]
-        while stack:
-            cur = stack.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            stack.extend(e.dst for e in self._out_edges[cur] if e.distance == 0)
-        return len(seen)
 
     # ------------------------------------------------------------------
     # graph algorithms
@@ -404,19 +358,6 @@ class DFG:
             masks[op.uid] = mask
         self._fanin_masks_cache = masks
         return masks
-
-    def to_networkx(self) -> nx.MultiDiGraph:
-        """Export to a networkx multigraph (for analysis / debugging)."""
-        import networkx as nx
-
-        graph = nx.MultiDiGraph(name=self.name)
-        for uid, op in self._ops.items():
-            graph.add_node(uid, kind=op.kind.value, width=op.width, name=op.name)
-        for edges in self._out_edges.values():
-            for edge in edges:
-                graph.add_edge(edge.src, edge.dst, port=edge.port,
-                               distance=edge.distance)
-        return graph
 
     # ------------------------------------------------------------------
     # validation

@@ -21,7 +21,7 @@ Predicates are used in two places:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, Tuple
+from typing import FrozenSet, Tuple
 
 Literal = Tuple[int, bool]
 
@@ -90,10 +90,6 @@ class Predicate:
                 return True
         return False
 
-    def implies(self, other: "Predicate") -> bool:
-        """Whether this predicate is at least as strong as ``other``."""
-        return self.literals >= other.literals
-
     def __str__(self) -> str:
         if self.is_true:
             return "1"
@@ -105,12 +101,3 @@ class Predicate:
 
 _TRUE = Predicate(frozenset())
 
-
-def mutually_exclusive(predicates: Iterable[Predicate]) -> bool:
-    """Whether *all* pairs in ``predicates`` are mutually exclusive."""
-    preds = list(predicates)
-    for i, a in enumerate(preds):
-        for b in preds[i + 1:]:
-            if not a.disjoint(b):
-                return False
-    return True

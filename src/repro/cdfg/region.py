@@ -213,7 +213,3 @@ class PipelineSpec:
     def stages(self, latency: int) -> int:
         """Number of pipeline stages for a given latency interval."""
         return -(-latency // self.ii)
-
-    def equivalent(self, state_a: int, state_b: int) -> bool:
-        """Whether two 0-based states fold onto the same kernel state."""
-        return state_a % self.ii == state_b % self.ii

@@ -1,6 +1,6 @@
-"""Optimizer passes over regions (paper section II: "the goal of the
-optimizer is to simplify the DFG and CFG as much as possible, by applying
-standard compiler optimizations").
+"""Optimizer passes over regions (paper section II: the optimizer
+simplifies the DFG as much as possible by applying standard compiler
+optimizations).
 
 Passes mutate the region's DFG and return the number of changes; the
 :func:`optimize` pipeline iterates them to a fixpoint.  Loop unrolling

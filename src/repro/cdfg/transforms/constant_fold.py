@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from repro.cdfg.dfg import DFG
 from repro.cdfg.ops import OpKind
 from repro.cdfg.region import Region
 from repro.sim.evalops import evaluate_op

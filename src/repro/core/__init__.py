@@ -2,12 +2,7 @@
 scheduling and binding with CDFG-transformation-based loop pipelining."""
 
 from repro.core.allocation import AllocationResult, lower_bound, type_key_for
-from repro.core.asap_alap import (
-    InfeasibleTiming,
-    Mobility,
-    compute_mobility,
-    min_feasible_latency,
-)
+from repro.core.asap_alap import InfeasibleTiming, Mobility, compute_mobility
 from repro.core.registers import RegisterFile, allocate_registers
 from repro.core.relaxation import Action, DriverState, propose_actions
 from repro.core.restraints import Restraint, RestraintKind, RestraintLog
@@ -35,7 +30,6 @@ __all__ = [
     "compute_mobility",
     "find_scc_windows",
     "lower_bound",
-    "min_feasible_latency",
     "propose_actions",
     "schedule_region",
     "type_key_for",

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.cdfg.dfg import DFG
 from repro.cdfg.ops import MEMORY_KINDS, Operation, OpKind
@@ -300,20 +300,3 @@ def compute_mobility(
     compute_alap(region, library, clock_ps, latency, mobility,
                  asap_memo.delays)
     return mobility
-
-
-def min_feasible_latency(
-    region: Region,
-    library: Library,
-    clock_ps: float,
-    limit: int = 256,
-) -> int:
-    """Smallest latency with a non-empty mobility for every operation."""
-    for latency in range(max(region.min_latency, 1), limit + 1):
-        try:
-            compute_mobility(region, library, clock_ps, latency)
-            return latency
-        except InfeasibleTiming:
-            continue
-    raise InfeasibleTiming(
-        f"{region.name}: no feasible latency up to {limit}")

@@ -3,12 +3,12 @@
 "When the pass scheduler fails, the set of scheduling constraints must be
 relaxed. ...  Each restraint suggests a set of actions that can be applied
 to improve the scheduling.  Timing restraints could be fixed by adding
-states to the CFG, by adding resources or by speculating operations.
-Restraints stemming from combinational cycles forbid the use of a resource
-for an operation, etc.  Every action has an estimated cost, which is
-combined with the number of restraints solved by this action and the
-restraint weight.  The action with the best estimated gain wins." (paper
-section IV.B)
+states to the [control flow graph], by adding resources or by
+speculating operations.  Restraints stemming from combinational cycles
+forbid the use of a resource for an operation, etc.  Every action has an
+estimated cost, which is combined with the number of restraints solved
+by this action and the restraint weight.  The action with the best
+estimated gain wins." (paper section IV.B)
 
 The pipelining-specific action -- moving a whole SCC window to a later
 position when it suffers negative slack -- is the paper's novel
@@ -135,7 +135,6 @@ def propose_actions(
     state: DriverState,
     pipeline: Optional[PipelineSpec],
     enable_scc_move: bool = True,
-    allow_grades: bool = True,
     allow_banking: bool = True,
     resource_outlook: Optional[Dict[Tuple[str, int],
                                     Tuple[int, int]]] = None,
@@ -190,7 +189,7 @@ def propose_actions(
     # NO_RESOURCE wants more instances; NEG_SLACK with a known type wants
     # *faster* instances (grade escalation) -- both resolve to adding a
     # resource the failed operation can actually bind to
-    grades = [g.name for g in library.grades] if allow_grades else ["typical"]
+    grades = [g.name for g in library.grades]
     by_type: Dict[Tuple[str, int], List[Restraint]] = {}
     for r in restraints:
         if r.type_key is None:

@@ -11,7 +11,7 @@ the paper's novel timing-driven kernel selection (sections V/VI, Table 4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List
 
 from repro.cdfg.region import Region
@@ -31,14 +31,6 @@ class SCCWindow:
     def end(self) -> int:
         """Last state of the window (inclusive)."""
         return self.start + self.ii - 1
-
-    def contains(self, state: int) -> bool:
-        """Whether a state lies inside the window."""
-        return self.start <= state <= self.end
-
-    def shifted(self, delta: int) -> "SCCWindow":
-        """A copy moved ``delta`` states later."""
-        return SCCWindow(self.index, self.ops, self.start + delta, self.ii)
 
 
 def find_scc_windows(

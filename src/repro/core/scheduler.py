@@ -23,12 +23,11 @@ import functools
 import heapq
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (Dict, List, NamedTuple, Optional, Sequence, Set, Tuple,
                     Union)
 
 from repro import profiling
-from repro.cdfg.dfg import DFG
 from repro.cdfg.memory import static_bank
 from repro.cdfg.ops import Operation, OpKind
 from repro.cdfg.region import PipelineSpec, Region
@@ -83,12 +82,10 @@ class SchedulerOptions:
     enable_scc_move: bool = True
     anticipate_muxes: bool = True
     allow_multicycle: bool = True
-    allow_grades: bool = True
     #: let the relaxation driver raise a memory's banking factor beyond
     #: its declaration (the add-bank action); disable to pin the
     #: declared banking for controlled port-constraint experiments.
     allow_banking: bool = True
-    validate_result: bool = True
     #: Table 4 ablation companion: with the SCC move disabled, SCC members
     #: are anchored by dependency-only (timing-blind) analysis and bound
     #: even when they violate the clock -- downstream logic synthesis then
@@ -1511,14 +1508,12 @@ def schedule_region(
                     speculated=frozenset(state.speculated),
                     memories=pass_run.memories,
                 )
-                if options.validate_result:
-                    problems = schedule.validate(
-                        allow_negative_slack=options.
-                        accept_negative_slack)
-                    if problems:
-                        raise ScheduleError(
-                            f"{region.name}: internal validation "
-                            f"failed", problems)
+                problems = schedule.validate(
+                    allow_negative_slack=options.accept_negative_slack)
+                if problems:
+                    raise ScheduleError(
+                        f"{region.name}: internal validation failed",
+                        problems)
                 return schedule
             analyzed = outcome.log.analyze(region.dfg)
             outlook = {key: (demand, outcome.pool.count(*key))
@@ -1539,7 +1534,6 @@ def schedule_region(
             actions = propose_actions(
                 region, library, clock_ps, analyzed, state, pipeline,
                 enable_scc_move=options.enable_scc_move,
-                allow_grades=options.allow_grades,
                 allow_banking=options.allow_banking,
                 resource_outlook=outlook,
                 memory_accesses=cache.mem_accesses)

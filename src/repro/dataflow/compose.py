@@ -27,7 +27,7 @@ from repro.dataflow.analysis import (
     stage_offsets,
     steady_state_ii,
 )
-from repro.dataflow.channel import Channel, DataflowError
+from repro.dataflow.channel import Channel
 from repro.dataflow.pipeline import Pipeline, Stage
 from repro.tech.library import Library
 from repro.tech.power import CLOCK_TREE_FACTOR, PowerReport, estimate_power

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.scheduler import SchedulerOptions
-from repro.dataflow.compose import ComposedPipeline, compile_pipeline
+from repro.dataflow.compose import compile_pipeline
 from repro.dataflow.pipeline import Pipeline
 from repro.dataflow.sim import simulate_pipeline_machine
 from repro.explore.microarch import Microarch

@@ -27,7 +27,7 @@ property suite compares all of them).
 from __future__ import annotations
 
 import pickle
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from repro import profiling
 from repro.cdfg.dfg import DFGError

@@ -10,7 +10,7 @@ unrolled, and ``stall while`` markers survive to fold-back time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.cdfg.builder import RegionBuilder, Value
@@ -26,7 +26,6 @@ from repro.frontend.legacy.astnodes import (
     Module,
     NameExpr,
     NumberExpr,
-    Port,
     RepeatStmt,
     StallStmt,
     Stmt,

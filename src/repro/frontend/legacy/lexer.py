@@ -9,7 +9,7 @@ loops, conditionals and integer arithmetic -- plus loop attributes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 from repro.frontend.errors import FrontendError
 

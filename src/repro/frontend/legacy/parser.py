@@ -41,7 +41,7 @@ from repro.frontend.legacy.astnodes import (
     UnaryExpr,
     WaitStmt,
 )
-from repro.frontend.legacy.lexer import FrontendError, Token, TokenStream, tokenize
+from repro.frontend.legacy.lexer import FrontendError, TokenStream, tokenize
 
 #: binary operator precedence (higher binds tighter).
 _PRECEDENCE = {

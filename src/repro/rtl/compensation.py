@@ -13,7 +13,7 @@ closes (or the grade ladder is exhausted), reporting the area penalty.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.core.schedule import Schedule
 from repro.timing.retime import retime

@@ -33,7 +33,6 @@ Construction knobs:
 from __future__ import annotations
 
 import multiprocessing
-import os
 import threading
 import time
 from typing import Dict, Optional
@@ -41,7 +40,7 @@ from typing import Dict, Optional
 from repro.dse.store import ResultStore
 from repro.flow.cache import FlowCache
 from repro.obs.metrics import REGISTRY
-from repro.obs.trace import Tracer
+from repro.obs.trace import Tracer, maybe_span
 from repro.service import execution as exe
 from repro.service.jobs import (
     CANCELLED,
@@ -84,16 +83,12 @@ def _child_main(conn, kind: str, params: dict,
             pass
 
     try:
-        if tracer is not None:
-            with tracer.span("service.job", kind=kind) as span:
-                ok, result, stats = exe.execute_job(
-                    kind, params, cache=cache, store=store,
-                    progress=progress, tracer=tracer)
+        with maybe_span(tracer, "service.job", kind=kind) as span:
+            ok, result, stats = exe.execute_job(
+                kind, params, cache=cache, store=store,
+                progress=progress, tracer=tracer)
+            if span is not None:
                 span.set("ok", ok)
-        else:
-            ok, result, stats = exe.execute_job(kind, params,
-                                                cache=cache, store=store,
-                                                progress=progress)
         stats = dict(stats)
         stats["cache"] = cache.stats()
         if tracer is not None:
@@ -474,21 +469,14 @@ class JobEngine:
             store = ResultStore(self.store_path, shard_per_process=True)
         tracer = Tracer() if self.trace_jobs else None
         try:
-            if tracer is not None:
-                with tracer.span("service.job",
-                                 kind=execution.kind) as span:
-                    ok, result, stats = exe.execute_job(
-                        execution.kind, execution.params,
-                        cache=self.cache, store=store,
-                        progress=progress,
-                        cancel_event=execution.cancel_event,
-                        tracer=tracer)
-                    span.set("ok", ok)
-            else:
+            with maybe_span(tracer, "service.job",
+                            kind=execution.kind) as span:
                 ok, result, stats = exe.execute_job(
                     execution.kind, execution.params, cache=self.cache,
                     store=store, progress=progress,
-                    cancel_event=execution.cancel_event)
+                    cancel_event=execution.cancel_event, tracer=tracer)
+                if span is not None:
+                    span.set("ok", ok)
         except JobCancelled:
             return _Attempt("cancelled")
         except JobError as err:

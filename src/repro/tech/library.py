@@ -19,7 +19,7 @@ anchor values calibrated to the paper's Table 1 (90 nm typical, 32 bit).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cdfg.ops import OpKind
@@ -397,10 +397,6 @@ class Library:
     def register_area(self, bits: int) -> float:
         """Area of a ``bits``-wide register."""
         return self.ff.area_per_bit * bits
-
-    def register_leakage(self, bits: int) -> float:
-        """Leakage of a ``bits``-wide register."""
-        return self.ff.leakage_per_bit_uw * bits
 
     def table1(self, width: int = 32) -> Dict[str, object]:
         """The paper's Table 1 row: fastest typical implementations."""

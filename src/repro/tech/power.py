@@ -18,9 +18,7 @@ Units: energies in pJ, time in ps, power reported in mW (1 pJ/ps = 1 W).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
-from repro.cdfg.ops import OpKind
 from repro.core.schedule import Schedule
 
 #: fraction of iterations in which a predicated operation actually toggles.

@@ -16,7 +16,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.cdfg.memory import MemoryDecl
 from repro.cdfg.ops import Operation
-from repro.cdfg.predicates import Predicate
 from repro.tech.library import MemoryResource, ResourceType
 
 

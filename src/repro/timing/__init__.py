@@ -15,7 +15,6 @@ from repro.timing.retime import retime
 from repro.timing.sta import (
     PathPoint,
     TimingReport,
-    chained_instances_on_path,
     trace_critical_path,
     verify_timing,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "PathPoint",
     "TimingEngine",
     "TimingReport",
-    "chained_instances_on_path",
     "registered_path_ps",
     "retime",
     "trace_critical_path",

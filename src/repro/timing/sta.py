@@ -114,18 +114,3 @@ def trace_critical_path(netlist: TimingEngine,
             break
     path.reverse()
     return path
-
-
-def chained_instances_on_path(netlist: TimingEngine,
-                              end_uid: int) -> List[str]:
-    """Instance names on the critical path ending at ``end_uid``.
-
-    These are the upsizing candidates for slack compensation.
-    """
-    names: List[str] = []
-    for point in trace_critical_path(netlist, end_uid):
-        for uid, bound in netlist.bindings.items():
-            if bound.op.name == point.op_name and bound.inst is not None:
-                names.append(bound.inst.name)
-                break
-    return names

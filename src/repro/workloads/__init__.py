@@ -122,20 +122,6 @@ from repro.workloads.chstone import (  # noqa: E402
 )
 
 
-def register_pipeline(name: str, factory) -> None:
-    """Add (or replace) a named streaming pipeline in the registry."""
-    PIPELINE_REGISTRY[name] = factory
-
-
-def get_pipeline(name: str):
-    """Resolve a pipeline factory; raises ``KeyError`` with choices."""
-    try:
-        return PIPELINE_REGISTRY[name]
-    except KeyError:
-        raise KeyError(f"unknown pipeline {name!r}; "
-                       f"choose from {sorted(PIPELINE_REGISTRY)}") from None
-
-
 __all__ = [
     "PIPELINE_INPUTS",
     "PIPELINE_REGISTRY",
@@ -167,11 +153,9 @@ __all__ = [
     "build_timing_critical",
     "fir_samples",
     "generate_design",
-    "get_pipeline",
     "get_workload",
     "industrial_suite",
     "matmul_relu_inputs",
-    "register_pipeline",
     "register_workload",
     "reference_conv3x3_mem",
     "reference_dot_product",

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.cdfg.builder import RegionBuilder, Value
 from repro.cdfg.region import Region

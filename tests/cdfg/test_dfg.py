@@ -106,14 +106,6 @@ def test_no_scc_without_feedback():
     assert dfg.sccs() == []
 
 
-def test_replace_input():
-    dfg, (a, b, s, w) = _simple_dfg()
-    c = dfg.add_op(OpKind.READ, 32, payload="c")
-    dfg.replace_input(s, 1, c)
-    assert dfg.operand(s.uid, 1) is c
-    assert s.uid not in [e.dst for e in dfg.out_edges(b.uid)]
-
-
 def test_remove_op_requires_disconnect():
     dfg, (a, b, s, w) = _simple_dfg()
     with pytest.raises(DFGError):
@@ -122,12 +114,6 @@ def test_remove_op_requires_disconnect():
         dfg.disconnect(e)
     dfg.remove_op(s)
     assert s.uid not in dfg
-
-
-def test_fanout_cone_size():
-    dfg, (a, b, s, w) = _simple_dfg()
-    assert dfg.fanout_cone_size(a.uid) == 2  # s and w
-    assert dfg.fanout_cone_size(w.uid) == 0
 
 
 @st.composite
@@ -178,10 +164,3 @@ def test_stats():
     assert stats["total"] == 4
     assert stats["read"] == 2
     assert stats["edges"] == 3
-
-
-def test_to_networkx_roundtrip():
-    dfg, _ = _simple_dfg()
-    graph = dfg.to_networkx()
-    assert graph.number_of_nodes() == 4
-    assert graph.number_of_edges() == 3

@@ -15,7 +15,7 @@ from repro.cdfg.transforms.unroll import unroll_loop
 def _order_edges(region):
     return [(e.src, e.dst, e.distance, e.min_gap)
             for op in region.dfg.ops
-            for e in region.dfg.order_in_edges(op.uid)]
+            for e in region.dfg.in_edges(op.uid) if e.order]
 
 
 # ----------------------------------------------------------------------

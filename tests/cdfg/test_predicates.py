@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cdfg.predicates import Predicate, mutually_exclusive
+from repro.cdfg.predicates import Predicate
 
 
 def test_true_predicate_is_empty():
@@ -64,14 +64,6 @@ def test_nested_branch_vs_outer_else():
     assert a.disjoint(outer_else)
 
 
-def test_implies():
-    strong = Predicate.of((1, True), (2, True))
-    weak = Predicate.of((1, True))
-    assert strong.implies(weak)
-    assert not weak.implies(strong)
-    assert weak.implies(Predicate.true())
-
-
 def test_with_literal_strengthens():
     p = Predicate.true().with_literal(4, False)
     assert p.literals == frozenset({(4, False)})
@@ -80,16 +72,3 @@ def test_with_literal_strengthens():
 def test_condition_uids():
     p = Predicate.of((1, True), (9, False))
     assert p.condition_uids() == frozenset({1, 9})
-
-
-def test_mutually_exclusive_all_pairs():
-    a = Predicate.of((1, True))
-    b = Predicate.of((1, False), (2, True))
-    c = Predicate.of((1, False), (2, False))
-    assert mutually_exclusive([a, b, c])
-    assert not mutually_exclusive([a, b, Predicate.true()])
-
-
-def test_mutually_exclusive_empty_and_single():
-    assert mutually_exclusive([])
-    assert mutually_exclusive([Predicate.of((1, True))])

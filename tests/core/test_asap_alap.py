@@ -10,7 +10,6 @@ from repro.core.asap_alap import (
     AsapMemo,
     InfeasibleTiming,
     compute_mobility,
-    min_feasible_latency,
 )
 from repro.tech import artisan90
 from repro.workloads import build_example1
@@ -54,10 +53,6 @@ def test_latency2_infeasible_for_example1(lib):
     failure."""
     with pytest.raises(InfeasibleTiming):
         compute_mobility(build_example1(), lib, CLOCK, 2)
-
-
-def test_min_feasible_latency(lib):
-    assert min_feasible_latency(build_example1(), lib, CLOCK) == 3
 
 
 def test_timing_blind_mobility_with_infinite_clock(lib):

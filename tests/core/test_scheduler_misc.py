@@ -120,13 +120,6 @@ def test_schedule_summary_fields(lib):
     assert summary["register_bits"] > 0
 
 
-def test_disable_grades_limits_candidates(lib):
-    opts = SchedulerOptions(allow_grades=False)
-    schedule = schedule_region(build_example1(), lib, CLOCK, options=opts)
-    for inst in schedule.pool.instances:
-        assert inst.rtype.grade == "typical"
-
-
 def test_schedule_error_message_carries_diagnostics():
     """Failures must print their diagnostics, not just the headline."""
     err = ScheduleError("r: overconstrained",

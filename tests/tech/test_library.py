@@ -129,4 +129,4 @@ def test_speed_grade_validation():
 
 def test_register_area_and_leakage(lib):
     assert lib.register_area(32) == 32 * 30.0
-    assert lib.register_leakage(10) > 0
+    assert lib.ff.leakage_per_bit_uw > 0

@@ -5,11 +5,7 @@ import pytest
 from repro.core.scheduler import schedule_region
 from repro.tech import artisan90
 from repro.timing.retime import retime
-from repro.timing.sta import (
-    chained_instances_on_path,
-    trace_critical_path,
-    verify_timing,
-)
+from repro.timing.sta import trace_critical_path, verify_timing
 from repro.workloads import build_example1
 
 CLOCK = 1600.0
@@ -46,14 +42,6 @@ def test_critical_path_trace(sched):
     assert names == ["mul1_op", "add_op"]
     arrivals = [p.arrival_ps for p in path]
     assert arrivals == sorted(arrivals)
-
-
-def test_chained_instances_on_path(sched):
-    report = verify_timing(sched.netlist)
-    names = chained_instances_on_path(sched.netlist,
-                                      report.critical_op_uid)
-    assert any(n.startswith("mul_32") for n in names)
-    assert any(n.startswith("add_32") for n in names)
 
 
 def test_retime_refreshes_after_regrade(sched):
