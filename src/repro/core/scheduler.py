@@ -155,6 +155,7 @@ class PassOutcome:
     netlist: TimingEngine
     pool: ResourcePool
     windows: List[SCCWindow]
+    #: read-only: a sequential pass's map is the carryover cache's own.
     mobility: Dict[int, Mobility]
     log: RestraintLog
 
@@ -341,6 +342,10 @@ class _Pass:
         self._cand_of: Dict[int, List] = {}
         #: the driver's forbidden pairs per op uid (fixed for the pass).
         self._forbidden: Dict[int, Set[str]] = {}
+        #: per op with forbidden pairs: ``(group order it was filtered
+        #: from, filtered order, its grade table)``; see
+        #: :meth:`_candidates`.
+        self._allowed: Dict[int, Tuple] = {}
         for uid, name in state.forbidden:
             self._forbidden.setdefault(uid, set()).add(name)
         #: (broken info, type key) -> the pass's one NEG_SLACK restraint
@@ -374,9 +379,11 @@ class _Pass:
         """This pass's mobility map, or the InfeasibleTiming its analysis
         raised, via the carryover cache.
 
-        The cache stores the pristine result per (latency, speculated
-        set) and hands out per-op copies: SCC window clamping and the
-        timing-blind anchor ablation mutate Mobility records in place.
+        The cache stores the pristine result per (clock, latency,
+        speculated set).  Only SCC window clamping and the timing-blind
+        anchor ablation write Mobility records, and both run in
+        pipelined passes alone: a pipelined pass gets per-op copies, a
+        sequential one the cached map itself, which it only reads.
         """
         key = (self.clock_ps, self.latency, frozenset(self.state.speculated))
         cached = self.cache.mobility.get(key)
@@ -393,7 +400,7 @@ class _Pass:
             self.cache.mobility[key] = cached
         else:
             profiling.bump("mobility.cache_hit")
-        if isinstance(cached, InfeasibleTiming):
+        if isinstance(cached, InfeasibleTiming) or self.pipeline is None:
             return cached
         return {uid: mob.copy() for uid, mob in cached.items()}
 
@@ -555,15 +562,21 @@ class _Pass:
                     ent[3:] = _walk_order(ent[1])
                     break
             ent[0] = epoch
-        order, grade_of, firsts = ent[3], ent[4], ent[5]
-        banned = self._forbidden.get(op.uid)
-        if banned:
-            # the sort key is a unique total order, so filtering the
-            # sorted list equals sorting the filtered list
-            order = [inst for inst in order if inst.name not in banned]
-            grade_of, firsts = _grade_table(order)
-        # callers only iterate the returned lists
-        return order, grade_of, firsts
+        order = ent[3]
+        if op.uid not in self._forbidden:
+            # callers only iterate the returned lists
+            return order, ent[4], ent[5]
+        # the sort key is a unique total order, so filtering the sorted
+        # list equals sorting the filtered list.  Filtered order and
+        # grade table change only with the group's, whose every re-sort
+        # builds a new list: memoized per op against that list
+        memo = self._allowed.get(op.uid)
+        if memo is None or memo[0] is not order:
+            banned = self._forbidden[op.uid]
+            allowed = [inst for inst in order if inst.name not in banned]
+            memo = self._allowed[op.uid] = (order, allowed,
+                                            *_grade_table(allowed))
+        return memo[1], memo[2], memo[3]
 
     def _chain_sources(self, op: Operation, state: int) -> List[str]:
         """Connection-graph names of committed producers chained into
@@ -639,19 +652,6 @@ class _Pass:
         """Attempt to bind ``op`` at state ``e``; returns (bound, restraints)."""
         restraints: List[Restraint] = []
         type_key = self._type_key(op)
-        # the input-arrival probe feeds restraint payloads and the
-        # bound-first walk's raw arrival; it reads (never mutates) the
-        # netlist, and every consumer below runs with the netlist in
-        # exactly the state it has here (failed commits are rolled back,
-        # successful ones return early), so computing it on demand is
-        # bit-exact while skipping it on binds that need neither
-        probe_memo: List[float] = []
-
-        def arrival_probe() -> float:
-            if not probe_memo:
-                probe_memo.append(self.netlist.worst_input_arrival(op, e))
-            return probe_memo[0]
-
         if not self._check_carried(op, e):
             window = self._window_of(op.uid)
             if window is not None:
@@ -689,7 +689,8 @@ class _Pass:
                 op, None, e, allow_multicycle=False)
             if not timing.ok and not accept_violation:
                 restraints.append(self._timing_restraint(
-                    op, e, timing, arrival_probe(), None))
+                    op, e, timing,
+                    self.netlist.worst_input_arrival(op, e), None))
                 return False, restraints
             chain = self._chain_edges(op, None, e)
             if self.guard.would_cycle(chain):
@@ -721,12 +722,12 @@ class _Pass:
             restraints.append(Restraint(
                 kind=RestraintKind.NO_RESOURCE, op_uid=op.uid, state=e,
                 type_key=type_key,
-                input_arrival_ps=arrival_probe(),
+                input_arrival_ps=self.netlist.worst_input_arrival(op, e),
                 fresh_instance_fails=not fresh.ok,
                 fits_fresh_state=self._fits_fresh_state(op)))
             return False, restraints
-        walk = self._walk(op, e, type_key, accept_violation, arrival_probe,
-                          restraints, candidates, grade_of, firsts)
+        walk = self._walk(op, e, type_key, accept_violation, restraints,
+                          candidates, grade_of, firsts)
         if walk is None:
             return True, restraints
         self._tally_walk(walk.visits, walk.busy, walk.doomed,
@@ -787,8 +788,7 @@ class _Pass:
         return cls, ent[1]
 
     def _walk(self, op: Operation, e: int, type_key,
-              accept_violation: bool, arrival_probe,
-              restraints: List[Restraint],
+              accept_violation: bool, restraints: List[Restraint],
               candidates: List[ResourceInstance], grade_of: List[int],
               firsts: List[Optional[ResourceInstance]],
               ) -> Optional[_FailedWalk]:
@@ -799,6 +799,13 @@ class _Pass:
         busy = visits = doomed = timing_failed = 0
         best_slack: Optional[float] = None
         fallback: Optional[Tuple[ResourceInstance, CandidateTiming]] = None
+        # the op's worst raw input arrival feeds the bound-first fanin
+        # limits and the tail's restraint payloads.  It reads (never
+        # mutates) the netlist, which every read below finds in the
+        # state it has here (failed commits are rolled back, a kept one
+        # ends the walk), so computing it on first use is bit-exact
+        # while skipping it on walks that need neither
+        raw: Optional[float] = None
         # loop-invariant lookups hoisted out of the candidate walk: the
         # SCC window depends only on the op, and the equivalence class of
         # a single-cycle binding only on (state, latency, ii)
@@ -870,8 +877,10 @@ class _Pass:
                 if limit is None:
                     # a pure function of the op, the grade and the
                     # walk's raw arrival: computed on first use
+                    if raw is None:
+                        raw = self.netlist.worst_input_arrival(op, e)
                     limit = limits[g] = self.netlist.single_cycle_bound(
-                        op, inst.rtype, arrival_probe())
+                        op, inst.rtype, raw)
                 if fanin_of(inst.name, 0) <= limit:
                     timing = None
                 else:
@@ -986,19 +995,21 @@ class _Pass:
 
         # the restraints the failed walk adds for the op after its loop
         tail: List[Restraint] = []
-        if fallback is None:
+        if fallback is None and (busy or best_slack is not None):
+            if raw is None:
+                raw = self.netlist.worst_input_arrival(op, e)
             if busy:
                 fresh = self.netlist.evaluate_fresh(op, e)
                 tail.append(Restraint(
                     kind=RestraintKind.NO_RESOURCE, op_uid=op.uid, state=e,
                     type_key=type_key,
-                    input_arrival_ps=arrival_probe(),
+                    input_arrival_ps=raw,
                     fresh_instance_fails=not fresh.ok,
                     fits_fresh_state=self._fits_fresh_state(op)))
             if best_slack is not None:
                 dummy = CandidateTiming(False, 0.0, 0.0, best_slack)
                 tail.append(self._timing_restraint(
-                    op, e, dummy, arrival_probe(), type_key))
+                    op, e, dummy, raw, type_key))
         return _FailedWalk(restraints, visits, busy, doomed, timing_failed,
                            best_slack, fallback, lat_r is not None,
                            tuple(tail))

@@ -363,20 +363,21 @@ def _descend_delay(space: DesignSpace, goal: Goal, evaluator: Evaluator,
     # most promising curves first: smallest II reaches the smallest
     # predicted delays, tightening the incumbent for later pruning.
     for m in sorted(space.microarchs, key=lambda m: m.ii_effective):
-        clocks = admissible_clocks(space, m, delay_bound)
-        if not clocks or (incumbent is not None and m.ii_effective
-                          * clocks[0] > incumbent.delay_ps + TIE_EPS):
+        cands = [Candidate(m, clock)
+                 for clock in admissible_clocks(space, m, delay_bound)]
+        if not cands or (incumbent is not None
+                         and cands[0].predicted_delay_ps
+                         > incumbent.delay_ps + TIE_EPS):
             continue  # even the fastest clock cannot beat the incumbent
         # area and power are minimal at the most-relaxed clock: a curve
         # infeasible or over an area/power cap there is out.
-        if capped and not _ok(goal, evaluator.evaluate(
-                Candidate(m, clocks[-1]))):
+        if capped and not _ok(goal, evaluator.evaluate(cands[-1])):
             continue
-        for clock in clocks:
-            if incumbent is not None and m.ii_effective * clock \
-                    > incumbent.delay_ps + TIE_EPS:
+        for cand in cands:
+            if incumbent is not None \
+                    and cand.predicted_delay_ps > incumbent.delay_ps + TIE_EPS:
                 break  # slower clocks are provably worse: prune
-            result = evaluator.evaluate(Candidate(m, clock))
+            result = evaluator.evaluate(cand)
             if _ok(goal, result):
                 if incumbent is None \
                         or goal.key(result) < goal.key(incumbent):

@@ -115,7 +115,7 @@ class BoundOp:
         return self.state + self.cycles - 1
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CommitResult:
     """What a :meth:`TimingEngine.commit` changed.
 
@@ -126,6 +126,10 @@ class CommitResult:
     sources added -- exactly what :meth:`TimingEngine.rollback` reverts
     to reject the commit in O(changed) instead of rebuilding the
     instance's sharing state.
+
+    Treated as immutable by convention, like :class:`CandidateTiming`:
+    every commit builds one, and a frozen dataclass would pay
+    ``object.__setattr__`` per field.
     """
 
     bound: BoundOp
@@ -385,20 +389,20 @@ class TimingEngine:
         #: default on every candidate evaluation.
         self._fixed_lat: Dict[int, int] = {}
         #: whether the sharing-mux delay changes going from ``n`` to
-        #: ``n + 1`` port sources, keyed by (anticipation flag, n);
-        #: :meth:`_port_mux_delay` depends on the instance only through
-        #: that flag, so this memo is exact.
-        self._mux_step: Dict[Tuple[bool, int], bool] = {}
+        #: ``n + 1`` port sources, per anticipation flag (indexed by it)
+        #: then ``n``; :meth:`_port_mux_delay` depends on the instance
+        #: only through that flag, so this memo is exact.
+        self._mux_step: Tuple[Dict[int, bool], Dict[int, bool]] = ({}, {})
         #: committed non-mux op uids hosted per instance name.
         self._inst_ops: Dict[str, Set[int]] = {}
         #: widest port fanin per instance name (absent = no sources),
         #: kept current by commit/rollback; the per-instance half of
         #: :meth:`single_cycle_bound`.  Read-only outside.
         self.max_fanin: Dict[str, int] = {}
-        #: (root, port) -> how many instances have that root among the
+        #: port -> root -> how many instances have that root among the
         #: port's sources (absent = none), kept current with the port
         #: sources; see :meth:`generic_ports`.
-        self._feeds: Dict[Tuple[int, int], int] = {}
+        self._feeds: Dict[int, Dict[int, int]] = {}
         if statics is None:
             statics = TimingStatics(dfg, library)
         self._statics = statics
@@ -427,19 +431,29 @@ class TimingEngine:
         #: them (stale keys are tolerated: invalidation pops with a
         #: default).
         self._dep_uid: Dict[int, Set[Tuple]] = {}
-        #: (uid, reader state) -> cache keys whose propagation read that
+        #: reader state -> uid -> cache keys whose propagation read that
         #: uid as an input root or chain consumer of an op bound in that
         #: state.  Those reads see only "bound in the reader's state", so
         #: only a kept commit or retime of the uid *in that state* drops
         #: them; a retime never moves a binding to another state.
-        self._dep_read: Dict[Tuple[int, int], Set[Tuple]] = {}
+        self._dep_read: Dict[int, Dict[int, Set[Tuple]]] = {}
         #: instance name -> cache keys depending on its sharing state.
         self._dep_inst: Dict[str, Set[Tuple]] = {}
-        #: op uid -> instance name -> (instance version, cache key of
-        #: the growth signature, None when it is empty); the signature
-        #: only changes when the instance's port sources do, which the
-        #: version counter tracks.
-        self._sig_cache: Dict[int, Dict[str, Tuple[int, Optional[Tuple]]]] = {}
+        #: op uid -> instance name -> cache key of the growth signature
+        #: (None when it is empty), valid while the instance's version
+        #: equals the one in ``_sig_ver``; the signature only changes
+        #: when the instance's port sources do, which the version
+        #: counter tracks.  Two tables, not one of (version, key)
+        #: tuples: a tuple per (op, instance) pair would be an object
+        #: the cyclic collector tracks, and CPython does not track a
+        #: dict that holds only strings and ints.
+        self._sig_keys: Dict[int, Dict[str, Optional[Tuple]]] = {}
+        self._sig_ver: Dict[int, Dict[str, int]] = {}
+        #: the one object per distinct ``(instance name, signature)``
+        #: cache key: most probes recompute a key some other op or
+        #: version already holds, and an equal fresh tuple then dies at
+        #: once instead of living (and being scanned) for the pass.
+        self._keys: Dict[Tuple, Tuple] = {}
         self._inst_ver: Dict[str, int] = {}
         # -- profiling counters (folded into repro.profiling per pass) --
         self.n_evaluate = 0
@@ -860,8 +874,10 @@ class TimingEngine:
                 before = self._port_mux_delay(inst, len(sources))
                 sources.add(root)
                 added.append(((iname, port), root))
-                feed = (root, port)
-                self._feeds[feed] = self._feeds.get(feed, 0) + 1
+                fed = self._feeds.get(port)
+                if fed is None:
+                    fed = self._feeds[port] = {}
+                fed[root] = fed.get(root, 0) + 1
                 if len(sources) > self.max_fanin.get(iname, 0):
                     self.max_fanin[iname] = len(sources)
                 if self._port_mux_delay(inst, len(sources)) != before:
@@ -914,12 +930,12 @@ class TimingEngine:
             if sources is None:
                 continue
             sources.discard(root)
-            feed = (root, port)
-            left = self._feeds[feed] - 1
+            fed = self._feeds[port]
+            left = fed[root] - 1
             if left:
-                self._feeds[feed] = left
+                fed[root] = left
             else:
-                del self._feeds[feed]
+                del fed[root]
             if not sources:
                 del by_port[port]
                 if not by_port:
@@ -957,7 +973,7 @@ class TimingEngine:
         anticipated = self._ant_cache.get(iname)
         if anticipated is None:
             anticipated = self._anticipated(inst)
-        step = self._mux_step
+        step = self._mux_step[anticipated]
         # fast path: every real op shape feeds each input port at most
         # once, so per-port bookkeeping degenerates to one added root;
         # a repeated port falls back to the general accumulation below
@@ -972,11 +988,10 @@ class TimingEngine:
                     continue
                 return self._growth_signature_multi(op, inst)
             n = len(sources) if sources is not None else 0
-            skey = (anticipated, n)
-            chg = step.get(skey)
+            chg = step.get(n)
             if chg is None:
-                chg = step[skey] = (self._port_mux_delay(inst, n + 1)
-                                    != self._port_mux_delay(inst, n))
+                chg = step[n] = (self._port_mux_delay(inst, n + 1)
+                                 != self._port_mux_delay(inst, n))
             if chg:
                 changed.append((port, n + 1))
             added[port] = root
@@ -994,7 +1009,7 @@ class TimingEngine:
         anticipated = self._ant_cache.get(iname)
         if anticipated is None:
             anticipated = self._anticipated(inst)
-        step = self._mux_step
+        step = self._mux_step[anticipated]
         sig: List[Tuple[int, int]] = []
         added: Dict[int, Set[int]] = {}
         changed: Set[int] = set()
@@ -1004,11 +1019,10 @@ class TimingEngine:
             if (sources is not None and root in sources) or root in extra:
                 continue
             n = (len(sources) if sources is not None else 0) + len(extra)
-            skey = (anticipated, n)
-            chg = step.get(skey)
+            chg = step.get(n)
             if chg is None:
-                chg = step[skey] = (self._port_mux_delay(inst, n + 1)
-                                    != self._port_mux_delay(inst, n))
+                chg = step[n] = (self._port_mux_delay(inst, n + 1)
+                                 != self._port_mux_delay(inst, n))
             if chg:
                 changed.add(port)
             extra.add(root)
@@ -1040,13 +1054,14 @@ class TimingEngine:
         if ports is None:
             return None
         bound_map = self._bound
-        fed = self._feeds
+        feeds = self._feeds
         for port, root, static in self._info(op.uid):
             if static is None:
                 b = bound_map.get(root)
                 if b is not None and b.state == state and b.cycles == 1:
                     return None
-            if (root, port) in fed:
+            fed = feeds.get(port)
+            if fed is not None and root in fed:
                 return None
         for cons in self._chain_consumers.get(op.uid, ()):
             cb = bound_map.get(cons)
@@ -1082,20 +1097,26 @@ class TimingEngine:
                 if cb is not None and cb.state == state:
                     return _no_doom  # chain dirt: candidate-specific
         inst_ver = self._inst_ver
-        sigs = self._sig_cache.setdefault(op.uid, {})
+        keys = self._sig_keys.setdefault(op.uid, {})
+        vers = self._sig_ver.setdefault(op.uid, {})
+        interned = self._keys
         broken = self._broken_cache
         growth = self._growth_signature
 
         def probe(inst: ResourceInstance) -> Tuple:
             iname = inst.name
             iver = inst_ver.get(iname, 0)
-            cached = sigs.get(iname)
-            if cached is not None and cached[0] == iver:
-                cache_key = cached[1]
+            if vers.get(iname) == iver:
+                cache_key = keys[iname]
             else:
                 sig = growth(op, inst)
-                cache_key = (iname, sig) if sig else None
-                sigs[iname] = (iver, cache_key)
+                if sig:
+                    cache_key = (iname, sig)
+                    cache_key = interned.setdefault(cache_key, cache_key)
+                else:
+                    cache_key = None
+                keys[iname] = cache_key
+                vers[iname] = iver
             if cache_key is None:
                 return _NO_DOOM
             info = broken.get(cache_key)
@@ -1184,7 +1205,6 @@ class TimingEngine:
         bound_map = self._bound
         in_info = self._in_info
         chain_out = self._chain_out
-        reads: Set[Tuple[int, int]] = set()
         for uid in visited:
             keys = dep_uid.get(uid)
             if keys is None:
@@ -1194,21 +1214,18 @@ class TimingEngine:
             bound = bound_map.get(uid)
             if bound is None:
                 continue  # nothing was read for it
-            state = bound.state
             info = in_info.get(uid)
             if info is None:
                 info = self._info(uid)
-            for _port, root, static in info:
-                if static is None:
-                    reads.add((root, state))
-            for cons in chain_out.get(uid, ()):
-                reads.add((cons, state))
-        for read in reads:
-            keys = dep_read.get(read)
-            if keys is None:
-                dep_read[read] = {cache_key}
-            else:
-                keys.add(cache_key)
+            reads = [root for _port, root, static in info if static is None]
+            reads.extend(chain_out.get(uid, ()))
+            readers = dep_read.setdefault(bound.state, {})
+            for read in reads:
+                keys = readers.get(read)
+                if keys is None:
+                    readers[read] = {cache_key}
+                else:
+                    keys.add(cache_key)
 
     def _invalidate_commit_cache(self, result: CommitResult) -> None:
         """Drop the cache entries a kept commit can change: those that
@@ -1228,8 +1245,9 @@ class TimingEngine:
         touched.extend(b for b, _out, _capture in result.undo_timing)
         for b in touched:
             uid = b.op.uid
+            readers = dep_read.get(b.state)
             for keys in (dep_uid.pop(uid, None),
-                         dep_read.pop((uid, b.state), None)):
+                         readers.pop(uid, None) if readers else None):
                 if keys:
                     for key in keys:
                         cache.pop(key, None)
@@ -1252,7 +1270,9 @@ class TimingEngine:
         self._dep_uid.clear()
         self._dep_read.clear()
         self._dep_inst.clear()
-        self._sig_cache.clear()
+        self._sig_keys.clear()
+        self._sig_ver.clear()
+        self._keys.clear()
 
     def _propagate(self, dirty: Set[int],
                    visited: Optional[List[int]] = None,

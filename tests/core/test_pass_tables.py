@@ -1,7 +1,8 @@
 """The tables a scheduling pass reads instead of rebuilding, each against
 a naive oracle: the candidate walk order (kept sort keys) with its grade
-table, the pipelined state classes, and the allocation lower bound with
-its interval skip."""
+table, the per-op memo of that order filtered by forbidden pairs, the
+pipelined state classes, and the allocation lower bound with its
+interval skip."""
 
 import random
 
@@ -9,10 +10,20 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.cdfg import OpKind, Predicate, RegionBuilder
 from repro.cdfg.dfg import DFG
-from repro.core.allocation import _exclusive_groups, lower_bound, type_key_for
+from repro.core.allocation import (
+    AllocationResult,
+    _exclusive_groups,
+    lower_bound,
+    type_key_for,
+)
 from repro.core.asap_alap import Mobility
+from repro.core.relaxation import DriverState
 from repro.core.scheduler import (
+    SchedulerOptions,
     _equivalent_states,
+    _grade_table,
+    _Pass,
+    _RegionCache,
     _state_class_table,
     _walk_order,
 )
@@ -108,6 +119,97 @@ def test_walk_order_matches_a_fresh_sort(steps):
         assert (grade_of, firsts) == _naive_grades(naive)
         for inst in insts:
             assert inst.walk_key == (inst.rtype.area, -len(inst.ops_bound()))
+
+
+# ----------------------------------------------------------------------
+# forbidden-pair filter memo
+# ----------------------------------------------------------------------
+N_MULS = 6
+
+_PASS_STEP = st.one_of(
+    st.tuples(st.just("occupy"), st.integers(0, 20), st.integers(0, 20),
+              st.integers(0, 3)),
+    st.tuples(st.just("regrade"), st.integers(0, 20), st.integers(0, 3)),
+    st.tuples(st.just("forbid"), st.integers(0, N_MULS - 1),
+              st.integers(0, 20)),
+)
+
+
+def _mul_region():
+    b = RegionBuilder("forbid_memo", is_loop=False)
+    x, y = b.read("x", 32), b.read("y", 32)
+    for i in range(N_MULS):
+        x = b.mul(x, y, name=f"m{i}")
+    b.write("out", x)
+    return b.build()
+
+
+@given(n_alloc=st.integers(1, 3),
+       extra=st.lists(st.integers(0, 3), max_size=3),
+       steps=st.lists(_PASS_STEP, min_size=1, max_size=30))
+@settings(max_examples=property_examples(60), deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_forbidden_filter_memo_matches_a_fresh_filter(n_alloc, extra, steps):
+    """Over random occupy / regrade sequences, with forbid steps that
+    start the next pass with one more forbidden pair (as the driver
+    does), every op's candidates equal a fresh walk order of its
+    group's base list filtered by its forbidden names, with a fresh
+    grade table; and a
+    query that no occupancy or grade change preceded returns the
+    memoized lists themselves."""
+    region = _mul_region()
+    muls = [op for op in region.dfg.ops if op.kind is OpKind.MUL]
+    key = type_key_for(muls[0], LIB)
+    mul = LIB.resource_type(*key)
+    allocation = AllocationResult({key: n_alloc}, {key: N_MULS})
+    state = DriverState(latency=N_MULS + 1, extra_types=[
+        LIB.regrade(mul, GRADES[g]) for g in extra])
+    cache = _RegionCache(region, LIB)
+    n_insts = n_alloc + len(extra)
+
+    def new_pass():
+        return _Pass(region, LIB, 1600.0, state.latency, None, allocation,
+                     state, SchedulerOptions(), cache)
+
+    run = new_pass()
+    #: op uid -> (pool log length, candidates) at its last query
+    last = {}
+    for step in steps:
+        insts = run.pool.instances
+        if step[0] == "occupy":
+            _, idx, op_idx, at = step
+            inst, op = insts[idx % len(insts)], muls[op_idx % N_MULS]
+            if inst.is_free(op, [at]):
+                inst.occupy(op, [at])
+        elif step[0] == "regrade":
+            _, idx, grade = step
+            inst = insts[idx % len(insts)]
+            run.pool.regrade(inst, LIB.regrade(inst.rtype, GRADES[grade]))
+        else:
+            _, op_idx, idx = step
+            state.forbidden.add((muls[op_idx].uid,
+                                 f"{mul.family}_{mul.width}#{idx % n_insts}"))
+            run, last = new_pass(), {}
+        epoch = len(run.pool._order_log)
+        for op in muls:
+            got = run._candidates(op)
+            # the group's base list, sorted by (area, index) on its
+            # first query, is fixed for the pass
+            base = run._cand_of[op.uid][1]
+            assert sorted(base, key=lambda i: i.index) \
+                == sorted(run.pool.compatible(op), key=lambda i: i.index)
+            banned = {name for uid, name in state.forbidden
+                      if uid == op.uid}
+            order = [inst for inst in _walk_order(base)[0]
+                     if inst.name not in banned]
+            assert got == (order, *_grade_table(order))
+            prev = last.get(op.uid)
+            if prev is not None and prev[0] == epoch:
+                assert all(a is b for a, b in zip(got, prev[1]))
+            last[op.uid] = (epoch, got)
+        for op in muls:
+            assert all(a is b for a, b in zip(run._candidates(op),
+                                              last[op.uid][1]))
 
 
 # ----------------------------------------------------------------------

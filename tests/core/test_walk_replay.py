@@ -46,11 +46,7 @@ def cross_checked_replays():
         cls, stored = original(self, op, e, type_key)
         if stored is not None:
             restraints = []
-
-            def probe():
-                return self.netlist.worst_input_arrival(op, e)
-
-            real = self._walk(op, e, type_key, False, probe, restraints,
+            real = self._walk(op, e, type_key, False, restraints,
                               *self._candidates(op))
             where = f"{op.name} at state {e} (class {cls})"
             assert real is not None, f"replayed a walk that binds: {where}"

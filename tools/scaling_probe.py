@@ -11,13 +11,16 @@ spec size.  Each point is scheduled once on artisan90 at 1600 ps.
 For each point it prints the built op count, the relaxation passes, the
 CPU seconds of ``schedule_region``, the bind-walk's candidate visits
 (``scheduler.walk_visits``), the failed walks answered by a replay of
-their walk class instead of a visit (``scheduler.walk_replays``) and
-the commit-outcome cache's misses (``engine.commit_cache_miss``: each
-one is a provisional commit, a re-propagation and a rollback).  Then it
-prints the exponent of a least-squares fit ``cpu ~ ops^k`` in log-log
-space and the Pearson correlation between passes and CPU seconds over
-the points (with the two default points it is +-1 by construction; it
-says something only with ``--full``).
+their walk class instead of a visit (``scheduler.walk_replays``), the
+commit-outcome cache's misses (``engine.commit_cache_miss``: each one
+is a provisional commit, a re-propagation and a rollback) and the
+cyclic garbage collector's work during the call: its seconds and its
+collections per generation (gen0/gen1/gen2), timed with
+``gc.callbacks``, so the record shows the collector's share as the
+size grows.  Then it prints the exponent of a least-squares fit
+``cpu ~ ops^k`` in log-log space and the Pearson correlation between
+passes and CPU seconds over the points (with the two default points it
+is +-1 by construction; it says something only with ``--full``).
 
 Run:  python tools/scaling_probe.py [--full]
 
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import math
 import sys
 import time
@@ -50,22 +54,49 @@ SIZES = (1200, 2400)
 FULL_SIZES = SIZES + (4800,)
 
 
-def probe(n_ops: int) -> Tuple[int, int, float, int, int, int]:
+class CollectorClock:
+    """Seconds the cyclic collector ran and collections per generation,
+    from ``gc.callbacks`` while installed (a ``with`` block)."""
+
+    def __init__(self) -> None:
+        self.seconds = 0.0
+        self.collections = [0, 0, 0]
+        self._start = 0.0
+
+    def _callback(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._start = time.perf_counter()
+        else:
+            self.seconds += time.perf_counter() - self._start
+            self.collections[info["generation"]] += 1
+
+    def __enter__(self) -> "CollectorClock":
+        gc.callbacks.append(self._callback)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        gc.callbacks.remove(self._callback)
+
+
+def probe(n_ops: int) -> Tuple[int, int, float, int, int, int,
+                               CollectorClock]:
     """(built ops, passes, CPU seconds, walk visits, walk replays,
-    commit-cache misses) of one point."""
+    commit-cache misses, collector work) of one point."""
     spec = industrial_suite(n_designs=10, max_ops=1200)[-1][0]
     spec = dataclasses.replace(spec, n_ops=n_ops, n_inputs=n_ops // 60)
     region = generate_design(spec)
     counted = ("scheduler.walk_visits", "scheduler.walk_replays",
                "engine.commit_cache_miss")
     before = [profiling.counters.get(key, 0) for key in counted]
-    start = time.process_time()
-    schedule = schedule_region(region, artisan90(), CLOCK_PS)
-    cpu = time.process_time() - start
+    gc.collect()  # start each point from an empty young generation
+    with CollectorClock() as collector:
+        start = time.process_time()
+        schedule = schedule_region(region, artisan90(), CLOCK_PS)
+        cpu = time.process_time() - start
     visits, replays, misses = (profiling.counters.get(key, 0) - b
                                for key, b in zip(counted, before))
     return (len(region.dfg.ops), schedule.passes, cpu, visits, replays,
-            misses)
+            misses, collector)
 
 
 def fitted_exponent(ops: Sequence[float], cpu: Sequence[float]) -> float:
@@ -96,13 +127,15 @@ def main(argv: List[str] = None) -> int:
     rows = []
     print(f"{'spec n_ops':>10} {'ops':>6} {'passes':>6} {'cpu s':>8} "
           f"{'s/pass':>7} {'walk visits':>12} {'replays':>8} "
-          f"{'cache misses':>12}")
+          f"{'cache misses':>12} {'gc s':>6} {'gc 0/1/2':>14}")
     for n_ops in FULL_SIZES if args.full else SIZES:
-        ops, passes, cpu, visits, replays, misses = probe(n_ops)
+        ops, passes, cpu, visits, replays, misses, collector = probe(n_ops)
         rows.append((ops, passes, cpu))
+        gens = "/".join(str(n) for n in collector.collections)
         print(f"{n_ops:>10} {ops:>6} {passes:>6} {cpu:>8.2f} "
               f"{cpu / passes:>7.3f} {visits:>12} {replays:>8} "
-              f"{misses:>12}", flush=True)
+              f"{misses:>12} {collector.seconds:>6.2f} {gens:>14}",
+              flush=True)
     ops, passes, cpu = zip(*rows)
     print(f"fitted exponent (cpu ~ ops^k): k = {fitted_exponent(ops, cpu):.2f}")
     print(f"passes-vs-time correlation: r = {correlation(passes, cpu):.2f}")
