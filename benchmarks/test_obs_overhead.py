@@ -67,12 +67,22 @@ def _timed(fn):
     return time.perf_counter() - t0
 
 
+#: spans per name that one traced run of the suite records: one
+#: ``scheduler.pass`` span per relaxation pass that ran.
+SUITE_SPANS = {"scheduler.pass": 59}
+
+
 def test_tracing_is_decision_neutral_on_fig9_reduced(lib):
-    """Traced and untraced runs agree exactly, and tracing records."""
+    """Traced and untraced runs agree exactly, and tracing records the
+    same spans every time: the deterministic half of the wall-clock
+    pins below."""
     baseline = _run_suite(lib, None)
     tracer = Tracer()
     assert _run_suite(lib, tracer) == baseline
-    assert len(tracer) > 0
+    spans: dict = {}
+    for span in tracer.export():
+        spans[span["name"]] = spans.get(span["name"], 0) + 1
+    assert spans == SUITE_SPANS
 
 
 def test_tracing_overhead_on_fig9_reduced(lib, bench_metrics):

@@ -22,7 +22,6 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-import operator
 from dataclasses import dataclass
 from typing import (Dict, List, NamedTuple, Optional, Sequence, Set, Tuple,
                     Union)
@@ -164,38 +163,28 @@ def _node_name(op: Operation, inst: Optional[ResourceInstance]) -> str:
     return inst.name if inst is not None else f"op{op.uid}"
 
 
-_walk_key = operator.attrgetter("walk_key")
+def _walk_key(inst: ResourceInstance) -> Tuple[float, int]:
+    return inst.rtype.area, -len(inst._ops_map)
 
 
 def _walk_order(base: List[ResourceInstance]) -> Tuple[
-        List[ResourceInstance], List[int], List[Optional[ResourceInstance]]]:
+        List[ResourceInstance], List[int], int]:
     """A compatibility group's walk order, from its base list pre-sorted
     by (area, index), with the order's grade table.  The stable re-sort
-    on each member's kept (area, -occupancy) key
-    (:attr:`ResourceInstance.walk_key`) yields the (area, -occupancy,
-    index) order; an occupancy change of a member logs its name, so the
-    grade table stays valid exactly as long as the order does."""
+    on (area, -distinct occupants) yields the (area, -occupancy, index)
+    order; an occupancy or grade change of a member logs its name, so
+    the grade table stays valid exactly as long as the order does."""
     order = sorted(base, key=_walk_key)
     return (order, *_grade_table(order))
 
 
-def _grade_table(order: List[ResourceInstance]) -> Tuple[
-        List[int], List[Optional[ResourceInstance]]]:
-    """Per candidate its grade index, and per grade its first empty
-    candidate (None: every candidate of the grade hosts operations).
-    Grades are numbered in order of appearance."""
+def _grade_table(order: List[ResourceInstance]) -> Tuple[List[int], int]:
+    """Per candidate its grade index, grades numbered in order of
+    appearance, and the number of grades."""
     index: Dict[int, int] = {}
-    grade_of: List[int] = []
-    firsts: List[Optional[ResourceInstance]] = []
-    for inst in order:
-        g = index.get(id(inst.rtype))
-        if g is None:
-            g = index[id(inst.rtype)] = len(firsts)
-            firsts.append(None)
-        grade_of.append(g)
-        if firsts[g] is None and not inst._ops_map:
-            firsts[g] = inst
-    return grade_of, firsts
+    grade_of = [index.setdefault(id(inst.rtype), len(index))
+                for inst in order]
+    return grade_of, len(index)
 
 
 class _FailedWalk(NamedTuple):
@@ -342,20 +331,11 @@ class _Pass:
         self._cand_of: Dict[int, List] = {}
         #: the driver's forbidden pairs per op uid (fixed for the pass).
         self._forbidden: Dict[int, Set[str]] = {}
-        #: per op with forbidden pairs: ``(group order it was filtered
-        #: from, filtered order, its grade table)``; see
-        #: :meth:`_candidates`.
-        self._allowed: Dict[int, Tuple] = {}
         for uid, name in state.forbidden:
             self._forbidden.setdefault(uid, set()).add(name)
         #: (broken info, type key) -> the pass's one NEG_SLACK restraint
         #: for that doomed commit; see :meth:`_doom_restraint`.
         self._dooms: Dict[Tuple, Restraint] = {}
-        #: type key -> id(broken info) -> the same interned restraints,
-        #: and the info objects those ids belong to, kept alive so that
-        #: no other object can take an id over during the pass.
-        self._doom_ids: Dict[object, Dict[int, Restraint]] = {}
-        self._doom_infos: List[Tuple] = []
         self._n_priority_keys = 0
         #: candidate-walk outcomes of the pass: visits, busy, doomed and
         #: timing-failed candidates, and replayed walks (see
@@ -532,15 +512,15 @@ class _Pass:
     # binding
     # ------------------------------------------------------------------
     def _candidates(self, op: Operation) -> Tuple[
-            List[ResourceInstance], List[int], List[Optional[ResourceInstance]]]:
+            List[ResourceInstance], List[int], int]:
         """Compatible instances in walk order: cheapest grade first, and
         within a grade the instances already hosting operations, so
         sharing consolidates and over-allocated instances stay empty
         (they are pruned after the pass succeeds); index breaks ties.
 
         Returned with the walk's grade table: each candidate's grade
-        index (grades numbered in order of first appearance) and each
-        grade's first empty candidate, or None.
+        index (grades numbered in order of first appearance) and the
+        number of grades.
         """
         log = self.pool._order_log
         epoch = len(log)
@@ -567,16 +547,10 @@ class _Pass:
             # callers only iterate the returned lists
             return order, ent[4], ent[5]
         # the sort key is a unique total order, so filtering the sorted
-        # list equals sorting the filtered list.  Filtered order and
-        # grade table change only with the group's, whose every re-sort
-        # builds a new list: memoized per op against that list
-        memo = self._allowed.get(op.uid)
-        if memo is None or memo[0] is not order:
-            banned = self._forbidden[op.uid]
-            allowed = [inst for inst in order if inst.name not in banned]
-            memo = self._allowed[op.uid] = (order, allowed,
-                                            *_grade_table(allowed))
-        return memo[1], memo[2], memo[3]
+        # list equals sorting the filtered list
+        banned = self._forbidden[op.uid]
+        allowed = [inst for inst in order if inst.name not in banned]
+        return (allowed, *_grade_table(allowed))
 
     def _chain_sources(self, op: Operation, state: int) -> List[str]:
         """Connection-graph names of committed producers chained into
@@ -714,7 +688,7 @@ class _Pass:
             restraints = list(walk.restraints)
             restraints.extend(_retargeted(r, op.uid) for r in walk.tail)
             return False, restraints
-        candidates, grade_of, firsts = self._candidates(op)
+        candidates, grade_of, n_grades = self._candidates(op)
         if not candidates:
             # no instance at all (everything forbidden, or the pool lacks
             # the type): only adding a resource can help
@@ -727,7 +701,7 @@ class _Pass:
                 fits_fresh_state=self._fits_fresh_state(op)))
             return False, restraints
         walk = self._walk(op, e, type_key, accept_violation, restraints,
-                          candidates, grade_of, firsts)
+                          candidates, grade_of, n_grades)
         if walk is None:
             return True, restraints
         self._tally_walk(walk.visits, walk.busy, walk.doomed,
@@ -790,8 +764,7 @@ class _Pass:
     def _walk(self, op: Operation, e: int, type_key,
               accept_violation: bool, restraints: List[Restraint],
               candidates: List[ResourceInstance], grade_of: List[int],
-              firsts: List[Optional[ResourceInstance]],
-              ) -> Optional[_FailedWalk]:
+              n_grades: int) -> Optional[_FailedWalk]:
         """Visit ``op``'s candidates at ``e`` in walk order and bind it to
         the first that is free, meets timing and breaks no neighbour;
         returns None when it did, else the failed walk.  The restraints
@@ -823,55 +796,26 @@ class _Pass:
         # chained-producer names are likewise walk-invariant; only the
         # destination node differs per candidate
         chain_srcs = self._chain_sources(op, e)
-        # within one candidate walk, every still-empty instance of one
-        # grade is indistinguishable to the timing model (no occupants
-        # means no sources and no sharing mux), so evaluate once per
-        # grade and reuse the verdict for its empty siblings.  The empty
-        # verdict also bounds the occupied siblings: sharing muxes only
-        # grow arrivals (mux delay is monotone in fanin; anticipation is
-        # a per-grade flag) and the multicycle/chained rescue conditions
-        # are grade-invariant, so when the empty sibling fails timing
-        # non-rescuably every occupied sibling fails too, with a smaller
-        # slack -- skip their evaluations outright.  Only exact when the
-        # empty sibling is itself in the walk (it then contributes the
-        # grade's dominant best_slack), and never under accept_violation
-        # (the fallback choice needs the per-instance timings).
-        #
         # Bound-first: an occupied candidate whose conservative
         # single-cycle bound meets the clock provably passes timing with
         # cycles == 1, so everything up to the commit (window, busy,
         # comb-cycle, cached doom) is decided without evaluating it;
         # ``timing`` stays None until a commit needs the numbers.  The
         # bound splits into a per-grade fanin limit and the instance's
-        # widest committed port fanin, kept current by the engine.
-        #
-        # The walk's per-grade table, indexed like ``firsts`` (each
-        # grade's first empty member): the empty member's memoized
-        # timing, and the fanin limit (None: not yet computed; -1:
-        # nothing proven, always under accept_violation).
-        empty_timing: List[Optional[CandidateTiming]] = [None] * len(firsts)
-        limits = [-1 if accept_violation else None] * len(firsts)
+        # widest committed port fanin, kept current by the engine.  Per
+        # grade the fanin limit (None: not yet computed; -1: nothing
+        # proven, always under accept_violation).
+        limits = [-1 if accept_violation else None] * n_grades
         fanin_of = self.netlist.max_fanin.get
         allow_mc = self.options.allow_multicycle
-        # the commit cache's probe for this walk's single-cycle
-        # bindings, built on first use, and the pass's interned doom
-        # restraints of this type key by identity of the engine's
-        # memoized broken info (see :meth:`_doom_restraint`)
-        doom = None
-        doom_ids = self._doom_ids.get(type_key)
-        if doom_ids is None:
-            doom_ids = self._doom_ids[type_key] = {}
         # a single-state binding never runs past the last state (e <
         # latency), and its window verdict is the walk's
         single_late = window is not None and e > window.end
         for inst, g in zip(candidates, grade_of):
             visits += 1
             if not inst._ops_map:
-                timing = empty_timing[g]
-                if timing is None:
-                    timing = empty_timing[g] = self.netlist.evaluate(
-                        op, inst, e, allow_multicycle=allow_mc,
-                        profile=prof)
+                timing = self.netlist.evaluate(
+                    op, inst, e, allow_multicycle=allow_mc, profile=prof)
             else:
                 limit = limits[g]
                 if limit is None:
@@ -884,15 +828,6 @@ class _Pass:
                 if fanin_of(inst.name, 0) <= limit:
                     timing = None
                 else:
-                    if firsts[g] is not None and not accept_violation:
-                        base = empty_timing[g]
-                        if base is None:
-                            base = empty_timing[g] = self.netlist.evaluate(
-                                op, firsts[g], e, allow_multicycle=allow_mc,
-                                profile=prof)
-                        if not base.ok:
-                            timing_failed += 1
-                            continue
                     timing = self.netlist.evaluate(
                         op, inst, e, allow_multicycle=allow_mc,
                         profile=prof)
@@ -968,23 +903,18 @@ class _Pass:
             # A bound-first candidate probes that memo before paying for
             # its evaluation: a known doom needs no timing numbers
             broken_info = None
-            if doom is None and (timing is None or timing.cycles == 1):
-                doom = self.netlist.doom_probe(op, e)
             if timing is None:
-                _key, broken_info = doom(inst)
+                _key, broken_info = self.netlist.doom_probe(op, e, inst)
                 if broken_info is None:
                     timing = self.netlist.evaluate(
                         op, inst, e, allow_multicycle=allow_mc,
                         profile=prof)
             if broken_info is None:
                 _result, broken_info = self.netlist.try_commit(
-                    op, inst, e, timing,
-                    doom if timing.cycles == 1 else None)
+                    op, inst, e, timing)
             if broken_info is not None:
-                r = doom_ids.get(id(broken_info))
-                if r is None:
-                    r = self._doom_restraint(broken_info, type_key)
-                restraints.append(r)
+                restraints.append(
+                    self._doom_restraint(broken_info, type_key))
                 doomed += 1
                 continue
             inst.occupy(op, needed)
@@ -1062,15 +992,6 @@ class _Pass:
         reserves the same port index on *every* bank.  Timing (address
         mux + array access + read-data capture) is charged through the
         incremental engine against the primary port instance.
-
-        Bound-first, like the candidate walk: a memory access is not a
-        steering mux, so :meth:`TimingEngine._path` does the same
-        arithmetic for it as for a functional unit, and a port set whose
-        primary port's widest fanin is within the RAM grade's
-        :meth:`~TimingEngine.single_cycle_bound` provably meets timing in
-        one cycle.  Its window, busy, comb-cycle and cached-doom checks
-        then need no evaluation; the numbers are computed only for the
-        commit.
         """
         mem, port_sets = self._port_sets[op.uid]
         cfg = self.memories[mem]
@@ -1078,41 +999,28 @@ class _Pass:
         counts = self._mem_counts
         counts[0] += 1
         window = self._window_of(op.uid)
-        single_late = window is not None and e > window.end
-        eq_single = self._eq_single[e]
-        raw = netlist.worst_input_arrival(op, e)
-        limit = netlist.single_cycle_bound(op, cfg.rtype, raw)
-        fanin_of = netlist.max_fanin.get
-        doom = None
         busy = 0
         best_slack: Optional[float] = None
         for insts in port_sets:
             primary = insts[0]
-            if fanin_of(primary.name, 0) <= limit:
-                timing = None
-                needed = [e]
-                eq_states = eq_single
-                late = single_late
-            else:
-                timing = netlist.evaluate(
-                    op, primary, e, allow_multicycle=False)
-                if not timing.ok:
-                    if best_slack is None or timing.slack_ps > best_slack:
-                        best_slack = timing.slack_ps
-                    continue
-                needed = list(range(e, e + timing.cycles))
-                if needed[-1] > self.latency - 1:
-                    restraints.append(Restraint(
-                        kind=RestraintKind.LATENCY, op_uid=op.uid, state=e,
-                        fits_fresh_state=True))
-                    continue
-                late = window is not None and needed[-1] > window.end
-                eq_states = self._eq_states(needed)
-            if late:
+            timing = netlist.evaluate(
+                op, primary, e, allow_multicycle=False)
+            if not timing.ok:
+                if best_slack is None or timing.slack_ps > best_slack:
+                    best_slack = timing.slack_ps
+                continue
+            needed = list(range(e, e + timing.cycles))
+            if needed[-1] > self.latency - 1:
+                restraints.append(Restraint(
+                    kind=RestraintKind.LATENCY, op_uid=op.uid, state=e,
+                    fits_fresh_state=True))
+                continue
+            if window is not None and needed[-1] > window.end:
                 restraints.append(Restraint(
                     kind=RestraintKind.SCC_TIMING, op_uid=op.uid, state=e,
                     scc_index=window.index, fits_fresh_state=True))
                 continue
+            eq_states = self._eq_states(needed)
             if not all(inst.is_free(op, eq_states) for inst in insts):
                 busy += 1
                 continue
@@ -1122,18 +1030,7 @@ class _Pass:
                     kind=RestraintKind.COMB_CYCLE, op_uid=op.uid, state=e,
                     inst_name=primary.name))
                 continue
-            broken_info = None
-            if doom is None and (timing is None or timing.cycles == 1):
-                doom = netlist.doom_probe(op, e)
-            if timing is None:
-                _key, broken_info = doom(primary)
-                if broken_info is None:
-                    timing = netlist.evaluate(
-                        op, primary, e, allow_multicycle=False)
-            if broken_info is None:
-                _result, broken_info = netlist.try_commit(
-                    op, primary, e, timing,
-                    doom if timing.cycles == 1 else None)
+            _result, broken_info = netlist.try_commit(op, primary, e, timing)
             if broken_info is not None:
                 restraints.append(self._doom_restraint(broken_info, None))
                 continue
@@ -1158,7 +1055,7 @@ class _Pass:
             restraints.append(Restraint(
                 kind=RestraintKind.NEG_SLACK, op_uid=op.uid, state=e,
                 slack_ps=best_slack,
-                input_arrival_ps=raw,
+                input_arrival_ps=netlist.worst_input_arrival(op, e),
                 fresh_instance_fails=True,
                 fits_fresh_state=registered_path_ps(
                     self.library, cfg.rtype) <= budget))
@@ -1182,10 +1079,6 @@ class _Pass:
             r = self._dooms[key] = Restraint(
                 kind=RestraintKind.NEG_SLACK, op_uid=uid, state=state,
                 type_key=type_key, slack_ps=slack, input_arrival_ps=arrival)
-        # the engine hands out one memoized info object per doomed
-        # cache entry: later hits on it skip the payload hash
-        self._doom_ids.setdefault(type_key, {})[id(broken_info)] = r
-        self._doom_infos.append(broken_info)
         return r
 
     def _timing_restraint(self, op: Operation, e: int,
@@ -1365,8 +1258,9 @@ def _ffwd_replays(batch, pool, netlist) -> float:
     - at least one instance of each added type stayed empty through the
       whole observed pass, so the binder never needed instances beyond
       the ones both passes shared, and further empty siblings are
-      invisible to the candidate walk (the same empty-sibling argument
-      as the walk's per-grade verdict reuse);
+      invisible to the candidate walk (an empty instance has no sources
+      and no sharing mux, so every empty instance of a grade times
+      alike);
     - the one timing input that reads the pool *size* is the engine's
       anticipation flag, ``demand > count`` per type key
       (``TimingEngine._anticipated``, memory-port adjustments

@@ -2,12 +2,11 @@
 
 One :class:`MetricsRegistry` instance (the module-level
 :data:`REGISTRY` by default) is the sink every layer reports into.
-Counters keep the always-on cheapness of the old ``repro.profiling``
-table -- the counter dict is mutated lock-free exactly as before (the
-scheduler is single-threaded per process; worker processes each get
-their own registry whose snapshot the parent merges) and
-``repro.profiling`` remains the public API for them, now shimmed onto
-this registry.  Gauges and histograms are lock-protected: the service
+Its counter dict is one process-global table, mutated lock-free (the
+scheduler is single-threaded per process) and written through
+``repro.profiling``, which aliases it: sweep workers and forked service
+jobs reset their inherited copy and send a snapshot back for the
+parent to merge.  Gauges and histograms are lock-protected: the service
 observes job latencies from several engine threads at once.
 
 Histograms use fixed bucket edges chosen at first observation (or

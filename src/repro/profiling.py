@@ -1,27 +1,23 @@
-"""Lightweight scheduler profiling: named counters and phase timers.
+"""Scheduler work counters: one process-global table of named counts.
 
 The scheduler's hot loops account their work into a counter table
 (plain ``dict`` increments -- cheap enough to stay always-on at
 commit/pass granularity, far above the per-path-evaluation inner
-loops).  The ``repro profile`` subcommand renders the table;
-benchmarks snapshot it into their metrics so speedups stay
-attributable across PRs.
-
-Since the unified observability layer landed, this module is a shim
-over :data:`repro.obs.metrics.REGISTRY`: :data:`counters` *is* the
-registry's counter dict (same object -- call sites holding a direct
-reference keep working, and registry consumers like the service's
-``/metrics`` endpoint see every bump).  The public API is unchanged.
+loops).  :data:`counters` is the counter dict of
+:data:`repro.obs.metrics.REGISTRY` itself (same object, never rebound),
+so the service's ``/metrics`` endpoint sees every bump.
 
 Counter names are dotted phases: ``pass.count``, ``engine.commit``,
-``restraints.analyze`` ...  Use :func:`reset` around a measured
-workload, :func:`snapshot` to read, and :func:`report` for the human
-rendering.
+``restraints.analyze`` ...  :func:`bump` adds to one, :func:`snapshot`
+copies the table, :func:`merge` folds another table in and
+:func:`report` renders it.
 
-The table is intentionally global (not threaded through every call):
-scheduling itself is single-threaded per process, and the process
-sweep backend's workers each get their own table, whose relevant
-entries the parent merges back via :func:`merge`.
+The table is one dict per process, not per run.  ``repro profile``
+resets it before its measured run, every sweep worker resets it on
+start (a forked worker inherits the parent's counts) and ships its
+snapshot back for the parent to :func:`merge`, and each forked service
+job resets the whole registry.  perfbench reads it through
+:func:`snapshot`.  Concurrent runs in one process therefore share it.
 """
 
 from __future__ import annotations

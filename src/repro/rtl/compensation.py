@@ -31,13 +31,6 @@ class CompensationResult:
     upsizings: List[str]
     closed: bool
 
-    @property
-    def area_penalty_pct(self) -> float:
-        """Percent area increase spent on closing timing (Table 4)."""
-        if self.area_before <= 0:
-            return 0.0
-        return 100.0 * (self.area_after - self.area_before) / self.area_before
-
 
 def compensate_slack(schedule: Schedule,
                      max_upsizings: int = 200) -> CompensationResult:

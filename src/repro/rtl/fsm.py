@@ -32,11 +32,6 @@ class FSMSpec:
     #: (stage, phase) positions that can freeze the pipeline.
     stall_positions: List[Tuple[int, int]] = field(default_factory=list)
 
-    @property
-    def stage_valid_bits(self) -> int:
-        """Width of the stage-valid shift register (0 when sequential)."""
-        return self.n_stages if self.pipelined else 0
-
     def describe(self) -> str:
         """Human-readable controller summary."""
         lines = [

@@ -1,8 +1,7 @@
 """The tables a scheduling pass reads instead of rebuilding, each against
-a naive oracle: the candidate walk order (kept sort keys) with its grade
-table, the per-op memo of that order filtered by forbidden pairs, the
-pipelined state classes, and the allocation lower bound with its
-interval skip."""
+a naive oracle: the candidate walk order with its grade table, that
+order filtered by forbidden pairs, the pipelined state
+classes, and the allocation lower bound with its interval skip."""
 
 import random
 
@@ -47,7 +46,7 @@ PREDICATES = (
 
 
 # ----------------------------------------------------------------------
-# kept walk order
+# walk order
 # ----------------------------------------------------------------------
 def _naive_order(insts):
     return sorted(insts, key=lambda i: (i.rtype.area, -len(i.ops_bound()),
@@ -55,18 +54,15 @@ def _naive_order(insts):
 
 
 def _naive_grades(order):
-    """Per candidate its grade (numbered by first appearance), and per
-    grade its first member hosting no operation."""
+    """Per candidate its grade (numbered by first appearance), and the
+    number of grades."""
     grades = []
     for inst in order:
         if not any(g is inst.rtype for g in grades):
             grades.append(inst.rtype)
     grade_of = [next(k for k, g in enumerate(grades) if g is inst.rtype)
                 for inst in order]
-    firsts = [next((i for i in order
-                    if i.rtype is g and not i.ops_bound()), None)
-              for g in grades]
-    return grade_of, firsts
+    return grade_of, len(grades)
 
 
 _POOL_STEP = st.one_of(
@@ -84,9 +80,9 @@ _POOL_STEP = st.one_of(
 def test_walk_order_matches_a_fresh_sort(steps):
     """Over random add / multi-state occupy (predicate-disjoint sharers
     included, and ops re-occupying an instance they already hold) /
-    regrade sequences, the order sorted on the kept keys and its grade
-    table equal a fresh (area, -distinct occupants, index) sort and a
-    naive grade table."""
+    regrade sequences, the re-sorted order and its grade table equal a
+    fresh (area, -distinct occupants, index) sort and a naive grade
+    table."""
     dfg = DFG("walk_order")
     pool = ResourcePool()
     mul = LIB.typical(OpKind.MUL, 32)
@@ -113,16 +109,14 @@ def test_walk_order_matches_a_fresh_sort(steps):
             pool.regrade(inst, LIB.regrade(inst.rtype, GRADES[grade]))
         insts = pool.instances
         base = sorted(insts, key=lambda i: (i.rtype.area, i.index))
-        order, grade_of, firsts = _walk_order(base)
+        order, grade_of, n_grades = _walk_order(base)
         naive = _naive_order(insts)
         assert order == naive
-        assert (grade_of, firsts) == _naive_grades(naive)
-        for inst in insts:
-            assert inst.walk_key == (inst.rtype.area, -len(inst.ops_bound()))
+        assert (grade_of, n_grades) == _naive_grades(naive)
 
 
 # ----------------------------------------------------------------------
-# forbidden-pair filter memo
+# forbidden-pair filter
 # ----------------------------------------------------------------------
 N_MULS = 6
 
@@ -154,9 +148,9 @@ def test_forbidden_filter_memo_matches_a_fresh_filter(n_alloc, extra, steps):
     start the next pass with one more forbidden pair (as the driver
     does), every op's candidates equal a fresh walk order of its
     group's base list filtered by its forbidden names, with a fresh
-    grade table; and a
-    query that no occupancy or grade change preceded returns the
-    memoized lists themselves."""
+    grade table; and for an op with no forbidden pair, a query that no
+    occupancy or grade change preceded returns the group's memoized
+    lists themselves."""
     region = _mul_region()
     muls = [op for op in region.dfg.ops if op.kind is OpKind.MUL]
     key = type_key_for(muls[0], LIB)
@@ -203,13 +197,15 @@ def test_forbidden_filter_memo_matches_a_fresh_filter(n_alloc, extra, steps):
             order = [inst for inst in _walk_order(base)[0]
                      if inst.name not in banned]
             assert got == (order, *_grade_table(order))
+            if banned:
+                continue
             prev = last.get(op.uid)
             if prev is not None and prev[0] == epoch:
                 assert all(a is b for a, b in zip(got, prev[1]))
             last[op.uid] = (epoch, got)
-        for op in muls:
-            assert all(a is b for a, b in zip(run._candidates(op),
-                                              last[op.uid][1]))
+        for uid, (_epoch, got) in last.items():
+            op = region.dfg.op(uid)
+            assert all(a is b for a, b in zip(run._candidates(op), got))
 
 
 # ----------------------------------------------------------------------

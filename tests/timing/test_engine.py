@@ -73,13 +73,14 @@ def test_rollback_restores_sources_and_timing(lib):
     ops = _ops(region)
     r1 = engine.commit(ops["m1"], mul, 0, engine.evaluate(ops["m1"], mul, 0))
     before_capture = r1.bound.capture_ps
-    before_fanin = engine.port_fanin(mul, 0)
+    before_sources = engine.port_sources()
     r2 = engine.commit(ops["m2"], mul, 1, engine.evaluate(ops["m2"], mul, 1))
     assert r1.bound.capture_ps > before_capture
     engine.rollback(r2)
     assert engine.binding(ops["m2"].uid) is None
     assert r1.bound.capture_ps == before_capture
-    assert engine.port_fanin(mul, 0) == before_fanin
+    assert engine.port_sources() == before_sources
+    assert len(before_sources[(mul.name, 0)]) == 1
     assert engine.audit(r1.bound).capture_ps == before_capture
 
 
@@ -305,10 +306,10 @@ def _random_ram_netlist(seed):
 def test_single_cycle_bound_is_sound_on_ram_ports(make_lib, seed, stretch,
                                                    anticipate, ports,
                                                    steps):
-    """The memory binder's bound-first admission: over random commit /
-    try_commit / rollback sequences of LOADs and STOREs on the RAM
-    ports of two banks, a port within the RAM grade's fanin limit
-    passes the exact single-cycle evaluation in one cycle.  The clock
+    """The bound on RAM ports: over random commit / try_commit /
+    rollback sequences of LOADs and STOREs on the RAM ports of two
+    banks, a port within the RAM grade's fanin limit passes the exact
+    single-cycle evaluation in one cycle.  The clock
     is drawn around the RAM's registered path (``stretch`` percent of
     it), where the address and write-data muxes decide."""
     lib = make_lib()

@@ -17,7 +17,10 @@ is a provisional commit, a re-propagation and a rollback) and the
 cyclic garbage collector's work during the call: its seconds and its
 collections per generation (gen0/gen1/gen2), timed with
 ``gc.callbacks``, so the record shows the collector's share as the
-size grows.  Then it prints the exponent of a least-squares fit
+size grows.  Four columns say where the extra passes go, counted from
+``Schedule.actions_taken``: ``forbid`` actions, ``add_resource``
+batches (one action, at most 8 instances) and the instances they
+added, and the states ``add_state`` added.  Then it prints the exponent of a least-squares fit
 ``cpu ~ ops^k`` in log-log space and the Pearson correlation between
 passes and CPU seconds over the points (with the two default points it
 is +-1 by construction; it says something only with ``--full``).
@@ -78,10 +81,30 @@ class CollectorClock:
         gc.callbacks.remove(self._callback)
 
 
+def action_counts(actions: Sequence[str],
+                  start_latency: int) -> Tuple[int, int, int, int]:
+    """(forbid actions, add_resource batches, instances they added,
+    states add_state added) in a schedule's ``actions_taken``, whose
+    first pass ran at ``start_latency``."""
+    forbids = batches = instances = 0
+    latency = start_latency
+    for action in actions:
+        name, _, rest = action.partition(" ")
+        if name == "forbid":
+            forbids += 1
+        elif name == "add_resource":
+            batches += 1
+            instances += int(rest.rsplit(" x", 1)[1])
+        elif name == "add_state":
+            latency = int(rest.rsplit(" ", 1)[1])
+    return forbids, batches, instances, latency - start_latency
+
+
 def probe(n_ops: int) -> Tuple[int, int, float, int, int, int,
-                               CollectorClock]:
+                               CollectorClock, Tuple[int, int, int, int]]:
     """(built ops, passes, CPU seconds, walk visits, walk replays,
-    commit-cache misses, collector work) of one point."""
+    commit-cache misses, collector work, :func:`action_counts`) of one
+    point."""
     spec = industrial_suite(n_designs=10, max_ops=1200)[-1][0]
     spec = dataclasses.replace(spec, n_ops=n_ops, n_inputs=n_ops // 60)
     region = generate_design(spec)
@@ -95,8 +118,9 @@ def probe(n_ops: int) -> Tuple[int, int, float, int, int, int,
         cpu = time.process_time() - start
     visits, replays, misses = (profiling.counters.get(key, 0) - b
                                for key, b in zip(counted, before))
+    actions = action_counts(schedule.actions_taken, region.min_latency)
     return (len(region.dfg.ops), schedule.passes, cpu, visits, replays,
-            misses, collector)
+            misses, collector, actions)
 
 
 def fitted_exponent(ops: Sequence[float], cpu: Sequence[float]) -> float:
@@ -127,15 +151,18 @@ def main(argv: List[str] = None) -> int:
     rows = []
     print(f"{'spec n_ops':>10} {'ops':>6} {'passes':>6} {'cpu s':>8} "
           f"{'s/pass':>7} {'walk visits':>12} {'replays':>8} "
-          f"{'cache misses':>12} {'gc s':>6} {'gc 0/1/2':>14}")
+          f"{'cache misses':>12} {'gc s':>6} {'gc 0/1/2':>14} "
+          f"{'forbids':>7} {'batches':>7} {'added':>5} {'states':>6}")
     for n_ops in FULL_SIZES if args.full else SIZES:
-        ops, passes, cpu, visits, replays, misses, collector = probe(n_ops)
+        (ops, passes, cpu, visits, replays, misses, collector,
+         actions) = probe(n_ops)
         rows.append((ops, passes, cpu))
         gens = "/".join(str(n) for n in collector.collections)
         print(f"{n_ops:>10} {ops:>6} {passes:>6} {cpu:>8.2f} "
               f"{cpu / passes:>7.3f} {visits:>12} {replays:>8} "
-              f"{misses:>12} {collector.seconds:>6.2f} {gens:>14}",
-              flush=True)
+              f"{misses:>12} {collector.seconds:>6.2f} {gens:>14} "
+              f"{actions[0]:>7} {actions[1]:>7} {actions[2]:>5} "
+              f"{actions[3]:>6}", flush=True)
     ops, passes, cpu = zip(*rows)
     print(f"fitted exponent (cpu ~ ops^k): k = {fitted_exponent(ops, cpu):.2f}")
     print(f"passes-vs-time correlation: r = {correlation(passes, cpu):.2f}")
