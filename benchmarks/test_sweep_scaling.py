@@ -82,7 +82,7 @@ GRID_RENDER_SHA256 = (
     "276b4a785c0fb97f78d28d8a9bb5431eac197f59f24bd2bcc74a3f25f8a16965")
 GRID_WORK = {"pass.count": 277, "scheduler.ffwd": 7,
              "scheduler.ffwd_passes": 609,
-             "engine.evaluate": 377_369, "engine.commit": 44_611,
+             "engine.evaluate": 230_561, "engine.commit": 44_611,
              "engine.rollback": 1_302, "engine.commit_cache_hit": 23_859,
              "engine.commit_cache_miss": 1_302,
              "scheduler.walk_visits": 534_838,

@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 from typing import (Dict, List, NamedTuple, Optional, Sequence, Set, Tuple,
                     Union)
@@ -163,28 +164,38 @@ def _node_name(op: Operation, inst: Optional[ResourceInstance]) -> str:
     return inst.name if inst is not None else f"op{op.uid}"
 
 
-def _walk_key(inst: ResourceInstance) -> Tuple[float, int]:
-    return inst.rtype.area, -len(inst._ops_map)
+_walk_key = operator.attrgetter("walk_key")
 
 
 def _walk_order(base: List[ResourceInstance]) -> Tuple[
-        List[ResourceInstance], List[int], int]:
+        List[ResourceInstance], List[int], List[Optional[ResourceInstance]]]:
     """A compatibility group's walk order, from its base list pre-sorted
     by (area, index), with the order's grade table.  The stable re-sort
-    on (area, -distinct occupants) yields the (area, -occupancy, index)
-    order; an occupancy or grade change of a member logs its name, so
-    the grade table stays valid exactly as long as the order does."""
+    on each member's kept (area, -occupancy) key
+    (:attr:`ResourceInstance.walk_key`) yields the (area, -occupancy,
+    index) order; an occupancy change of a member logs its name, so the
+    grade table stays valid exactly as long as the order does."""
     order = sorted(base, key=_walk_key)
     return (order, *_grade_table(order))
 
 
-def _grade_table(order: List[ResourceInstance]) -> Tuple[List[int], int]:
-    """Per candidate its grade index, grades numbered in order of
-    appearance, and the number of grades."""
+def _grade_table(order: List[ResourceInstance]) -> Tuple[
+        List[int], List[Optional[ResourceInstance]]]:
+    """Per candidate its grade index, and per grade its first empty
+    candidate (None: every candidate of the grade hosts operations).
+    Grades are numbered in order of appearance."""
     index: Dict[int, int] = {}
-    grade_of = [index.setdefault(id(inst.rtype), len(index))
-                for inst in order]
-    return grade_of, len(index)
+    grade_of: List[int] = []
+    firsts: List[Optional[ResourceInstance]] = []
+    for inst in order:
+        g = index.get(id(inst.rtype))
+        if g is None:
+            g = index[id(inst.rtype)] = len(firsts)
+            firsts.append(None)
+        grade_of.append(g)
+        if firsts[g] is None and not inst._ops_map:
+            firsts[g] = inst
+    return grade_of, firsts
 
 
 class _FailedWalk(NamedTuple):
@@ -512,15 +523,15 @@ class _Pass:
     # binding
     # ------------------------------------------------------------------
     def _candidates(self, op: Operation) -> Tuple[
-            List[ResourceInstance], List[int], int]:
+            List[ResourceInstance], List[int], List[Optional[ResourceInstance]]]:
         """Compatible instances in walk order: cheapest grade first, and
         within a grade the instances already hosting operations, so
         sharing consolidates and over-allocated instances stay empty
         (they are pruned after the pass succeeds); index breaks ties.
 
         Returned with the walk's grade table: each candidate's grade
-        index (grades numbered in order of first appearance) and the
-        number of grades.
+        index (grades numbered in order of first appearance) and each
+        grade's first empty candidate, or None.
         """
         log = self.pool._order_log
         epoch = len(log)
@@ -688,7 +699,7 @@ class _Pass:
             restraints = list(walk.restraints)
             restraints.extend(_retargeted(r, op.uid) for r in walk.tail)
             return False, restraints
-        candidates, grade_of, n_grades = self._candidates(op)
+        candidates, grade_of, firsts = self._candidates(op)
         if not candidates:
             # no instance at all (everything forbidden, or the pool lacks
             # the type): only adding a resource can help
@@ -701,7 +712,7 @@ class _Pass:
                 fits_fresh_state=self._fits_fresh_state(op)))
             return False, restraints
         walk = self._walk(op, e, type_key, accept_violation, restraints,
-                          candidates, grade_of, n_grades)
+                          candidates, grade_of, firsts)
         if walk is None:
             return True, restraints
         self._tally_walk(walk.visits, walk.busy, walk.doomed,
@@ -764,7 +775,8 @@ class _Pass:
     def _walk(self, op: Operation, e: int, type_key,
               accept_violation: bool, restraints: List[Restraint],
               candidates: List[ResourceInstance], grade_of: List[int],
-              n_grades: int) -> Optional[_FailedWalk]:
+              firsts: List[Optional[ResourceInstance]],
+              ) -> Optional[_FailedWalk]:
         """Visit ``op``'s candidates at ``e`` in walk order and bind it to
         the first that is free, meets timing and breaks no neighbour;
         returns None when it did, else the failed walk.  The restraints
@@ -796,26 +808,50 @@ class _Pass:
         # chained-producer names are likewise walk-invariant; only the
         # destination node differs per candidate
         chain_srcs = self._chain_sources(op, e)
+        # within one candidate walk, every still-empty instance of one
+        # grade is indistinguishable to the timing model (no occupants
+        # means no sources and no sharing mux), so evaluate once per
+        # grade and reuse the verdict for its empty siblings.  The empty
+        # verdict also bounds the occupied siblings: sharing muxes only
+        # grow arrivals (mux delay is monotone in fanin; anticipation is
+        # a per-grade flag) and the multicycle/chained rescue conditions
+        # are grade-invariant, so when the empty sibling fails timing
+        # non-rescuably every occupied sibling fails too, with a smaller
+        # slack -- skip their evaluations outright.  Only exact when the
+        # empty sibling is itself in the walk (it then contributes the
+        # grade's dominant best_slack), and never under accept_violation
+        # (the fallback choice needs the per-instance timings).
+        #
         # Bound-first: an occupied candidate whose conservative
         # single-cycle bound meets the clock provably passes timing with
         # cycles == 1, so everything up to the commit (window, busy,
         # comb-cycle, cached doom) is decided without evaluating it;
         # ``timing`` stays None until a commit needs the numbers.  The
         # bound splits into a per-grade fanin limit and the instance's
-        # widest committed port fanin, kept current by the engine.  Per
-        # grade the fanin limit (None: not yet computed; -1: nothing
-        # proven, always under accept_violation).
-        limits = [-1 if accept_violation else None] * n_grades
+        # widest committed port fanin, kept current by the engine.
+        #
+        # The walk's per-grade table, indexed like ``firsts`` (each
+        # grade's first empty member): the empty member's memoized
+        # timing, and the fanin limit (None: not yet computed; -1:
+        # nothing proven, always under accept_violation).
+        empty_timing: List[Optional[CandidateTiming]] = [None] * len(firsts)
+        limits = [-1 if accept_violation else None] * len(firsts)
         fanin_of = self.netlist.max_fanin.get
         allow_mc = self.options.allow_multicycle
+        # the commit cache's probe for this walk's single-cycle
+        # bindings, built on first use
+        doom = None
         # a single-state binding never runs past the last state (e <
         # latency), and its window verdict is the walk's
         single_late = window is not None and e > window.end
         for inst, g in zip(candidates, grade_of):
             visits += 1
             if not inst._ops_map:
-                timing = self.netlist.evaluate(
-                    op, inst, e, allow_multicycle=allow_mc, profile=prof)
+                timing = empty_timing[g]
+                if timing is None:
+                    timing = empty_timing[g] = self.netlist.evaluate(
+                        op, inst, e, allow_multicycle=allow_mc,
+                        profile=prof)
             else:
                 limit = limits[g]
                 if limit is None:
@@ -828,6 +864,15 @@ class _Pass:
                 if fanin_of(inst.name, 0) <= limit:
                     timing = None
                 else:
+                    if firsts[g] is not None and not accept_violation:
+                        base = empty_timing[g]
+                        if base is None:
+                            base = empty_timing[g] = self.netlist.evaluate(
+                                op, firsts[g], e, allow_multicycle=allow_mc,
+                                profile=prof)
+                        if not base.ok:
+                            timing_failed += 1
+                            continue
                     timing = self.netlist.evaluate(
                         op, inst, e, allow_multicycle=allow_mc,
                         profile=prof)
@@ -903,15 +948,18 @@ class _Pass:
             # A bound-first candidate probes that memo before paying for
             # its evaluation: a known doom needs no timing numbers
             broken_info = None
+            if doom is None and (timing is None or timing.cycles == 1):
+                doom = self.netlist.doom_probe(op, e)
             if timing is None:
-                _key, broken_info = self.netlist.doom_probe(op, e, inst)
+                _key, broken_info = doom(inst)
                 if broken_info is None:
                     timing = self.netlist.evaluate(
                         op, inst, e, allow_multicycle=allow_mc,
                         profile=prof)
             if broken_info is None:
                 _result, broken_info = self.netlist.try_commit(
-                    op, inst, e, timing)
+                    op, inst, e, timing,
+                    doom if timing.cycles == 1 else None)
             if broken_info is not None:
                 restraints.append(
                     self._doom_restraint(broken_info, type_key))
@@ -1258,9 +1306,8 @@ def _ffwd_replays(batch, pool, netlist) -> float:
     - at least one instance of each added type stayed empty through the
       whole observed pass, so the binder never needed instances beyond
       the ones both passes shared, and further empty siblings are
-      invisible to the candidate walk (an empty instance has no sources
-      and no sharing mux, so every empty instance of a grade times
-      alike);
+      invisible to the candidate walk (the same empty-sibling argument
+      as the walk's per-grade verdict reuse);
     - the one timing input that reads the pool *size* is the engine's
       anticipation flag, ``demand > count`` per type key
       (``TimingEngine._anticipated``, memory-port adjustments

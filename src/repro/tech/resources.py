@@ -12,7 +12,7 @@ operations with mutually exclusive predicates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.cdfg.memory import MemoryDecl
 from repro.cdfg.ops import Operation
@@ -38,6 +38,11 @@ class ResourceInstance:
         self._occupancy: Dict[int, List[Operation]] = {}
         #: incrementally maintained distinct-occupant index (uid -> op).
         self._ops_map: Dict[int, Operation] = {}
+        #: the binder's candidate sort key, ``(area, -distinct
+        #: occupants)``, kept current by :meth:`occupy` and
+        #: :meth:`ResourcePool.regrade` so a walk-order re-sort reads
+        #: one attribute per instance instead of building the key.
+        self.walk_key: Tuple[float, int] = (rtype.area, 0)
         #: shared mutation log: the name of every instance whose
         #: candidate-ordering inputs (occupant count, grade) change is
         #: appended here ("*" means everything changed).  The pool
@@ -82,6 +87,7 @@ class ResourceInstance:
             self._occupancy.setdefault(state, []).append(op)
         if op.uid not in self._ops_map:
             self._ops_map[op.uid] = op
+            self.walk_key = (self.rtype.area, -len(self._ops_map))
             self._order_log.append(self.name)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -216,6 +222,7 @@ class ResourcePool:
         if rtype.family != inst.rtype.family or rtype.width != inst.rtype.width:
             raise ValueError("regrade must stay within the family/width")
         inst.rtype = rtype
+        inst.walk_key = (rtype.area, -len(inst._ops_map))
         self._order_log.append(inst.name)
 
     def __len__(self) -> int:

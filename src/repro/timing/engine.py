@@ -46,7 +46,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.cdfg.dfg import DFG
 from repro.cdfg.ops import Operation, OpKind
@@ -65,6 +65,11 @@ _FREE_KINDS = (OpKind.SLICE, OpKind.ZEXT, OpKind.SEXT, OpKind.MOVE)
 
 #: a doom probe's verdict for a binding that bypasses the commit cache.
 _NO_DOOM: Tuple[None, None] = (None, None)
+
+
+def _no_doom(inst: ResourceInstance) -> Tuple[None, None]:
+    """The doom probe of bindings that all bypass the commit cache."""
+    return _NO_DOOM
 
 
 @dataclass(slots=True)
@@ -1053,10 +1058,11 @@ class TimingEngine:
                 return None
         return ports
 
-    def doom_probe(self, op: Operation, state: int, inst: ResourceInstance,
-                   cycles: int = 1) -> Tuple:
-        """The commit-outcome cache's verdict on a ``cycles``-long binding
-        of ``op`` to ``inst`` at ``state``: ``(cache key, broken info)``.
+    def doom_probe(self, op: Operation, state: int, cycles: int = 1,
+                   ) -> Callable[[ResourceInstance], Tuple]:
+        """The commit-outcome cache's probe for ``cycles``-long bindings
+        of ``op`` at ``state``: a function ``inst -> (cache key, broken
+        info)``.
 
         The key is the one under which :meth:`try_commit` memoizes a
         doomed outcome (None when the binding bypasses the cache), and
@@ -1065,38 +1071,53 @@ class TimingEngine:
         versions and committed states -- never the candidate's own
         timing -- so a caller holding a proof that the candidate passes
         can skip evaluating it when the probe hits.
+
+        Everything that does not depend on the instance -- the steering
+        mux and chain-dirt bypasses, the memo lookups -- is settled here
+        once, so one probe serves a whole candidate walk: the walk only
+        provisionally commits, and every rollback restores the bindings
+        these checks read.
         """
         if op.is_mux:
-            return _NO_DOOM
+            return _no_doom
         if cycles == 1:
             for cons in self._chain_out.get(op.uid, ()):
                 cb = self._bound.get(cons)
                 if cb is not None and cb.state == state:
-                    return _NO_DOOM  # chain dirt: candidate-specific
-        iname = inst.name
-        iver = self._inst_ver.get(iname, 0)
+                    return _no_doom  # chain dirt: candidate-specific
+        inst_ver = self._inst_ver
         keys = self._sig_keys.setdefault(op.uid, {})
         vers = self._sig_ver.setdefault(op.uid, {})
-        if vers.get(iname) == iver:
-            cache_key = keys[iname]
-        else:
-            sig = self._growth_signature(op, inst)
-            if sig:
-                cache_key = (iname, sig)
-                cache_key = self._keys.setdefault(cache_key, cache_key)
+        interned = self._keys
+        broken = self._broken_cache
+        growth = self._growth_signature
+
+        def probe(inst: ResourceInstance) -> Tuple:
+            iname = inst.name
+            iver = inst_ver.get(iname, 0)
+            if vers.get(iname) == iver:
+                cache_key = keys[iname]
             else:
-                cache_key = None
-            keys[iname] = cache_key
-            vers[iname] = iver
-        if cache_key is None:
-            return _NO_DOOM
-        info = self._broken_cache.get(cache_key)
-        if info is not None:
-            self.n_cache_hits += 1
-        return cache_key, info
+                sig = growth(op, inst)
+                if sig:
+                    cache_key = (iname, sig)
+                    cache_key = interned.setdefault(cache_key, cache_key)
+                else:
+                    cache_key = None
+                keys[iname] = cache_key
+                vers[iname] = iver
+            if cache_key is None:
+                return _NO_DOOM
+            info = broken.get(cache_key)
+            if info is not None:
+                self.n_cache_hits += 1
+            return cache_key, info
+
+        return probe
 
     def try_commit(self, op: Operation, inst: Optional[ResourceInstance],
                    state: int, timing: CandidateTiming,
+                   probe: Optional[Callable] = None,
                    ) -> Tuple[Optional[CommitResult],
                               Optional[Tuple[int, int, float, float]]]:
         """Commit unless the re-propagation breaks a committed binding.
@@ -1131,9 +1152,15 @@ class TimingEngine:
         never invalidate.  Bindings whose producer would newly chain into
         a committed same-state consumer bypass the cache: their
         disturbance depends on the candidate itself.
+
+        ``probe`` is a :meth:`doom_probe` for ``op`` at ``state`` and
+        ``timing.cycles`` that the caller already holds; one is built
+        when it is absent.
         """
-        cache_key, info = (_NO_DOOM if inst is None else
-                           self.doom_probe(op, state, inst, timing.cycles))
+        if probe is None:
+            probe = (_no_doom if inst is None
+                     else self.doom_probe(op, state, timing.cycles))
+        cache_key, info = probe(inst)
         if info is not None:
             return None, info
         visited: Optional[List[int]] = [] if cache_key is not None else None

@@ -1,6 +1,6 @@
 """The tables a scheduling pass reads instead of rebuilding, each against
-a naive oracle: the candidate walk order with its grade table, that
-order filtered by forbidden pairs, the pipelined state
+a naive oracle: the candidate walk order (kept sort keys) with its grade
+table, that order filtered by forbidden pairs, the pipelined state
 classes, and the allocation lower bound with its interval skip."""
 
 import random
@@ -46,7 +46,7 @@ PREDICATES = (
 
 
 # ----------------------------------------------------------------------
-# walk order
+# kept walk order
 # ----------------------------------------------------------------------
 def _naive_order(insts):
     return sorted(insts, key=lambda i: (i.rtype.area, -len(i.ops_bound()),
@@ -54,15 +54,18 @@ def _naive_order(insts):
 
 
 def _naive_grades(order):
-    """Per candidate its grade (numbered by first appearance), and the
-    number of grades."""
+    """Per candidate its grade (numbered by first appearance), and per
+    grade its first member hosting no operation."""
     grades = []
     for inst in order:
         if not any(g is inst.rtype for g in grades):
             grades.append(inst.rtype)
     grade_of = [next(k for k, g in enumerate(grades) if g is inst.rtype)
                 for inst in order]
-    return grade_of, len(grades)
+    firsts = [next((i for i in order
+                    if i.rtype is g and not i.ops_bound()), None)
+              for g in grades]
+    return grade_of, firsts
 
 
 _POOL_STEP = st.one_of(
@@ -80,9 +83,9 @@ _POOL_STEP = st.one_of(
 def test_walk_order_matches_a_fresh_sort(steps):
     """Over random add / multi-state occupy (predicate-disjoint sharers
     included, and ops re-occupying an instance they already hold) /
-    regrade sequences, the re-sorted order and its grade table equal a
-    fresh (area, -distinct occupants, index) sort and a naive grade
-    table."""
+    regrade sequences, the order sorted on the kept keys and its grade
+    table equal a fresh (area, -distinct occupants, index) sort and a
+    naive grade table."""
     dfg = DFG("walk_order")
     pool = ResourcePool()
     mul = LIB.typical(OpKind.MUL, 32)
@@ -109,10 +112,12 @@ def test_walk_order_matches_a_fresh_sort(steps):
             pool.regrade(inst, LIB.regrade(inst.rtype, GRADES[grade]))
         insts = pool.instances
         base = sorted(insts, key=lambda i: (i.rtype.area, i.index))
-        order, grade_of, n_grades = _walk_order(base)
+        order, grade_of, firsts = _walk_order(base)
         naive = _naive_order(insts)
         assert order == naive
-        assert (grade_of, n_grades) == _naive_grades(naive)
+        assert (grade_of, firsts) == _naive_grades(naive)
+        for inst in insts:
+            assert inst.walk_key == (inst.rtype.area, -len(inst.ops_bound()))
 
 
 # ----------------------------------------------------------------------

@@ -81,7 +81,7 @@ def test_fast_paths_bit_identical_on_industrial_suite():
 #: dropped by a commit that cannot change what it read comes back as a
 #: miss, a provisional commit and a re-propagation.  Replayed walks
 #: probe no cache, so the hits count only the walks made for real.
-SUITE_ENGINE_WORK = {"engine.evaluate": 12459, "engine.commit": 2830,
+SUITE_ENGINE_WORK = {"engine.evaluate": 9737, "engine.commit": 2830,
                      "engine.commit_cache_hit": 6330,
                      "engine.commit_cache_miss": 438,
                      "engine.propagated": 6280}

@@ -49,15 +49,20 @@ def cross_checked_doom_probes():
     checked = []
     original = TimingEngine.doom_probe
 
-    def doom_probe(self, op, state, inst, cycles=1):
-        key, info = original(self, op, state, inst, cycles)
-        if info is not None:
-            fresh = _uncached_verdict(self, op, inst, state, cycles)
-            assert fresh == info, (
-                f"stale commit-cache entry {key} for {op.name} at "
-                f"state {state}: cached {info}, uncached {fresh}")
-            checked.append(key)
-        return key, info
+    def doom_probe(self, op, state, cycles=1):
+        probe = original(self, op, state, cycles)
+
+        def cross_checked(inst):
+            key, info = probe(inst)
+            if info is not None:
+                fresh = _uncached_verdict(self, op, inst, state, cycles)
+                assert fresh == info, (
+                    f"stale commit-cache entry {key} for {op.name} at "
+                    f"state {state}: cached {info}, uncached {fresh}")
+                checked.append(key)
+            return key, info
+
+        return cross_checked
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(TimingEngine, "doom_probe", doom_probe)
@@ -113,7 +118,7 @@ def test_binding_read_in_reader_state_drops_entry(late):
     c = ops["c"]
     _result, cached = engine.try_commit(c, adder, 2, candidate)
     assert cached is not None and cached[0] == ops["v"].uid
-    assert engine.doom_probe(c, 2, adder)[1] == cached
+    assert engine.doom_probe(c, 2)(adder)[1] == cached
     kept = engine.commit(ops[late], other, 1, _chained(arrival - 1.0))
     assert not kept.undo_timing
     _result, info = engine.try_commit(c, adder, 2, candidate)
@@ -130,7 +135,7 @@ def test_binding_in_another_state_keeps_entry(late):
     _result, cached = engine.try_commit(c, adder, 2, candidate)
     engine.commit(ops[late], other, 3, _chained(arrival - 1.0))
     hits = engine.n_cache_hits
-    assert engine.doom_probe(c, 2, adder)[1] == cached
+    assert engine.doom_probe(c, 2)(adder)[1] == cached
     assert engine.n_cache_hits == hits + 1
     assert cached == _uncached_verdict(engine, c, adder, 2, 1)
 
