@@ -3,9 +3,7 @@ simplifies the DFG as much as possible by applying standard compiler
 optimizations).
 
 Passes mutate the region's DFG and return the number of changes; the
-:func:`optimize` pipeline iterates them to a fixpoint.  Loop unrolling
-lives here too -- it is the paper's micro-architecture transformer's most
-common rewrite.
+:func:`optimize` pipeline iterates them to a fixpoint.
 """
 
 from repro.cdfg.transforms.constant_fold import constant_fold
@@ -13,7 +11,6 @@ from repro.cdfg.transforms.copy_prop import copy_propagate
 from repro.cdfg.transforms.cse import common_subexpressions
 from repro.cdfg.transforms.dead_code import dead_code_elimination
 from repro.cdfg.transforms.strength import strength_reduction
-from repro.cdfg.transforms.unroll import unroll_loop
 from repro.cdfg.transforms.width import tighten_operand_widths
 
 #: default pass order; constant folding first exposes the others.
@@ -51,5 +48,4 @@ __all__ = [
     "optimize",
     "strength_reduction",
     "tighten_operand_widths",
-    "unroll_loop",
 ]

@@ -2,15 +2,13 @@
 
 Turn a declarative goal -- "delay <= X ps, minimize area", "area <= A,
 minimize delay", optionally with a power budget -- into an orchestrated
-search over the repo's exploration axes (microarchitecture latency/II,
-clock period, memory banking, streaming channel depths) instead of a
-blind grid:
+search over the paper's exploration axes (microarchitecture latency/II
+and clock period) instead of a blind grid:
 
 * :mod:`~repro.dse.goals` -- the Goal/Constraint/Objective spec;
-* :mod:`~repro.dse.space` -- composable parameter spaces;
+* :mod:`~repro.dse.space` -- the microarchitecture x clock space;
 * :mod:`~repro.dse.search` -- the ``exhaustive`` oracle and the
-  ``greedy`` default strategy, and the :func:`tune`/:func:`tune_pipeline`
-  drivers;
+  ``greedy`` default strategy, and the :func:`tune` driver;
 * :mod:`~repro.dse.store` -- the persistent JSONL result store that
   warm-starts tuning across processes;
 * :mod:`~repro.dse.report` -- tuning traces and Pareto summaries.
@@ -42,20 +40,15 @@ from repro.dse.search import (
     STRATEGIES,
     Evaluator,
     FlowEvaluator,
-    PipelineEvaluator,
     get_strategy,
-    pipeline_fingerprint,
     tune,
-    tune_pipeline,
 )
 from repro.dse.space import (
     Candidate,
     DesignSpace,
     SpaceError,
     admissible_clocks,
-    channel_depth_assignments,
     paper_space,
-    prune_dominated_depths,
 )
 from repro.dse.store import ResultStore, StoredResult, candidate_key
 
@@ -70,7 +63,6 @@ __all__ = [
     "GoalError",
     "METRICS",
     "Objective",
-    "PipelineEvaluator",
     "ResultStore",
     "STRATEGIES",
     "SpaceError",
@@ -79,11 +71,7 @@ __all__ = [
     "admissible_clocks",
     "candidate_key",
     "canonical_metric",
-    "channel_depth_assignments",
     "get_strategy",
     "paper_space",
-    "pipeline_fingerprint",
-    "prune_dominated_depths",
     "tune",
-    "tune_pipeline",
 ]

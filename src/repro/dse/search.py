@@ -223,80 +223,6 @@ class FlowEvaluator(Evaluator):
         return [self._memo[self._key(c)] for c in cands]
 
 
-class PipelineEvaluator(Evaluator):
-    """Evaluate streaming candidates through dataflow composition.
-
-    A candidate's microarchitecture carries the FIFO depth overrides
-    (:meth:`repro.explore.Microarch.with_channel_depth`); evaluation
-    rebuilds the pipeline, applies them, and runs
-    :func:`repro.dataflow.compile_pipeline` with a shared flow cache so
-    every distinct stage schedules once across the whole search.  The
-    reported delay is ``steady-state II x Tclk`` -- the same axis the
-    Figure 10 sweeps use.
-    """
-
-    def __init__(self, pipeline_factory: Callable, library: Library,
-                 options=None, cache=None,
-                 store: Optional[ResultStore] = None) -> None:
-        from repro.flow.cache import FlowCache
-
-        super().__init__(store)
-        self.pipeline_factory = pipeline_factory
-        self.library = library
-        self.options = options
-        self.cache = cache if cache is not None else FlowCache()
-        self._fingerprint = pipeline_fingerprint(pipeline_factory())
-
-    def _key(self, cand: Candidate) -> str:
-        return candidate_key(self._fingerprint, self.library.name,
-                             cand.microarch, cand.clock_ps, self.options)
-
-    def _synthesize(self, cand: Candidate) -> StoredResult:
-        from repro.core.schedule import ScheduleError
-        from repro.dataflow import compile_pipeline
-
-        pipeline = self.pipeline_factory()
-        cand.microarch.apply_channel_depths(pipeline)
-        try:
-            composed = compile_pipeline(
-                pipeline, self.library, cand.clock_ps,
-                options=self.options, cache=self.cache)
-        except ScheduleError as exc:
-            return InfeasiblePoint(cand.microarch.name, cand.clock_ps,
-                                   str(exc))
-        return DesignPoint(
-            label=cand.label, microarch=cand.microarch.name,
-            clock_ps=cand.clock_ps, ii=composed.steady_state_ii,
-            latency=composed.latency,
-            delay_ps=composed.steady_state_ii * cand.clock_ps,
-            area=composed.area, power_mw=composed.power().total_mw)
-
-
-def pipeline_fingerprint(pipeline) -> str:
-    """Content hash of a streaming composition's structure.
-
-    Combines every stage's region fingerprint (in topological order)
-    with the stage IIs and the declared channel geometry, so the
-    persistent store keys compositions the same way the flow cache keys
-    regions.
-    """
-    import hashlib
-    import json
-
-    from repro.flow.cache import region_fingerprint
-
-    pipeline.validate()
-    payload = {
-        "name": pipeline.name,
-        "stages": [[s.name, s.ii, region_fingerprint(s.region)]
-                   for s in pipeline.topo_order()],
-        "channels": [[c.name, c.width, c.depth]
-                     for _, c in sorted(pipeline.channels.items())],
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
 # ----------------------------------------------------------------------
 # strategies
 # ----------------------------------------------------------------------
@@ -409,20 +335,6 @@ def get_strategy(name: str) -> StrategyFn:
 # ----------------------------------------------------------------------
 # drivers
 # ----------------------------------------------------------------------
-def _run(strategy: str, space: DesignSpace, goal: Goal,
-         evaluator: Evaluator) -> TuningReport:
-    """Run one strategy and assemble its report (shared driver core)."""
-    search = get_strategy(strategy)
-    start = time.perf_counter()
-    winner = search(space, goal, evaluator)
-    return TuningReport(
-        goal=goal, strategy=strategy, grid_size=space.size,
-        winner=winner, trace=list(evaluator.trace),
-        fresh_evaluations=evaluator.fresh_evaluations,
-        store_hits=evaluator.store_hits,
-        elapsed_s=time.perf_counter() - start)
-
-
 def tune(region_factory: Callable, library: Library, goal: Goal,
          space: Optional[DesignSpace] = None, strategy: str = "greedy",
          options=None, cache=None, store: Optional[ResultStore] = None,
@@ -438,25 +350,15 @@ def tune(region_factory: Callable, library: Library, goal: Goal,
     per-point spans nested underneath.
     """
     space = space if space is not None else paper_space()
+    search = get_strategy(strategy)
     evaluator = FlowEvaluator(region_factory, library, options=options,
                               cache=cache, store=store, jobs=jobs,
                               tracer=tracer)
-    return _run(strategy, space, goal, evaluator)
-
-
-def tune_pipeline(pipeline_factory: Callable, library: Library,
-                  goal: Goal, space: DesignSpace,
-                  strategy: str = "greedy", options=None, cache=None,
-                  store: Optional[ResultStore] = None) -> TuningReport:
-    """Goal-directed search over a streaming composition's space.
-
-    ``space`` typically crosses a base microarchitecture with a
-    channel-depth axis
-    (:meth:`~repro.dse.space.DesignSpace.with_channel_depth_axis`);
-    stages are scheduled once across the whole search through the
-    shared flow cache.
-    """
-    evaluator = PipelineEvaluator(pipeline_factory, library,
-                                  options=options, cache=cache,
-                                  store=store)
-    return _run(strategy, space, goal, evaluator)
+    start = time.perf_counter()
+    winner = search(space, goal, evaluator)
+    return TuningReport(
+        goal=goal, strategy=strategy, grid_size=space.size,
+        winner=winner, trace=list(evaluator.trace),
+        fresh_evaluations=evaluator.fresh_evaluations,
+        store_hits=evaluator.store_hits,
+        elapsed_s=time.perf_counter() - start)

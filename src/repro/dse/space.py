@@ -1,30 +1,21 @@
-"""Composable parameter spaces over the existing exploration axes.
+"""The parameter space of a tune: microarchitecture x clock.
 
 A :class:`DesignSpace` is the cross product of a microarchitecture list
-(latency/II points, optionally carrying banking or channel-depth
-overrides) and a clock-period axis.  The axis builders are composable:
-start from :func:`paper_space` (the Figure 10/11 grid) or an explicit
-list, then cross in memory banking (:meth:`DesignSpace.with_banking_axis`)
-or streaming channel depths (:meth:`DesignSpace.with_channel_depth_axis`).
-
-The channel-depth axis applies the paper model's monotonicity rule at
-*space construction* time: deepening a non-bottleneck channel never
-improves the steady-state II but always adds FIFO area, so an
-assignment that is pointwise >= another is dominated before anything is
-synthesized (:func:`prune_dominated_depths`).
+(latency/II points, optionally carrying banking overrides) and a
+clock-period axis; :func:`paper_space` is the Figure 10/11 grid.
+:func:`admissible_clocks` prunes a curve's clocks on the paper model's
+predicted delay before anything is synthesized.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro.explore.microarch import (
     Microarch,
     PAPER_CLOCKS_PS,
     PAPER_MICROARCHS,
-    banked_microarchs,
 )
 
 
@@ -57,7 +48,7 @@ class Candidate:
 
 @dataclass(frozen=True)
 class DesignSpace:
-    """Microarchitecture x clock grid with composable extra axes."""
+    """Microarchitecture x clock grid."""
 
     microarchs: Tuple[Microarch, ...]
     clocks_ps: Tuple[float, ...]
@@ -90,62 +81,6 @@ class DesignSpace:
             for c in self.clocks_ps:
                 yield Candidate(m, c)
 
-    # ------------------------------------------------------------------
-    # composable axes
-    # ------------------------------------------------------------------
-    def with_microarchs(self,
-                        microarchs: Sequence[Microarch]) -> "DesignSpace":
-        """A copy with a replaced microarchitecture axis."""
-        return replace(self, microarchs=tuple(microarchs))
-
-    def with_banking_axis(self, memories: Sequence[str],
-                          factors: Sequence[int]) -> "DesignSpace":
-        """Cross every microarch with the memory-banking factors.
-
-        Mirrors :func:`repro.explore.banked_microarchs`: every listed
-        memory gets the same cyclic factor per point.
-        """
-        if not factors:
-            raise SpaceError("banking axis needs at least one factor")
-        expanded: List[Microarch] = []
-        for m in self.microarchs:
-            expanded.extend(banked_microarchs(m, memories, factors))
-        return self.with_microarchs(expanded)
-
-    def with_unroll_axis(self, factors: Sequence[int]) -> "DesignSpace":
-        """Cross every microarch with loop-unroll factors.
-
-        Factor 1 keeps the microarch as-is (no label suffix); other
-        factors replicate the loop body before scheduling, trading
-        area for work per iteration.
-        """
-        if not factors:
-            raise SpaceError("unroll axis needs at least one factor")
-        expanded: List[Microarch] = []
-        for m in self.microarchs:
-            for factor in factors:
-                expanded.append(m if factor == 1 else m.with_unroll(factor))
-        return self.with_microarchs(expanded)
-
-    def with_channel_depth_axis(
-            self,
-            assignments: Sequence[Dict[str, int]]) -> "DesignSpace":
-        """Cross every microarch with FIFO depth assignments.
-
-        Pointwise-dominated assignments are pruned first (deepening a
-        non-bottleneck channel never improves II, always adds area).
-        """
-        kept = prune_dominated_depths(assignments)
-        if not kept:
-            raise SpaceError("channel-depth axis needs at least one "
-                             "assignment")
-        expanded: List[Microarch] = []
-        for m in self.microarchs:
-            for depths in kept:
-                expanded.append(m.with_channel_depth(depths)
-                                if depths else m)
-        return self.with_microarchs(expanded)
-
     def summary(self) -> Dict[str, object]:
         """JSON-friendly record of the space shape."""
         return {
@@ -158,58 +93,6 @@ class DesignSpace:
 def paper_space() -> DesignSpace:
     """The paper's Figure 10/11 grid: 5 microarchs x 5 clocks."""
     return DesignSpace(tuple(PAPER_MICROARCHS), tuple(PAPER_CLOCKS_PS))
-
-
-def prune_dominated_depths(
-        assignments: Sequence[Dict[str, int]]) -> List[Dict[str, int]]:
-    """Drop channel-depth assignments that are pointwise >= another.
-
-    Two assignments are comparable only when they name the same
-    channels; ``a`` dominates ``b`` when every depth of ``a`` is <= the
-    matching depth of ``b`` and one is strictly smaller (the deeper
-    assignment costs more FIFO area and can never improve II).  Exact
-    duplicates collapse to one entry.
-    """
-    unique: List[Dict[str, int]] = []
-    seen = set()
-    for depths in assignments:
-        key = tuple(sorted(depths.items()))
-        if key not in seen:
-            seen.add(key)
-            unique.append(dict(depths))
-    kept: List[Dict[str, int]] = []
-    for a in unique:
-        dominated = False
-        for b in unique:
-            if a is b or set(a) != set(b):
-                continue
-            if all(b[k] <= a[k] for k in a) \
-                    and any(b[k] < a[k] for k in a):
-                dominated = True
-                break
-        if not dominated:
-            kept.append(a)
-    return kept
-
-
-def channel_depth_assignments(
-        channels: Sequence[str],
-        depths: Sequence[int]) -> List[Dict[str, int]]:
-    """The per-stage streaming space: every combination of per-channel
-    FIFO depths (then typically pruned through a depth axis).
-
-    This is the cartesian per-channel expansion -- each channel of a
-    :class:`~repro.dataflow.Pipeline` picks its depth independently::
-
-        channel_depth_assignments(["s", "t"], [1, 2])
-        # [{'s': 1, 't': 1}, {'s': 1, 't': 2},
-        #  {'s': 2, 't': 1}, {'s': 2, 't': 2}]
-    """
-    if not channels or not depths:
-        return []
-    return [dict(zip(channels, combo))
-            for combo in itertools.product(sorted(depths),
-                                           repeat=len(channels))]
 
 
 def admissible_clocks(space: DesignSpace, microarch: Microarch,

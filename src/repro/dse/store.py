@@ -68,7 +68,6 @@ def candidate_key(region_fingerprint: str, library_name: str,
             "ii": microarch.ii,
             "banking": microarch.banking,
             "channel_depths": microarch.channel_depths,
-            "unroll": microarch.unroll,
         },
         "clock_ps": repr(float(clock_ps)),
         "options": asdict(options) if options is not None

@@ -12,7 +12,6 @@ from repro.explore.microarch import (
     banked_microarchs,
 )
 from repro.explore.pareto import DesignPoint, group_by_microarch, pareto_front
-from repro.explore.record import read_json, write_csv, write_json
 
 __all__ = [
     "DesignPoint",
@@ -22,8 +21,5 @@ __all__ = [
     "PAPER_MICROARCHS",
     "banked_microarchs",
     "group_by_microarch",
-    "read_json",
     "pareto_front",
-    "write_csv",
-    "write_json",
 ]

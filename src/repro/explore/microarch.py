@@ -20,23 +20,20 @@ from typing import Dict, Optional, Sequence, Tuple
 @dataclass(frozen=True)
 class Microarch:
     """One microarchitecture: a fixed latency, optionally pipelined,
-    optionally with unroll, memory banking and/or FIFO depth overrides.
+    optionally with memory banking and/or FIFO depth overrides.
 
     ``banking`` maps memory names to cyclic banking factors applied on
     top of the region's declarations -- the sweep axis that exposes
     memory-port-constrained II; ``channel_depths`` does the same for a
     dataflow composition's FIFO capacities.  Both are stored as sorted
     tuples of pairs so the microarchitecture stays hashable (sweep
-    grids key on it).  ``unroll`` replicates the loop body before
-    scheduling (one region iteration then performs ``unroll`` source
-    iterations).
+    grids key on it).
 
     Example::
 
         base = Microarch("Pipelined 16", 16, ii=8)
         banked = base.with_banking({"a": 4})          # memory axis
         deep = base.with_channel_depth({"s": 3})      # dataflow axis
-        wide = base.with_unroll(2)                    # unroll axis
         assert base.ii_effective == 8
     """
 
@@ -47,8 +44,6 @@ class Microarch:
     #: FIFO depth overrides for dataflow compositions: channel name ->
     #: depth (sorted tuple of pairs, keeping the microarch hashable).
     channel_depths: Optional[Tuple[Tuple[str, int], ...]] = None
-    #: loop-unroll factor applied before scheduling (None/1 = as built).
-    unroll: Optional[int] = None
 
     @property
     def ii_effective(self) -> int:
@@ -81,26 +76,6 @@ class Microarch:
             return
         for chan, depth in self.channel_depths:
             pipeline.set_depth(chan, depth)
-
-    def with_unroll(self, factor: int) -> "Microarch":
-        """A copy with a loop-unroll factor (and a labeled name)."""
-        if factor < 1:
-            raise ValueError(f"unroll factor must be >= 1, got {factor}")
-        return replace(self, name=f"{self.name} [unroll x{factor}]",
-                       unroll=factor)
-
-    def apply_unroll(self, region):
-        """The region the scheduler should see: unrolled when asked.
-
-        Unlike :meth:`apply_banking` this returns a (possibly new)
-        region -- :func:`repro.cdfg.transforms.unroll.unroll_loop`
-        rebuilds the DFG rather than mutating it.
-        """
-        if self.unroll is None or self.unroll == 1:
-            return region
-        from repro.cdfg.transforms.unroll import unroll_loop
-
-        return unroll_loop(region, self.unroll)
 
     def apply_banking(self, region) -> None:
         """Rewrite the region's memory declarations in place.

@@ -8,10 +8,10 @@ included.  The engine picks the backend; callers only choose ``jobs``:
 
 ``context`` (``jobs <= 1``, or a single-core host)
     Serial traversal over a :class:`~repro.flow.sweepctx.SweepContext`:
-    the region factory runs once, each microarchitecture variant
-    (unroll + latency clamp + banking) is built once, and all clocks of
-    a variant share one scheduler carryover cache (timing statics,
-    heights, priority orders, clock-keyed ASAP/ALAP skeletons).
+    each microarchitecture variant (factory + latency clamp + banking)
+    is built once, and all clocks of a variant share one scheduler
+    carryover cache (timing statics, heights, priority orders,
+    clock-keyed ASAP/ALAP skeletons).
 
 ``process`` (``jobs > 1`` on a multicore host)
     The context engine sharded over worker processes.  Points are
@@ -136,7 +136,7 @@ def synthesize_design_point(
     carryover) and the point schedules against it exactly as a grid
     point would.  Returns a :class:`DesignPoint`, or an
     :class:`InfeasiblePoint` carrying the scheduler's reason when the
-    configuration is overconstrained or the variant is unbuildable.
+    configuration is overconstrained.
     """
     variant = SweepContext(region_factory, library).variant(microarch)
     return _variant_point(variant, library, clock_ps, options, cache,
@@ -152,9 +152,6 @@ def _variant_point(
     tracer: Optional[Tracer] = None,
 ) -> PointResult:
     """One grid point against a prebuilt variant (every path)."""
-    if variant.region is None:
-        return InfeasiblePoint(variant.microarch.name, clock_ps,
-                               variant.error or "variant build failed")
     with maybe_span(tracer, "sweep.point",
                     microarch=variant.microarch.name,
                     clock_ps=clock_ps) as span:
@@ -187,13 +184,11 @@ def _sweep_worker(payload: Tuple) -> Tuple:
     same return tuple the cache entries ride -- the sweep's existing
     merge-back channel.
     """
-    (chunk_id, blob, error, microarch, clocks, options, library,
-     traced) = payload
+    chunk_id, blob, microarch, clocks, options, library, traced = payload
     profiling.reset()  # forked workers inherit the parent's table
     tracer = Tracer() if traced else None
     start = time.perf_counter()
-    region = pickle.loads(blob) if blob is not None else None
-    variant = SweepVariant(microarch, region, error, library)
+    variant = SweepVariant(microarch, pickle.loads(blob), library)
     local_cache = FlowCache()
     results = [
         _variant_point(variant, library, clock, options, local_cache,
@@ -243,10 +238,9 @@ def _run_process_backend(
         # build + submit variant by variant so the first worker starts
         # while the parent is still constructing later variants
         for microarch, idxs in by_variant.items():
-            variant = sctx.variant(microarch)
-            blob = variant.blob() if variant.region is not None else None
+            blob = sctx.variant(microarch).blob()
             for chunk_idxs in _chunk_clocks(idxs, per_variant):
-                payload = (len(chunk_map), blob, variant.error, microarch,
+                payload = (len(chunk_map), blob, microarch,
                            [grid[i][1] for i in chunk_idxs], options,
                            library, tracer is not None)
                 futures.append(pool.submit(_sweep_worker, payload))
@@ -317,8 +311,6 @@ def _execute_grid(
                 if cache is None:
                     break
                 variant = sctx.variant(microarch)
-                if variant.region is None:
-                    continue
                 key = compilation_key(
                     variant.region, library, clock,
                     options or SchedulerOptions(), variant.pipeline)

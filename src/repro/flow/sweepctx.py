@@ -9,7 +9,7 @@ the region (the equivalence suite pins this), and the scheduler's
 carryover cache keys every clock-dependent entry by clock.
 
 :class:`SweepContext` therefore builds each microarchitecture *variant*
-(factory -> unroll -> latency clamp -> banking) exactly once and pairs
+(factory -> latency clamp -> banking) exactly once and pairs
 it with one scheduler carryover cache that serves every clock of that
 variant.  The process backend additionally asks the context for a
 pickled blob of the variant region, shipped to a worker once per point
@@ -30,7 +30,6 @@ import pickle
 from typing import Callable, Dict, Optional
 
 from repro import profiling
-from repro.cdfg.dfg import DFGError
 from repro.cdfg.region import PipelineSpec, Region
 from repro.core.scheduler import _RegionCache
 from repro.explore.microarch import Microarch
@@ -40,14 +39,11 @@ from repro.tech.library import Library
 class SweepVariant:
     """One prebuilt microarchitecture variant of the swept region."""
 
-    def __init__(self, microarch: Microarch, region: Optional[Region],
-                 error: Optional[str], library: Library) -> None:
+    def __init__(self, microarch: Microarch, region: Region,
+                 library: Library) -> None:
         self.microarch = microarch
-        #: the region every clock of this variant schedules (None when
-        #: the variant itself is unbuildable, e.g. an indivisible
-        #: unroll factor -- ``error`` then carries the reason).
+        #: the region every clock of this variant schedules.
         self.region = region
-        self.error = error
         self.pipeline: Optional[PipelineSpec] = (
             PipelineSpec(ii=microarch.ii)
             if microarch.ii is not None else None)
@@ -55,13 +51,13 @@ class SweepVariant:
         self._carryover: Optional[_RegionCache] = None
         self._blob: Optional[bytes] = None
 
-    def carryover(self) -> Optional[_RegionCache]:
+    def carryover(self) -> _RegionCache:
         """The scheduler carryover cache shared by this variant's clocks.
 
         Built on first call, which the schedule pass makes only when it
         actually schedules (not on a flow-cache hit); every entry is
         decision-neutral."""
-        if self._carryover is None and self.region is not None:
+        if self._carryover is None:
             self._carryover = _RegionCache(self.region, self._library)
         return self._carryover
 
@@ -75,52 +71,30 @@ class SweepVariant:
 
 
 class SweepContext:
-    """Factory-once, build-variant-once state for one sweep.
+    """Build-variant-once state for one sweep.
 
-    The factory runs a single time; every microarchitecture's unroll +
-    latency clamp + banking runs a single time.  Points then schedule
-    against the shared variant region with the variant's carryover
-    cache.  Building a variant can fail (unrollable-as-asked regions);
-    the failure is recorded per variant so every clock of that
-    microarchitecture reports the same :class:`InfeasiblePoint` reason
-    the per-point path would have produced.
+    The factory runs once per microarchitecture (banking mutates the
+    region's memories in place, so variants cannot share one build);
+    latency clamp and banking run once per variant too.  Points then
+    schedule against the shared variant region with the variant's
+    carryover cache.
     """
 
     def __init__(self, region_factory: Callable[[], Region],
                  library: Library) -> None:
         self.library = library
         self._factory = region_factory
-        self._base: Optional[Region] = None
         self._variants: Dict[Microarch, SweepVariant] = {}
 
     def variant(self, microarch: Microarch) -> SweepVariant:
         """The (memoized) prebuilt variant for one microarchitecture."""
         entry = self._variants.get(microarch)
-        if entry is not None:
-            return entry
-        profiling.bump("sweep.variant_builds")
-        try:
-            if microarch.unroll is not None and microarch.unroll != 1:
-                # unrolling rebuilds the DFG from the base region, so
-                # variants can share one factory product; non-unrolled
-                # variants need their own build (banking mutates
-                # memories in place)
-                region = microarch.apply_unroll(self._base_region())
-            else:
-                region = self._factory()
+        if entry is None:
+            profiling.bump("sweep.variant_builds")
+            region = self._factory()
             region.min_latency = microarch.latency
             region.max_latency = microarch.latency
             microarch.apply_banking(region)
-            entry = SweepVariant(microarch, region, None, self.library)
-        except DFGError as exc:
-            # an unrollable-as-asked region (indivisible trip count,
-            # distance>1 carried edges, ...) is an overconstrained grid
-            # point like any other, not a sweep-aborting error
-            entry = SweepVariant(microarch, None, str(exc), self.library)
-        self._variants[microarch] = entry
+            entry = SweepVariant(microarch, region, self.library)
+            self._variants[microarch] = entry
         return entry
-
-    def _base_region(self) -> Region:
-        if self._base is None:
-            self._base = self._factory()
-        return self._base

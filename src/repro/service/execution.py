@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
@@ -134,6 +135,27 @@ def resolve_library(name: str) -> Library:
                        reason="unknown-library")
 
 
+def _positive(value, convert=float):
+    """``convert(value)`` when it is finite and positive (an int is at
+    least 1); raises ``TypeError``/``ValueError`` otherwise."""
+    try:
+        number = convert(value)
+    except OverflowError:  # int(inf), float(10 ** 400)
+        number = math.inf
+    if not 0 < number < math.inf:
+        raise ValueError(value)
+    return number
+
+
+def parse_clock(value) -> float:
+    """One clock period (ps): a finite number > 0."""
+    try:
+        return _positive(value)
+    except (TypeError, ValueError):
+        raise JobError(f"bad clock_ps {value!r} (want a finite period "
+                       f"in picoseconds > 0)", reason="bad-clock")
+
+
 def parse_clocks(value) -> List[float]:
     """Clocks (ps) from a list or a comma-separated string; ``None``
     means the paper's clock axis."""
@@ -141,19 +163,32 @@ def parse_clocks(value) -> List[float]:
         return [float(c) for c in PAPER_CLOCKS_PS]
     items = value.split(",") if isinstance(value, str) else value
     try:
-        clocks = [float(c) for c in items
+        clocks = [_positive(c) for c in items
                   if not isinstance(c, str) or c.strip()]
     except (TypeError, ValueError):
         raise JobError(f"bad clocks {value!r} (want comma-separated "
-                       f"picoseconds)", reason="bad-clock")
+                       f"picoseconds, each finite and > 0)",
+                       reason="bad-clock")
     if not clocks:
         raise JobError("empty clock list", reason="bad-clock")
     return clocks
 
 
+def parse_ii(value) -> Optional[int]:
+    """A designer II override: ``None`` or an integer >= 1."""
+    if value is None:
+        return None
+    try:
+        return _positive(value, int)
+    except (TypeError, ValueError):
+        raise JobError(f"bad ii {value!r} (want an integer >= 1)",
+                       reason="bad-microarch")
+
+
 def parse_microarchs(spec_text: Optional[str]) -> List[Microarch]:
-    """Microarchs from a ``lat[,lat:ii,...]`` spec; ``None``/empty
-    means the paper's eight microarchitectures."""
+    """Microarchs from a ``lat[,lat:ii,...]`` spec, latency and II each
+    an integer >= 1; ``None``/empty means the paper's five
+    microarchitectures."""
     if not spec_text:
         return list(PAPER_MICROARCHS)
     micros: List[Microarch] = []
@@ -161,14 +196,14 @@ def parse_microarchs(spec_text: Optional[str]) -> List[Microarch]:
         try:
             if ":" in spec:
                 lat, ii = spec.split(":")
-                micros.append(Microarch(f"P{lat}/{ii}", int(lat),
-                                        ii=int(ii)))
+                micros.append(Microarch(f"P{lat}/{ii}", _positive(lat, int),
+                                        ii=_positive(ii, int)))
             else:
-                micros.append(Microarch(f"NP{spec}", int(spec)))
+                micros.append(Microarch(f"NP{spec}", _positive(spec, int)))
         except ValueError:
             raise JobError(
-                f"bad microarch spec {spec!r} (want lat or lat:ii)",
-                reason="bad-microarch")
+                f"bad microarch spec {spec!r} (want lat or lat:ii, "
+                f"integers >= 1)", reason="bad-microarch")
     return micros
 
 
@@ -248,14 +283,13 @@ def normalize_params(kind: str, params: dict) -> dict:
     if kind == "stream":
         out["pipeline"] = params.get("pipeline")
         resolve_pipeline(out["pipeline"])
-        out["clock_ps"] = float(params.get("clock_ps", 1600.0))
+        out["clock_ps"] = parse_clock(params.get("clock_ps", 1600.0))
         return out
     out["workload"] = params.get("workload")
     out["source"] = params.get("source")
     if kind == "schedule":
-        out["clock_ps"] = float(params.get("clock_ps", 1600.0))
-        ii = params.get("ii")
-        out["ii"] = int(ii) if ii is not None else None
+        out["clock_ps"] = parse_clock(params.get("clock_ps", 1600.0))
+        out["ii"] = parse_ii(params.get("ii"))
         out["optimize"] = bool(params.get("optimize", True))
         return out
     # sweep / tune share the grid axes
@@ -269,7 +303,12 @@ def normalize_params(kind: str, params: dict) -> dict:
                            f"choose from {sorted(STRATEGIES)}")
         for field in ("delay_ps", "max_area", "max_power_mw"):
             value = params.get(field)
-            out[field] = float(value) if value is not None else None
+            try:
+                out[field] = None if value is None else _positive(value)
+            except (TypeError, ValueError):
+                raise JobError(f"invalid goal: bad {field} {value!r} "
+                               f"(want a finite number > 0)",
+                               reason="invalid-goal")
         out["objective"] = tune_objective(params.get("objective"),
                                           out["delay_ps"])
         tune_goal(out)  # validate early
@@ -290,6 +329,22 @@ def prepare_job(kind: str, params: dict) -> Tuple[dict, str]:
     return out, job_key(kind, out)
 
 
+def pipeline_fingerprint(pipeline) -> str:
+    """Content hash of a streaming composition's structure: every
+    stage's region fingerprint (in topological order) with the stage
+    IIs and the declared channel geometry."""
+    pipeline.validate()
+    payload = {
+        "name": pipeline.name,
+        "stages": [[s.name, s.ii, region_fingerprint(s.region)]
+                   for s in pipeline.topo_order()],
+        "channels": [[c.name, c.width, c.depth]
+                     for _, c in sorted(pipeline.channels.items())],
+    }
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
 def job_key(kind: str, params: dict) -> str:
     """Content hash of a normalized submission.
 
@@ -300,8 +355,6 @@ def job_key(kind: str, params: dict) -> str:
     elaborates to the identical region.
     """
     if kind == "stream":
-        from repro.dse.search import pipeline_fingerprint
-
         fingerprint = pipeline_fingerprint(
             PIPELINE_REGISTRY[params["pipeline"]]())
     else:

@@ -9,7 +9,6 @@ from repro.cdfg.memory import (
     min_conflict_distance,
     static_bank,
 )
-from repro.cdfg.transforms.unroll import unroll_loop
 
 
 def _order_edges(region):
@@ -175,26 +174,6 @@ def test_loads_never_conflict():
 # ----------------------------------------------------------------------
 # transforms
 # ----------------------------------------------------------------------
-def test_unroll_rewrites_affine_accesses_and_edges():
-    def build():
-        b = RegionBuilder("m", is_loop=True)
-        a = b.array("a", 8)
-        ld = b.load(a, offset=0, stride=1, name="ld")
-        acc = b.loop_var("acc", b.const(0, 32))
-        nxt = b.add(acc.value, ld)
-        acc.set_next(nxt)
-        b.write("y", nxt)
-        b.set_trip_count(8)
-        return b.build()
-
-    unrolled = unroll_loop(build(), 2)
-    loads = unrolled.dfg.ops_of_kind(OpKind.LOAD)
-    assert sorted((op.io_offset, op.io_stride) for op in loads) \
-        == [(0, 2), (1, 2)]
-    assert unrolled.memories["a"].depth == 8
-    unrolled.validate()
-
-
 def test_dead_code_keeps_stores():
     b = RegionBuilder("m", is_loop=True)
     a = b.array("a", 8)

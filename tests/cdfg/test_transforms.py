@@ -1,8 +1,6 @@
-"""Optimizer passes: folding, DCE, CSE, strength reduction, unrolling."""
+"""Optimizer passes: folding, DCE, CSE, strength reduction."""
 
-import pytest
-
-from repro.cdfg import DFGError, OpKind, RegionBuilder
+from repro.cdfg import OpKind, RegionBuilder
 from repro.cdfg.transforms import (
     common_subexpressions,
     constant_fold,
@@ -11,7 +9,6 @@ from repro.cdfg.transforms import (
     optimize,
     strength_reduction,
     tighten_operand_widths,
-    unroll_loop,
 )
 from repro.sim import simulate_reference
 
@@ -156,53 +153,3 @@ def test_optimize_pipeline_reaches_fixpoint():
     assert sum(stats.values()) > 0
     region.dfg.validate()
     assert _sem(region, {"x": [3]}, 1)["y"] == [24]
-
-
-class TestUnroll:
-    def _acc_region(self):
-        b = RegionBuilder("acc", max_latency=16)
-        x = b.read("x", 16)
-        acc = b.loop_var("acc", b.const(0, 16))
-        nxt = b.add(acc, x)
-        acc.set_next(nxt)
-        b.write("y", nxt)
-        b.set_trip_count(6)
-        return b.build()
-
-    def test_unroll_counted_semantics(self):
-        inputs = {"x": [1, 2, 3, 4, 5, 6]}
-        ref = simulate_reference(self._acc_region(), inputs)
-        unrolled = unroll_loop(self._acc_region(), 2)
-        assert unrolled.trip_count == 3
-        out = simulate_reference(unrolled, inputs)
-        assert out.output("y") == ref.output("y")
-
-    def test_unroll_factor_one_is_identity(self):
-        region = self._acc_region()
-        assert unroll_loop(region, 1) is region
-
-    def test_unroll_requires_divisible_trip(self):
-        with pytest.raises(DFGError):
-            unroll_loop(self._acc_region(), 4)  # 6 % 4 != 0
-
-    def test_unroll_do_while_early_exit(self):
-        def build():
-            b = RegionBuilder("dw", max_latency=16)
-            x = b.read("x", 16)
-            acc = b.loop_var("acc", b.const(0, 16))
-            nxt = b.add(acc, x)
-            acc.set_next(nxt)
-            b.write("y", nxt)
-            b.exit_when_false(b.neq(x, 0))
-            return b.build()
-        inputs = {"x": [4, 7, 2, 0, 9, 9]}  # exits at iteration 4 (odd pos)
-        ref = simulate_reference(build(), inputs, max_iterations=12)
-        out = simulate_reference(unroll_loop(build(), 2), inputs,
-                                 max_iterations=12)
-        assert out.output("y") == ref.output("y")
-
-    def test_unroll_grows_dfg(self):
-        region = self._acc_region()
-        unrolled = unroll_loop(self._acc_region(), 3)
-        assert len(unrolled.dfg) > len(region.dfg)
-        assert len(unrolled.dfg.ops_of_kind(OpKind.ADD)) == 3

@@ -1,4 +1,4 @@
-"""Parameter spaces: axis composition, validation, analytic pruning."""
+"""Parameter spaces: validation and analytic pruning."""
 
 import pytest
 
@@ -7,9 +7,7 @@ from repro.dse import (
     DesignSpace,
     SpaceError,
     admissible_clocks,
-    channel_depth_assignments,
     paper_space,
-    prune_dominated_depths,
 )
 from repro.explore import Microarch
 
@@ -58,42 +56,3 @@ def test_admissible_clocks_filters_on_predicted_delay():
     # P8 (ii=4) has the same effective II
     assert admissible_clocks(space, p8, 5000.0) == (1000.0,)
     assert admissible_clocks(space, np4, 100.0) == ()
-
-
-def test_banking_axis_crosses_microarchs():
-    space = _space().with_banking_axis(["a"], [1, 2])
-    assert len(space.microarchs) == 4
-    assert any("banks ax2" in m.name for m in space.microarchs)
-
-
-def test_unroll_axis_crosses_microarchs():
-    space = _space().with_unroll_axis([1, 2])
-    assert len(space.microarchs) == 4
-    assert [m.unroll for m in space.microarchs] == [None, 2, None, 2]
-    with pytest.raises(SpaceError):
-        _space().with_unroll_axis([])
-
-
-def test_channel_depth_axis_prunes_dominated():
-    space = _space().with_channel_depth_axis(
-        [{"s": 1}, {"s": 2}, {"s": 3}])
-    # deeper assignments are pointwise-dominated: only s=1 survives
-    assert len(space.microarchs) == 2
-    assert all(m.channel_depths == (("s", 1),)
-               for m in space.microarchs)
-
-
-def test_prune_dominated_depths_keeps_incomparable():
-    kept = prune_dominated_depths(
-        [{"s": 1, "t": 3}, {"s": 3, "t": 1}, {"s": 3, "t": 3},
-         {"s": 1, "t": 3}])
-    assert {tuple(sorted(d.items())) for d in kept} == {
-        (("s", 1), ("t", 3)), (("s", 3), ("t", 1))}
-
-
-def test_channel_depth_assignments_cartesian():
-    combos = channel_depth_assignments(["s", "t"], [1, 2])
-    assert len(combos) == 4
-    assert {(d["s"], d["t"]) for d in combos} == \
-        {(1, 1), (1, 2), (2, 1), (2, 2)}
-    assert channel_depth_assignments([], [1]) == []

@@ -6,15 +6,11 @@ from repro.dse import (
     DesignSpace,
     Goal,
     ResultStore,
-    channel_depth_assignments,
-    pipeline_fingerprint,
     tune,
-    tune_pipeline,
 )
 from repro.explore import Microarch
 from repro.explore.pareto import dominates
 from repro.workloads import build_example1, build_fir
-from repro.workloads.streaming import build_matmul_relu_stream
 
 SPACE = DesignSpace((Microarch("NP3", 3), Microarch("NP4", 4),
                      Microarch("P4/2", 4, ii=2)),
@@ -115,37 +111,6 @@ def test_nonmonotone_area_recovered_by_plateau_walk(lib):
     assert not any(dominates(q, report.winner) for q in exhaustive.front)
 
 
-def test_invalid_unroll_is_infeasible_not_fatal(lib):
-    """An unroll the transform rejects (trip count 32 not divisible by
-    3) must surface as an infeasible grid point, not abort the tune."""
-    space = DesignSpace((Microarch("NP8", 8),),
-                        (1600.0,)).with_unroll_axis([1, 3])
-    report = tune(build_fir, lib, Goal.build(objective="area"),
-                  space=space, strategy="exhaustive")
-    assert report.satisfied
-    assert report.winner.microarch == "NP8"
-    (bad,) = [e for e in report.trace if not e.feasible]
-    assert bad.microarch == "NP8 [unroll x3]"
-    assert "not divisible" in bad.infeasible.reason
-
-
-def test_tune_over_unroll_axis(lib, tmp_path):
-    """The unroll axis joins the search: unrolled variants cost area,
-    so a min-area goal must keep the rolled body -- and the store keys
-    the two variants separately."""
-    space = DesignSpace((Microarch("NP8", 8),),
-                        (1600.0,)).with_unroll_axis([1, 2])
-    goal = Goal.build(objective="area")
-    store = ResultStore(tmp_path / "unroll.jsonl")
-    report = tune(build_fir, lib, goal, space=space,
-                  strategy="exhaustive", store=store)
-    assert report.evaluated == 2
-    assert report.winner.microarch == "NP8"
-    areas = {e.microarch: e.point.area for e in report.trace}
-    assert areas["NP8 [unroll x2]"] > areas["NP8"]
-    assert len(store) == 2  # distinct keys per unroll factor
-
-
 def test_jobs_parallel_exhaustive_matches_serial(lib):
     serial = tune(build_fir, lib, GOAL, space=SPACE,
                   strategy="exhaustive", jobs=1)
@@ -153,58 +118,6 @@ def test_jobs_parallel_exhaustive_matches_serial(lib):
                     strategy="exhaustive", jobs=4)
     assert serial.winner == parallel.winner
     assert serial.evaluated == parallel.evaluated
-
-
-# ----------------------------------------------------------------------
-# streaming composition
-# ----------------------------------------------------------------------
-def _stream_space():
-    pipe = build_matmul_relu_stream()
-    channels = sorted(pipe.channels)
-    base = Microarch("stream", 1)
-    return DesignSpace((base,), (1600.0,)).with_channel_depth_axis(
-        channel_depth_assignments(channels, [1, 2]))
-
-
-def test_tune_pipeline_over_channel_depths(lib):
-    space = _stream_space()
-    goal = Goal.build(objective="area")
-    report = tune_pipeline(build_matmul_relu_stream, lib, goal,
-                           space=space, strategy="greedy")
-    assert report.satisfied
-    # minimal-area winner: no channel deepened beyond the floor
-    assert all(depth == 1
-               for _, depth in _depths_of(report.winner.microarch))
-    assert report.winner.area <= min(
-        e.point.area for e in report.trace if e.point is not None)
-
-
-def _depths_of(name):
-    micro = [m for m in _stream_space().microarchs if m.name == name]
-    return micro[0].channel_depths or ()
-
-
-def test_tune_pipeline_store_warm_start(lib, tmp_path):
-    path = tmp_path / "stream.jsonl"
-    space = _stream_space()
-    goal = Goal.build(objective="area")
-    cold = tune_pipeline(build_matmul_relu_stream, lib, goal,
-                         space=space, store=ResultStore(path))
-    warm = tune_pipeline(build_matmul_relu_stream, lib, goal,
-                         space=space, store=ResultStore(path))
-    assert cold.fresh_evaluations > 0
-    assert warm.fresh_evaluations == 0
-    assert warm.winner == cold.winner
-
-
-def test_pipeline_fingerprint_deterministic_and_structural(lib):
-    a = pipeline_fingerprint(build_matmul_relu_stream())
-    b = pipeline_fingerprint(build_matmul_relu_stream())
-    assert a == b
-    other = build_matmul_relu_stream()
-    chan = sorted(other.channels)[0]
-    other.set_depth(chan, 7)
-    assert pipeline_fingerprint(other) != a
 
 
 def test_unknown_strategy_raises(lib):

@@ -129,33 +129,6 @@ def test_infeasible_point_is_recorded(lib):
     assert bad.reason  # the scheduler's explanation is preserved
 
 
-def test_with_unroll_labels_and_validates():
-    base = Microarch("NP8", 8)
-    wide = base.with_unroll(2)
-    assert wide.unroll == 2
-    assert wide.name == "NP8 [unroll x2]"
-    with pytest.raises(ValueError):
-        base.with_unroll(0)
-
-
-def test_synthesize_point_unrolled(lib):
-    """The unroll axis: one region iteration does two source
-    iterations, visible as doubled I/O striding in the built region."""
-    micro = Microarch("NP8", 8).with_unroll(2)
-    point = synthesize_design_point(build_fir, lib, micro, 1600.0)
-    assert isinstance(point, DesignPoint)
-    assert point.latency == 8
-    base = synthesize_design_point(build_fir, lib, Microarch("NP8", 8),
-                                   1600.0)
-    assert point.area > base.area  # replicated body costs hardware
-
-
-def test_apply_unroll_identity_for_factor_one():
-    region = build_fir()
-    assert Microarch("m", 8).apply_unroll(region) is region
-    assert Microarch("m", 8, unroll=1).apply_unroll(region) is region
-
-
 def test_sweep_returns_points(lib):
     micros = (Microarch("NP-3", 3), Microarch("P-4", 4, ii=2))
     points = run_sweep(build_fir, lib, micros,

@@ -16,6 +16,7 @@ from repro.service.execution import (
     execute_job,
     job_key,
     parse_microarchs,
+    pipeline_fingerprint,
     prepare_job,
 )
 from repro.service.jobs import JobError
@@ -58,6 +59,34 @@ BAD_BODIES = [
 def test_bad_bodies_raise_job_error(kind, params, fragment):
     with pytest.raises(JobError, match=fragment):
         prepare_job(kind, params)[0]
+
+
+#: malformed and out-of-range numbers: (kind, params, reason slug)
+BAD_NUMBERS = [
+    ("schedule", {"clock_ps": "fast"}, "bad-clock"),
+    ("schedule", {"clock_ps": 0}, "bad-clock"),
+    ("schedule", {"ii": 0}, "bad-microarch"),
+    ("schedule", {"ii": "two"}, "bad-microarch"),
+    ("stream", {"clock_ps": float("inf")}, "bad-clock"),
+    ("sweep", {"latencies": "3:0"}, "bad-microarch"),
+    ("sweep", {"latencies": "0"}, "bad-microarch"),
+    ("sweep", {"clocks_ps": [1600, float("nan")]}, "bad-clock"),
+    ("sweep", {"clocks_ps": "-1600"}, "bad-clock"),
+    ("tune", {"delay_ps": "soon"}, "invalid-goal"),
+    ("tune", {"max_area": float("inf")}, "invalid-goal"),
+]
+
+
+@pytest.mark.parametrize("kind,params,reason", BAD_NUMBERS,
+                         ids=[f"{kind}-{field}={value}"
+                              for kind, params, _ in BAD_NUMBERS
+                              for field, value in params.items()])
+def test_bad_numbers_raise_job_error_with_reason(kind, params, reason):
+    design = {"pipeline": "matmul_relu_stream"} if kind == "stream" \
+        else {"workload": "fir"}
+    with pytest.raises(JobError) as err:
+        prepare_job(kind, dict(design, **params))
+    assert err.value.reason == reason
 
 
 def test_normalize_fills_defaults_deterministically():
@@ -218,6 +247,15 @@ def test_job_keys_are_pinned_for_every_registry_design():
         assert key == expected, name
         assert job_key(kind, prepare_job(kind, spec)[0]) == expected
         assert normalized == prepare_job(kind, spec)[0]
+
+
+def test_pipeline_fingerprint_deterministic_and_structural():
+    build = PIPELINE_REGISTRY["matmul_relu_stream"]
+    a = pipeline_fingerprint(build())
+    assert a == pipeline_fingerprint(build())
+    other = build()
+    other.set_depth(sorted(other.channels)[0], 7)
+    assert pipeline_fingerprint(other) != a
 
 
 def test_job_key_is_pinned_for_a_source_submission():

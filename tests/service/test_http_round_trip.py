@@ -208,6 +208,37 @@ def test_oversized_submit_is_a_400_and_the_connection_stays_usable(
     assert _counter("service.http.connections") == connections
 
 
+@pytest.mark.parametrize("body,fragment", [
+    ({"kind": "schedule", "workload": "fir", "clock_ps": "fast"},
+     "bad clock_ps"),
+    ({"kind": "schedule", "workload": "fir", "ii": 0}, "bad ii"),
+    ({"kind": "sweep", "workload": "fir", "latencies": "3:0"},
+     "bad microarch"),
+    ({"kind": "stream", "pipeline": "matmul_relu_stream",
+      "clock_ps": -1}, "bad clock_ps"),
+], ids=["malformed-clock", "zero-ii", "zero-ii-spec", "negative-clock"])
+def test_a_bad_number_is_a_400_on_a_connection_that_stays_usable(
+        service, body, fragment):
+    svc, _ = service
+    conn = http.client.HTTPConnection(f"127.0.0.1:{svc.port}", timeout=30)
+    connections = _counter("service.http.connections")
+    try:
+        conn.request("POST", "/jobs", body=json.dumps(body).encode(),
+                     headers={"Content-Type": "application/json"})
+        response = conn.getresponse()
+        assert response.status == 400
+        error = json.loads(response.read().decode())["error"]
+        assert (error["code"], error["reason"]) == (3, "bad-input")
+        assert fragment in error["message"]
+        conn.request("GET", "/healthz")
+        response = conn.getresponse()
+        assert response.status == 200
+        assert json.loads(response.read().decode())["ok"] is True
+    finally:
+        conn.close()
+    assert _counter("service.http.connections") - connections == 1
+
+
 def test_post_to_an_unknown_path_keeps_the_connection_in_step(service):
     svc, _ = service
     conn = http.client.HTTPConnection(f"127.0.0.1:{svc.port}", timeout=30)

@@ -43,6 +43,26 @@ ERROR_CASES = [
      "bad-microarch", "bad microarch spec"),
     (["sweep", "fir", "--clocks", "1600,fast"], EXIT_BAD_INPUT,
      "bad-clock", "bad clocks"),
+    # out-of-range numbers are bad input too, never a traceback or a
+    # point at an impossible clock
+    (["sweep", "fir", "--latencies", "0"], EXIT_BAD_INPUT,
+     "bad-microarch", "bad microarch spec"),
+    (["sweep", "fir", "--latencies", "3:0"], EXIT_BAD_INPUT,
+     "bad-microarch", "bad microarch spec"),
+    (["schedule", "fir", "--ii", "0"], EXIT_BAD_INPUT,
+     "bad-microarch", "bad ii"),
+    (["sweep", "fir", "--latencies", "3", "--clocks", "inf"],
+     EXIT_BAD_INPUT, "bad-clock", "bad clocks"),
+    (["sweep", "fir", "--latencies", "3", "--clocks", "1600,nan"],
+     EXIT_BAD_INPUT, "bad-clock", "bad clocks"),
+    (["tune", "fir", "--latencies", "3", "--clocks", "1600,0"],
+     EXIT_BAD_INPUT, "bad-clock", "bad clocks"),
+    (["schedule", "fir", "--clock", "-5"], EXIT_BAD_INPUT, "bad-clock",
+     "bad clock_ps"),
+    (["schedule", "fir", "--clock", "nan"], EXIT_BAD_INPUT, "bad-clock",
+     "bad clock_ps"),
+    (["stream", "matmul_relu_stream", "--clock", "inf"], EXIT_BAD_INPUT,
+     "bad-clock", "bad clock_ps"),
     (["tune", "fir", "--delay-ps", "-5"], EXIT_BAD_INPUT,
      "invalid-goal", "invalid goal"),
     (["tune", "fir", "--max-area", "0"], EXIT_BAD_INPUT,

@@ -14,6 +14,8 @@ terminal picture:
   carry the worker process's pid (cross-process collection);
 * ``/metrics`` serves Prometheus text with the job-latency histogram
   and ``/stats`` carries hit rates + per-kind latency percentiles;
+* a submit with a malformed number answers 400 with the error
+  taxonomy's body, on a connection that stays alive;
 * every ``ServiceClient`` kept one connection alive for all its
   requests (``service.http.connections`` == clients + 1);
 * the engine never degraded.
@@ -82,6 +84,17 @@ def main() -> int:
                       job_timeout_s=600) as service:
         client = ServiceClient(service.url)
         assert client.healthz()["ok"] is True
+        # a malformed number is a 400 with the taxonomy's body, and
+        # this client's connection stays alive (counted below)
+        try:
+            client.submit("schedule", workload="fir", clock_ps="fast")
+            raise AssertionError("malformed clock_ps accepted")
+        except ServiceError as err:
+            assert err.status == 400, err
+            error = err.payload["error"]
+            assert (error["code"], error["reason"]) == (3, "bad-input"), \
+                error
+            assert "bad clock_ps" in error["message"], error
         t0 = time.perf_counter()
         with ThreadPoolExecutor(max_workers=len(CLIENTS)) as pool:
             outcomes = list(pool.map(
