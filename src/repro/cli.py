@@ -310,26 +310,13 @@ def cmd_verilog(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_cache(path: Optional[str]):
-    """A FlowCache warmed from ``path`` (fresh when absent/None)."""
-    from repro.flow import FlowCache
-
-    if path is None:
-        return None
-    return FlowCache.load(path)
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Microarchitecture x clock exploration on a named workload."""
     params, kernel = _grid_request(args, args.workload, "sweep")
-    cache = _load_cache(args.cache)
     tracer = Tracer() if args.trace else None
     result = run_sweep(kernel.build, resolve_library(params["library"]),
                        parse_microarchs(params["latencies"]),
-                       params["clocks_ps"], jobs=args.jobs, cache=cache,
-                       tracer=tracer)
-    if cache is not None:
-        cache.save(args.cache)
+                       params["clocks_ps"], jobs=args.jobs, tracer=tracer)
     _write_trace(tracer, args.trace)
     status = 0 if result.points else 1  # an all-infeasible grid failed
     if args.json:
@@ -352,12 +339,9 @@ def cmd_tune(args: argparse.Namespace) -> int:
         delay_ps=args.delay_ps, max_area=args.max_area,
         max_power_mw=args.max_power_mw, objective=args.objective)
     store = ResultStore(args.store) if args.store else None
-    cache = _load_cache(args.cache)
     tracer = Tracer() if args.trace else None
-    report = run_tune(params, kernel.build, cache=cache, store=store,
-                      jobs=args.jobs, tracer=tracer)
-    if cache is not None:
-        cache.save(args.cache)
+    report = run_tune(params, kernel.build, store=store, jobs=args.jobs,
+                      tracer=tracer)
     _write_trace(tracer, args.trace)
     if args.json:
         print(json.dumps(report.summary(), indent=2))
@@ -510,8 +494,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     service = ReproService(
         host=args.host, port=args.port, workers=args.workers,
         mode=args.mode, job_timeout_s=args.timeout,
-        max_retries=args.retries, store_path=args.store,
-        cache_path=args.cache)
+        max_retries=args.retries, store_path=args.store)
     service.start()
     print(f"serving on {service.url} -- {args.workers} workers, "
           f"mode {service.engine.mode} (ctrl-c to stop)",
@@ -675,8 +658,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel scheduling workers (default 1 = serial; "
                         ">1 uses worker processes on multicore hosts)")
-    p.add_argument("--cache", default=None,
-                   help="persist the flow cache here across runs")
     p.add_argument("--json", action="store_true",
                    help="emit the full sweep record as JSON")
     p.add_argument("--trace", default=None, metavar="FILE",
@@ -707,8 +688,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--store", default=None,
                    help="persistent JSONL result store (warm-starts "
                         "tuning across processes)")
-    p.add_argument("--cache", default=None,
-                   help="persist the flow cache here across runs")
     p.add_argument("--json", action="store_true",
                    help="emit the full tuning report as JSON")
     p.add_argument("--trace", default=None, metavar="FILE",
@@ -741,8 +720,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="extra attempts after a worker crash/timeout")
     p.add_argument("--store", default=None,
                    help="shared JSONL result store path")
-    p.add_argument("--cache", default=None,
-                   help="shared flow-cache pickle path")
     p.add_argument("--json", action="store_true",
                    help="print a bound-address record once serving")
     p.set_defaults(func=cmd_serve)

@@ -9,6 +9,7 @@ predicted delay before anything is synthesized.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
@@ -58,9 +59,9 @@ class DesignSpace:
             raise SpaceError("design space needs at least one microarch")
         if not self.clocks_ps:
             raise SpaceError("design space needs at least one clock")
-        if any(c <= 0 for c in self.clocks_ps):
-            raise SpaceError(f"clock periods must be positive: "
-                             f"{self.clocks_ps}")
+        if not all(math.isfinite(c) and c > 0 for c in self.clocks_ps):
+            raise SpaceError(f"clock periods must be finite and "
+                             f"positive: {self.clocks_ps}")
         names = [m.name for m in self.microarchs]
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})

@@ -45,6 +45,12 @@ class Microarch:
     #: depth (sorted tuple of pairs, keeping the microarch hashable).
     channel_depths: Optional[Tuple[Tuple[str, int], ...]] = None
 
+    def __post_init__(self) -> None:
+        if self.latency < 1 or (self.ii is not None and self.ii < 1):
+            raise ValueError(
+                f"microarch {self.name!r}: latency and ii must be >= 1 "
+                f"(latency={self.latency}, ii={self.ii})")
+
     @property
     def ii_effective(self) -> int:
         """Cycles between iterations."""

@@ -1,17 +1,16 @@
 """Pareto front extraction over implementation points.
 
-:func:`pareto_front` is a sort-based sweep -- ``O(n log n)`` for two
-objectives and for the optional third (power) objective, instead of the
-quadratic all-pairs scan it replaces -- so front extraction stays cheap
-even on the autotuner's accumulated result stores.  Semantics are
-unchanged: minimization on every axis, exact ties kept.
+:func:`pareto_front` is a sort-based ``O(n log n)`` sweep over two
+objectives, instead of the quadratic all-pairs scan it replaces -- so
+front extraction stays cheap even on the autotuner's accumulated result
+stores.  Semantics are unchanged: minimization on both axes, exact ties
+kept.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 
 @dataclass(frozen=True)
@@ -88,83 +87,14 @@ def _front_2d(order: List[int], xs: List[float],
     return keep
 
 
-class _Staircase:
-    """Minimal (y, z) pairs under componentwise <=, for the 3-D sweep.
-
-    Kept sorted by ``y`` ascending with ``z`` strictly descending, so a
-    domination query and an insertion are both ``O(log n)`` (plus
-    amortized removals).
-    """
-
-    def __init__(self) -> None:
-        self._ys: List[float] = []
-        self._zs: List[float] = []
-
-    def covers(self, y: float, z: float) -> bool:
-        """Whether some stored pair is <= (y, z) componentwise."""
-        i = bisect.bisect_right(self._ys, y)
-        return i > 0 and self._zs[i - 1] <= z
-
-    def insert(self, y: float, z: float) -> None:
-        """Add a pair, dropping pairs it dominates."""
-        if self.covers(y, z):
-            return
-        i = bisect.bisect_left(self._ys, y)
-        j = i
-        while j < len(self._ys) and self._zs[j] >= z:
-            j += 1
-        self._ys[i:j] = [y]
-        self._zs[i:j] = [z]
-
-
-def _front_3d(order: List[int], xs: List[float], ys: List[float],
-              zs: List[float]) -> set:
-    """Surviving indices of the 3-D sweep over pre-sorted ``order``."""
-    keep: set = set()
-    stair = _Staircase()
-    i, n = 0, len(order)
-    while i < n:
-        j = i
-        while j < n and xs[order[j]] == xs[order[i]]:
-            j += 1
-        group = order[i:j]
-        # against strictly-smaller x: <= on (y, z) is domination (the
-        # earlier point is already strictly better on x) ...
-        survivors = [k for k in group
-                     if not stair.covers(ys[k], zs[k])]
-        # ... within the equal-x group, dominance reduces to the 2-D
-        # problem on (y, z), ties kept.
-        sub = sorted(range(len(survivors)),
-                     key=lambda s: (ys[survivors[s]], zs[survivors[s]]))
-        sub_keep = _front_2d([survivors[s] for s in sub], ys, zs)
-        keep.update(sub_keep)
-        for k in sub_keep:
-            stair.insert(ys[k], zs[k])
-        i = j
-    return keep
-
-
 def pareto_front(points: Sequence[DesignPoint],
-                 x: str = "delay_ps", y: str = "area",
-                 z: Optional[str] = None) -> List[DesignPoint]:
-    """Non-dominated points, minimizing ``x`` and ``y`` (and ``z``).
-
-    Pass ``z`` (typically ``"power_mw"``) for a three-objective front;
-    the default two-objective call keeps its original signature and
-    semantics.  Runs in ``O(n log n)`` either way.
-    """
-    n = len(points)
-    if n == 0:
-        return []
+                 x: str = "delay_ps", y: str = "area") -> List[DesignPoint]:
+    """Non-dominated points, minimizing ``x`` and ``y``, in
+    ``O(n log n)``."""
     xs = [float(getattr(p, x)) for p in points]
     ys = [float(getattr(p, y)) for p in points]
-    if z is None:
-        order = sorted(range(n), key=lambda i: (xs[i], ys[i]))
-        keep = _front_2d(order, xs, ys)
-    else:
-        zs = [float(getattr(p, z)) for p in points]
-        order = sorted(range(n), key=lambda i: (xs[i], ys[i], zs[i]))
-        keep = _front_3d(order, xs, ys, zs)
+    order = sorted(range(len(points)), key=lambda i: (xs[i], ys[i]))
+    keep = _front_2d(order, xs, ys)
     result = [p for i, p in enumerate(points) if i in keep]
     result.sort(key=lambda p: getattr(p, x))
     return result

@@ -21,12 +21,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import pickle
 import threading
 from dataclasses import asdict
-from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple
 
 from repro.cdfg.region import PipelineSpec, Region
 from repro.core.scheduler import SchedulerOptions
@@ -116,38 +113,6 @@ def compilation_key(
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-#: bump when the on-disk cache layout changes; mismatched files load
-#: as an empty cache instead of failing.
-CACHE_FILE_VERSION = 1
-
-
-def _load_entries(path: Union[str, Path]) -> Dict[Tuple[str, str], object]:
-    """Tolerantly read a cache file's entries; empty dict on any problem.
-
-    Shared by :meth:`FlowCache.load` and the merge step of
-    :meth:`FlowCache.save` -- version or timing-model mismatches, a
-    missing file and a corrupt pickle all read as "nothing on disk".
-    """
-    try:
-        with open(path, "rb") as handle:
-            payload = pickle.load(handle)
-    except Exception:  # missing, truncated, corrupt, unreadable ...
-        return {}
-    if not isinstance(payload, dict) \
-            or payload.get("version") != CACHE_FILE_VERSION \
-            or payload.get("timing_model") \
-            != timing_engine.TIMING_MODEL_VERSION:
-        return {}
-    data = payload.get("data")
-    if not isinstance(data, dict):
-        return {}
-    return {
-        key: artifact for key, artifact in data.items()
-        if (isinstance(key, tuple) and len(key) == 2
-            and all(isinstance(k, str) for k in key))
-    }
-
-
 class FlowCache:
     """A thread-safe artifact store keyed by (compilation key, stage).
 
@@ -155,6 +120,8 @@ class FlowCache:
     repeated sweeps); the parallel executor's workers hit it
     concurrently, hence the lock.  ``max_entries`` bounds memory with
     FIFO eviction -- sweeps revisit recent keys, not ancient ones.
+    The cache lives in memory only; evaluated points persist across
+    processes in :class:`~repro.dse.store.ResultStore`.
     """
 
     def __init__(self, max_entries: int = 4096) -> None:
@@ -230,65 +197,6 @@ class FlowCache:
         with self._lock:
             return {"hits": self.hits, "misses": self.misses,
                     "entries": len(self._data)}
-
-    # ------------------------------------------------------------------
-    # persistence
-    # ------------------------------------------------------------------
-    def save(self, path: Union[str, Path]) -> Path:
-        """Persist the cache to ``path`` (pickle, written atomically).
-
-        Saving *merges* with whatever already sits at ``path``: the
-        on-disk entries are read back (tolerantly, with the usual
-        version checks) and united with this cache's entries, our
-        entries winning on conflict.  Two processes saving to the same
-        file therefore both land their work -- the last writer decides
-        conflicts, but no longer silently discards the other writer's
-        disjoint entries.  The atomic ``os.replace`` keeps readers safe
-        at every instant; the read-merge-write window is not a
-        transaction, which is fine for a cache (a lost entry costs a
-        recompute, never correctness).
-
-        The file carries :data:`CACHE_FILE_VERSION` and the current
-        timing-model version; :meth:`load` refuses both mismatches, so
-        a stale file silently stops matching instead of serving
-        artifacts scheduled under an older delay model.
-        """
-        path = Path(path)
-        with self._lock:
-            data = dict(self._data)
-        merged = dict(_load_entries(path))
-        merged.update(data)
-        payload = {
-            "version": CACHE_FILE_VERSION,
-            "timing_model": timing_engine.TIMING_MODEL_VERSION,
-            "data": merged,
-        }
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # pid + thread id: two threads of one process saving the same
-        # path must not interleave writes into one tmp file
-        tmp = path.with_name(
-            f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-        with open(tmp, "wb") as handle:
-            pickle.dump(payload, handle)
-        os.replace(tmp, path)
-        return path
-
-    @classmethod
-    def load(cls, path: Union[str, Path],
-             max_entries: int = 4096) -> "FlowCache":
-        """A cache warmed from ``path``; empty on any problem.
-
-        Tolerant by design: a missing, truncated, corrupt or
-        version-mismatched file (including a bumped
-        ``TIMING_MODEL_VERSION``) yields a working empty cache --
-        persistence is an optimization, never a failure mode.
-        """
-        cache = cls(max_entries=max_entries)
-        entries = _load_entries(path)
-        with cache._lock:
-            for key, artifact in list(entries.items())[-max_entries:]:
-                cache._data[key] = artifact
-        return cache
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         s = self.stats()

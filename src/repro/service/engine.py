@@ -4,9 +4,9 @@ A :class:`JobEngine` owns the :class:`~repro.service.jobs.JobQueue`
 and ``workers`` supervisor threads.  Each supervisor pops the highest-
 priority execution and runs it in a *worker process* (fork by default):
 the child executes :func:`~repro.service.execution.execute_job` against
-its own :class:`~repro.flow.cache.FlowCache` (warmed from and merged
-back to ``cache_path`` via the cache's merge-on-save) and a per-process
-:class:`~repro.dse.store.ResultStore` shard, streaming progress records
+a fresh in-memory :class:`~repro.flow.cache.FlowCache` and a
+per-process :class:`~repro.dse.store.ResultStore` shard, streaming
+progress records
 back through a pipe.  The supervisor enforces the job timeout, watches
 the cancel event, and turns abnormal child exits into bounded retries
 -- a SIGKILLed worker mid-job therefore ends in a retried success or a
@@ -27,7 +27,6 @@ Construction knobs:
                   deterministic failures -- those never retry)
 ``store_path``    shared JSONL result store (shards merged on load,
                   compacted on stop)
-``cache_path``    shared FlowCache pickle (merge-on-save)
 """
 
 from __future__ import annotations
@@ -55,61 +54,6 @@ from repro.service.jobs import (
 POLL_S = 0.02
 
 
-def _child_main(conn, kind: str, params: dict,
-                cache_path: Optional[str],
-                store_path: Optional[str],
-                traced: bool = True) -> None:
-    """Worker-process entry: run one job, stream messages back.
-
-    Messages: ``("progress", dict)`` any number of times, then exactly
-    one of ``("done", ok, result, stats)`` / ``("cancelled",)`` /
-    ``("job_error", message)`` / ``("crash", repr)``.
-
-    Observability rides the ``done`` message: ``stats["spans"]`` holds
-    the job's trace (when ``traced``) and ``stats["registry"]`` the
-    child's metrics snapshot; the supervisor pops both before they can
-    reach any client-facing result payload.
-    """
-    REGISTRY.reset()  # forked children inherit the parent's metrics
-    cache = FlowCache.load(cache_path) if cache_path else FlowCache()
-    store = ResultStore(store_path, shard_per_process=True) \
-        if store_path else None
-    tracer = Tracer() if traced else None
-
-    def progress(info: dict) -> None:
-        try:
-            conn.send(("progress", info))
-        except Exception:
-            pass
-
-    try:
-        with maybe_span(tracer, "service.job", kind=kind) as span:
-            ok, result, stats = exe.execute_job(
-                kind, params, cache=cache, store=store,
-                progress=progress, tracer=tracer)
-            if span is not None:
-                span.set("ok", ok)
-        stats = dict(stats)
-        stats["cache"] = cache.stats()
-        if tracer is not None:
-            stats["spans"] = tracer.export()
-        stats["registry"] = REGISTRY.snapshot()
-        if cache_path:
-            cache.save(cache_path)
-        conn.send(("done", ok, result, stats))
-    except JobCancelled:
-        conn.send(("cancelled",))
-    except JobError as err:
-        conn.send(("job_error", str(err)))
-    except BaseException as err:  # crash: report, parent decides retry
-        try:
-            conn.send(("crash", f"{type(err).__name__}: {err}"))
-        except Exception:
-            pass
-    finally:
-        conn.close()
-
-
 class _Attempt:
     """Outcome of one execution attempt (supervisor bookkeeping)."""
 
@@ -126,13 +70,80 @@ class _Attempt:
         self.message = message
 
 
+def _run_attempt(kind: str, params: dict, cache: FlowCache,
+                 store_path: Optional[str], traced: bool, progress,
+                 cancel_event=None) -> _Attempt:
+    """One attempt body, shared by the worker process and the inline
+    path: open a store shard and a tracer, run the job under a
+    ``service.job`` span, and map its outcome to an :class:`_Attempt`
+    (``stats["spans"]`` carries the trace when ``traced``)."""
+    store = ResultStore(store_path, shard_per_process=True) \
+        if store_path else None
+    tracer = Tracer() if traced else None
+    try:
+        with maybe_span(tracer, "service.job", kind=kind) as span:
+            ok, result, stats = exe.execute_job(
+                kind, params, cache=cache, store=store,
+                progress=progress, cancel_event=cancel_event,
+                tracer=tracer)
+            if span is not None:
+                span.set("ok", ok)
+    except JobCancelled:
+        return _Attempt("cancelled")
+    except JobError as err:
+        return _Attempt("job_error", message=str(err))
+    except Exception as err:
+        return _Attempt("crash", message=f"{type(err).__name__}: {err}")
+    stats = dict(stats)
+    if tracer is not None:
+        stats["spans"] = tracer.export()
+    return _Attempt("done", ok=ok, result=result, stats=stats)
+
+
+def _child_main(conn, kind: str, params: dict,
+                store_path: Optional[str],
+                traced: bool = True) -> None:
+    """Worker-process entry: run one job, stream messages back.
+
+    Messages: ``("progress", dict)`` any number of times, then exactly
+    one ``("attempt", _Attempt)``.  A done attempt's stats also carry
+    the child's cache counters (``stats["cache"]``) and metrics
+    snapshot (``stats["registry"]``); the supervisor pops the
+    observability payloads before they can reach any client-facing
+    result payload.
+    """
+    REGISTRY.reset()  # forked children inherit the parent's metrics
+    cache = FlowCache()
+
+    def progress(info: dict) -> None:
+        try:
+            conn.send(("progress", info))
+        except Exception:
+            pass
+
+    try:
+        attempt = _run_attempt(kind, params, cache, store_path, traced,
+                               progress)
+        if attempt.status == "done":
+            attempt.stats["cache"] = cache.stats()
+            attempt.stats["registry"] = REGISTRY.snapshot()
+        conn.send(("attempt", attempt))
+    except BaseException as err:  # crash: report, parent decides retry
+        try:
+            conn.send(("attempt", _Attempt(
+                "crash", message=f"{type(err).__name__}: {err}")))
+        except Exception:
+            pass
+    finally:
+        conn.close()
+
+
 class JobEngine:
     """Worker pool + queue + shared stores; see the module docstring."""
 
     def __init__(self, workers: int = 2, mode: str = "process",
                  job_timeout_s: float = 120.0, max_retries: int = 1,
                  store_path: Optional[str] = None,
-                 cache_path: Optional[str] = None,
                  trace_jobs: bool = True) -> None:
         if mode not in ("process", "inline"):
             raise ValueError(f"unknown engine mode {mode!r}")
@@ -143,10 +154,8 @@ class JobEngine:
         #: record per-job span traces (served at /jobs/<id>/trace).
         self.trace_jobs = bool(trace_jobs)
         self.store_path = store_path
-        self.cache_path = cache_path
         #: in-memory shared cache (inline/degraded execution path).
-        self.cache = FlowCache.load(cache_path) if cache_path \
-            else FlowCache()
+        self.cache = FlowCache()
         self._store = ResultStore(store_path) if store_path else None
         self.workers = max(1, int(workers))
         self.degraded = False
@@ -193,8 +202,6 @@ class JobEngine:
         if compact and self._store is not None:
             self._store.refresh()
             self._store.compact()
-        if self.cache_path:
-            self.cache.save(self.cache_path)
 
     def __enter__(self) -> "JobEngine":
         return self.start()
@@ -389,8 +396,7 @@ class JobEngine:
             proc = self._mp.Process(
                 target=_child_main,
                 args=(child_conn, execution.kind, execution.params,
-                      self.cache_path, self.store_path,
-                      self.trace_jobs),
+                      self.store_path, self.trace_jobs),
                 daemon=True)
             proc.start()
         except (OSError, ValueError) as err:
@@ -425,15 +431,8 @@ class JobEngine:
                     elif msg[0] == "progress":
                         self.queue.set_progress(execution, msg[1])
                         continue
-                    elif msg[0] == "done":
-                        verdict = _Attempt("done", ok=msg[1],
-                                           result=msg[2], stats=msg[3])
-                    elif msg[0] == "cancelled":
-                        verdict = _Attempt("cancelled")
-                    elif msg[0] == "job_error":
-                        verdict = _Attempt("job_error", message=msg[1])
-                    else:  # "crash"
-                        verdict = _Attempt("crash", message=msg[1])
+                    else:  # "attempt"
+                        verdict = msg[1]
                 elif not proc.is_alive():
                     # one last drain: the child may have sent its
                     # verdict and exited between poll and is_alive
@@ -461,34 +460,10 @@ class JobEngine:
 
     # -- inline (degraded / mode="inline") attempt ---------------------
     def _attempt_inline(self, execution: Execution) -> _Attempt:
-        def progress(info: dict) -> None:
-            self.queue.set_progress(execution, info)
-
-        store = None
-        if self.store_path:
-            store = ResultStore(self.store_path, shard_per_process=True)
-        tracer = Tracer() if self.trace_jobs else None
-        try:
-            with maybe_span(tracer, "service.job",
-                            kind=execution.kind) as span:
-                ok, result, stats = exe.execute_job(
-                    execution.kind, execution.params, cache=self.cache,
-                    store=store, progress=progress,
-                    cancel_event=execution.cancel_event, tracer=tracer)
-                if span is not None:
-                    span.set("ok", ok)
-        except JobCancelled:
-            return _Attempt("cancelled")
-        except JobError as err:
-            return _Attempt("job_error", message=str(err))
-        except Exception as err:
-            return _Attempt("crash",
-                            message=f"{type(err).__name__}: {err}")
-        if self._store is not None:
-            self._store.refresh()
-        stats = dict(stats)
-        if tracer is not None:
-            # inline runs observe the global registry directly, so only
-            # the spans need the stats channel
-            stats["spans"] = tracer.export()
-        return _Attempt("done", ok=ok, result=result, stats=stats)
+        # inline runs observe the global registry directly, so only the
+        # spans need the stats channel
+        return _run_attempt(
+            execution.kind, execution.params, self.cache,
+            self.store_path, self.trace_jobs,
+            lambda info: self.queue.set_progress(execution, info),
+            execution.cancel_event)

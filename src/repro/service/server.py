@@ -172,11 +172,13 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_text(code, json.dumps(payload, sort_keys=True),
                         "application/json")
 
-    def _error_body(self, status: int, message: str, **extra) -> dict:
+    def _error_body(self, status: int, message: str,
+                    reason: Optional[str] = None, **extra) -> dict:
         """The ``{"error": {code, reason, message}}`` object for one
-        HTTP status, per :data:`ERROR_TAXONOMY`."""
-        code, reason = ERROR_TAXONOMY.get(status, (1, "failed"))
-        return {"error": dict(extra, code=code, reason=reason,
+        HTTP status, per :data:`ERROR_TAXONOMY`; ``reason`` overrides
+        the status's slug (a :class:`JobError`'s own reason)."""
+        code, default = ERROR_TAXONOMY.get(status, (1, "failed"))
+        return {"error": dict(extra, code=code, reason=reason or default,
                               message=message)}
 
     def _error(self, status: int, message: str, **extra) -> None:
@@ -281,7 +283,7 @@ class _Handler(BaseHTTPRequestHandler):
                 raise JobError(f"bad priority {priority!r}")
             job = self.engine.submit(kind, body, priority=priority)
         except JobError as err:
-            return self._error(400, str(err))
+            return self._error(400, str(err), reason=err.reason)
         payload = job.status()
         payload["deduplicated"] = job.dedup_of is not None
         self._send(202, payload)

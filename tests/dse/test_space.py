@@ -30,8 +30,9 @@ def test_validation():
         DesignSpace((), (1000.0,))
     with pytest.raises(SpaceError):
         DesignSpace((Microarch("m", 4),), ())
-    with pytest.raises(SpaceError):
-        DesignSpace((Microarch("m", 4),), (-5.0,))
+    for clock in (-5.0, float("nan"), float("inf")):
+        with pytest.raises(SpaceError):
+            DesignSpace((Microarch("m", 4),), (1000.0, clock))
     with pytest.raises(SpaceError):
         DesignSpace((Microarch("m", 4), Microarch("m", 8)), (1000.0,))
 

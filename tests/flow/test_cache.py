@@ -220,77 +220,6 @@ def test_mutated_init_contents_change_fingerprint():
     assert region_fingerprint(base) != region_fingerprint(other)
 
 
-# ----------------------------------------------------------------------
-# persistence (save / load)
-# ----------------------------------------------------------------------
-def test_cache_save_load_round_trip(lib, tmp_path):
-    """A warmed cache reloaded from disk serves the same artifacts."""
-    path = tmp_path / "flow.cache"
-    cache = FlowCache()
-    first = run_flow("sweep", region=build_example1(), library=lib,
-                     clock_ps=1600.0, run_optimizer=False, cache=cache)
-    assert cache.save(path) == path
-
-    warm = FlowCache.load(path)
-    assert len(warm) == len(cache) > 0
-    assert warm.stats()["hits"] == 0  # counters do not persist
-    second = run_flow("sweep", region=build_example1(), library=lib,
-                      clock_ps=1600.0, run_optimizer=False, cache=warm)
-    assert warm.hits == 2 and warm.misses == 0
-    assert second.schedule.summary() == first.schedule.summary()
-
-
-def test_cache_load_missing_file_is_empty(tmp_path):
-    cache = FlowCache.load(tmp_path / "never-written.cache")
-    assert len(cache) == 0
-
-
-def test_cache_load_corrupt_file_is_empty(tmp_path):
-    path = tmp_path / "flow.cache"
-    path.write_bytes(b"\x80\x04 definitely not a cache")
-    assert len(FlowCache.load(path)) == 0
-    path.write_bytes(b"")
-    assert len(FlowCache.load(path)) == 0
-
-
-def test_cache_load_rejects_timing_model_mismatch(tmp_path, monkeypatch):
-    """Artifacts persisted under an older delay model must not load."""
-    import repro.timing.engine as engine_mod
-
-    path = tmp_path / "flow.cache"
-    cache = FlowCache()
-    cache.put("k", "schedule", 42)
-    cache.save(path)
-    assert len(FlowCache.load(path)) == 1
-    monkeypatch.setattr(engine_mod, "TIMING_MODEL_VERSION",
-                        engine_mod.TIMING_MODEL_VERSION + 1)
-    assert len(FlowCache.load(path)) == 0
-
-
-def test_cache_load_rejects_file_version_mismatch(tmp_path, monkeypatch):
-    import repro.flow.cache as cache_mod
-
-    path = tmp_path / "flow.cache"
-    cache = FlowCache()
-    cache.put("k", "schedule", 42)
-    cache.save(path)
-    monkeypatch.setattr(cache_mod, "CACHE_FILE_VERSION",
-                        cache_mod.CACHE_FILE_VERSION + 1)
-    assert len(FlowCache.load(path)) == 0
-
-
-def test_cache_load_respects_entry_bound(tmp_path):
-    cache = FlowCache()
-    for i in range(6):
-        cache.put(f"k{i}", "schedule", i)
-    path = tmp_path / "flow.cache"
-    cache.save(path)
-    small = FlowCache.load(path, max_entries=3)
-    assert len(small) == 3
-    # the newest entries survive the bound (FIFO semantics)
-    assert small.get("k5", "schedule") == 5
-
-
 def test_swept_banking_matches_declared_banking():
     """A banking sweep point is the *same* configuration as declaring
     the banking directly: same dependence edges, same fingerprint."""
@@ -305,53 +234,8 @@ def test_swept_banking_matches_declared_banking():
 
 
 # ----------------------------------------------------------------------
-# concurrent writers: merge-on-save, peek/entries/absorb
+# peek/entries/absorb (the sweep workers' merge-back)
 # ----------------------------------------------------------------------
-def test_save_merges_with_existing_file(tmp_path):
-    """Two caches saving disjoint entries to the same path must both
-    land their work -- the seed's last-writer-wins overwrite silently
-    discarded the first writer's entries."""
-    path = tmp_path / "flow.cache"
-    a = FlowCache()
-    a.put("ka", "schedule", "artifact-a")
-    a.save(path)
-    b = FlowCache()
-    b.put("kb", "schedule", "artifact-b")
-    b.save(path)  # second writer: must merge, not clobber
-
-    merged = FlowCache.load(path)
-    assert merged.peek("ka", "schedule")
-    assert merged.peek("kb", "schedule")
-    assert len(merged) == 2
-
-
-def test_save_conflicts_resolve_to_the_saving_cache(tmp_path):
-    """On a key held by both sides the saving cache wins (its artifact
-    is at least as fresh); nothing else is lost."""
-    path = tmp_path / "flow.cache"
-    a = FlowCache()
-    a.put("shared", "schedule", "old")
-    a.put("only-a", "schedule", 1)
-    a.save(path)
-    b = FlowCache()
-    b.put("shared", "schedule", "new")
-    b.save(path)
-    merged = FlowCache.load(path)
-    assert merged.get("shared", "schedule") == "new"
-    assert merged.get("only-a", "schedule") == 1
-
-
-def test_save_merge_tolerates_corrupt_incumbent(tmp_path):
-    """A corrupt file at the save path reads as empty: save still
-    succeeds and the result is loadable."""
-    path = tmp_path / "flow.cache"
-    path.write_bytes(b"not a pickle at all")
-    cache = FlowCache()
-    cache.put("k", "schedule", 7)
-    cache.save(path)
-    assert FlowCache.load(path).get("k", "schedule") == 7
-
-
 def test_peek_does_not_touch_counters():
     cache = FlowCache()
     cache.put("k", "schedule", 1)

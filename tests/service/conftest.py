@@ -14,10 +14,9 @@ from repro.service import JobEngine, ReproService, ServiceClient
 
 @pytest.fixture
 def engine(tmp_path):
-    """A started inline engine with private store/cache paths."""
+    """A started inline engine with a private store path."""
     eng = JobEngine(workers=2, mode="inline", job_timeout_s=60.0,
-                    store_path=str(tmp_path / "store.jsonl"),
-                    cache_path=str(tmp_path / "cache.pkl"))
+                    store_path=str(tmp_path / "store.jsonl"))
     eng.start()
     yield eng
     eng.stop()
@@ -28,7 +27,6 @@ def service(tmp_path):
     """A live HTTP service (inline engine) and a client bound to it."""
     svc = ReproService(port=0, workers=2, mode="inline",
                        job_timeout_s=60.0,
-                       store_path=str(tmp_path / "store.jsonl"),
-                       cache_path=str(tmp_path / "cache.pkl"))
+                       store_path=str(tmp_path / "store.jsonl"))
     with svc:
         yield svc, ServiceClient(svc.url)

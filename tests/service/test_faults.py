@@ -43,8 +43,7 @@ def _wait_for_pid(execution, timeout=20.0):
 def test_sigkilled_worker_retries_to_success(tmp_path):
     engine = JobEngine(workers=1, mode="process", job_timeout_s=120,
                        max_retries=1,
-                       store_path=str(tmp_path / "s.jsonl"),
-                       cache_path=str(tmp_path / "c.pkl"))
+                       store_path=str(tmp_path / "s.jsonl"))
     engine.start()
     try:
         job = engine.submit("sweep", dict(SLOW_SWEEP))

@@ -208,17 +208,18 @@ def test_oversized_submit_is_a_400_and_the_connection_stays_usable(
     assert _counter("service.http.connections") == connections
 
 
-@pytest.mark.parametrize("body,fragment", [
+@pytest.mark.parametrize("body,reason,fragment", [
     ({"kind": "schedule", "workload": "fir", "clock_ps": "fast"},
-     "bad clock_ps"),
-    ({"kind": "schedule", "workload": "fir", "ii": 0}, "bad ii"),
+     "bad-clock", "bad clock_ps"),
+    ({"kind": "schedule", "workload": "fir", "ii": 0},
+     "bad-microarch", "bad ii"),
     ({"kind": "sweep", "workload": "fir", "latencies": "3:0"},
-     "bad microarch"),
+     "bad-microarch", "bad microarch"),
     ({"kind": "stream", "pipeline": "matmul_relu_stream",
-      "clock_ps": -1}, "bad clock_ps"),
+      "clock_ps": -1}, "bad-clock", "bad clock_ps"),
 ], ids=["malformed-clock", "zero-ii", "zero-ii-spec", "negative-clock"])
 def test_a_bad_number_is_a_400_on_a_connection_that_stays_usable(
-        service, body, fragment):
+        service, body, reason, fragment):
     svc, _ = service
     conn = http.client.HTTPConnection(f"127.0.0.1:{svc.port}", timeout=30)
     connections = _counter("service.http.connections")
@@ -228,7 +229,7 @@ def test_a_bad_number_is_a_400_on_a_connection_that_stays_usable(
         response = conn.getresponse()
         assert response.status == 400
         error = json.loads(response.read().decode())["error"]
-        assert (error["code"], error["reason"]) == (3, "bad-input")
+        assert (error["code"], error["reason"]) == (3, reason)
         assert fragment in error["message"]
         conn.request("GET", "/healthz")
         response = conn.getresponse()

@@ -29,7 +29,7 @@ def test_400_bad_submission_body(service):
         client.submit("schedule", workload="no-such-kernel")
     assert exc.value.status == 400
     error = _error_of(exc.value)
-    assert error["code"] == 3 and error["reason"] == "bad-input"
+    assert error["code"] == 3 and error["reason"] == "unknown-workload"
     assert "no-such-kernel" in error["message"]
 
 

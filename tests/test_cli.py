@@ -323,13 +323,11 @@ def test_workloads_json(capsys):
     assert data["pipelines"]["fir_decimate_stream"]["stages"] == 3
 
 
-def test_sweep_cache_persists_across_runs(tmp_path, capsys):
-    cache = str(tmp_path / "flow.cache")
-    args = ["sweep", "fir", "--clocks", "1600", "--latencies", "3",
-            "--cache", cache, "--json"]
-    assert main(args) == 0
-    cold = json.loads(capsys.readouterr().out)
-    assert cold["cache_misses"] > 0 and cold["cache_hits"] == 0
-    assert main(args) == 0
-    warm = json.loads(capsys.readouterr().out)
-    assert warm["cache_misses"] == 0 and warm["cache_hits"] > 0
+@pytest.mark.parametrize("argv", [["sweep", "fir"], ["tune", "fir"],
+                                  ["serve"]])
+def test_removed_cache_flag_is_a_usage_error(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--cache", str(tmp_path / "flow.cache")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cache" in capsys.readouterr().err
+    assert not (tmp_path / "flow.cache").exists()

@@ -92,7 +92,7 @@ def main() -> int:
         except ServiceError as err:
             assert err.status == 400, err
             error = err.payload["error"]
-            assert (error["code"], error["reason"]) == (3, "bad-input"), \
+            assert (error["code"], error["reason"]) == (3, "bad-clock"), \
                 error
             assert "bad clock_ps" in error["message"], error
         t0 = time.perf_counter()
