@@ -2,14 +2,15 @@
 
 The memory-backed dot product issues K loads per vector array per
 iteration.  A single-bank single-port RAM serializes them (II >= K);
-cyclic banking by K -- the sweep's banking axis -- restores II=1, at
+declaring both vector arrays cyclically banked by K restores II=1, at
 the cost of extra RAM periphery.  Every point is verified against the
 reference interpreter, so the speedup is real, not a scheduling
 artifact.
 """
 
-from repro.core.scheduler import SchedulerOptions
-from repro.explore import Microarch, banked_microarchs
+from repro.cdfg import PipelineSpec
+from repro.core.scheduler import SchedulerOptions, schedule_region
+from repro.explore import Microarch
 from repro.flow import FlowCache
 from repro.flow.executor import run_sweep
 from repro.rtl.reports import format_table
@@ -20,36 +21,38 @@ from benchmarks.conftest import PAPER_CLOCK_PS, banner
 
 K = 2
 
-#: pinned banking: the sweep axis, not the relaxation driver, moves it.
+#: pinned banking: the declared geometry, not the relaxation driver,
+#: moves it.
 PINNED = SchedulerOptions(allow_banking=False)
 
+BASE = Microarch(f"dot{K} mem II={K}", latency=4, ii=K)
+FAST = Microarch(f"dot{K} mem II=1", latency=2, ii=1)
 
-def _factory():
+
+def _single():
     return build_dot_product_mem(k=K)
 
 
-def _sweep(cache=None):
-    base = Microarch(f"dot{K} mem II={K}", latency=4, ii=K)
-    fast = Microarch(f"dot{K} mem II=1", latency=2, ii=1)
-    grid = (base, fast) + banked_microarchs(fast, ("a", "b"), (K,))
-    return run_sweep(_factory, _lib, grid, clocks_ps=(PAPER_CLOCK_PS,),
-                     options=PINNED, cache=cache)
+def _banked():
+    return build_dot_product_mem(k=K, banks=K)
 
 
-_lib = None
+def _sweep(lib, cache=None):
+    """(single-bank sweep, banked sweep) at the paper clock."""
+    return tuple(
+        run_sweep(factory, lib, grid, clocks_ps=(PAPER_CLOCK_PS,),
+                  options=PINNED, cache=cache)
+        for factory, grid in ((_single, (BASE, FAST)), (_banked, (FAST,))))
 
 
 def test_memory_banking_lowers_ii(lib, benchmark, bench_metrics):
-    global _lib
-    _lib = lib
     cache = FlowCache()
-    result = benchmark(_sweep, cache)
+    unbanked, banked_sweep = benchmark(_sweep, lib, cache)
     banner("Memory banking: port-constrained II for the dot product")
-    by_arch = {p.microarch: p for p in result.points}
-    infeasible = {q.microarch for q in result.infeasible}
+    infeasible = {q.microarch for q in unbanked.infeasible}
 
-    single = by_arch[f"dot{K} mem II={K}"]
-    banked = by_arch[f"dot{K} mem II=1 [banks ax{K},bx{K}]"]
+    single = {p.microarch: p for p in unbanked.points}[BASE.name]
+    banked = {p.microarch: p for p in banked_sweep.points}[FAST.name]
     rows = [
         ["single bank, II asked = K", single.ii, round(single.area),
          round(single.delay_ps)],
@@ -59,7 +62,7 @@ def test_memory_banking_lowers_ii(lib, benchmark, bench_metrics):
     print(format_table(["geometry", "II", "area", "delay_ps"], rows))
 
     # the unbanked II=1 request is port-starved: infeasible, not mis-bound
-    assert f"dot{K} mem II=1" in infeasible
+    assert FAST.name in infeasible
     # banking measurably lowers II (and hence iteration delay)
     assert single.ii == K
     assert banked.ii == 1
@@ -69,15 +72,10 @@ def test_memory_banking_lowers_ii(lib, benchmark, bench_metrics):
 
     # every feasible point must match the pure-python oracle
     expected = reference_dot_product_mem(k=K)
-    assert simulate_reference(_factory(), {}).output("y") == expected
-    for microarch in (Microarch("s", 4, ii=K),
-                      Microarch("b", 2, ii=1).with_banking(
-                          {"a": K, "b": K})):
-        from repro.core.scheduler import schedule_region
-        from repro.cdfg import PipelineSpec
-        region = _factory()
+    assert simulate_reference(_single(), {}).output("y") == expected
+    for factory, microarch in ((_single, BASE), (_banked, FAST)):
+        region = factory()
         region.min_latency = region.max_latency = microarch.latency
-        microarch.apply_banking(region)
         schedule = schedule_region(region, lib, PAPER_CLOCK_PS,
                                    pipeline=PipelineSpec(ii=microarch.ii),
                                    options=PINNED)
@@ -95,8 +93,9 @@ def test_memory_banking_lowers_ii(lib, benchmark, bench_metrics):
 
     # re-sweeping the same grid is served from the flow cache
     before = (cache.hits, cache.misses)
-    again = _sweep(cache)
-    assert len(again.points) == len(result.points)
+    again = _sweep(lib, cache)
+    assert [len(r.points) for r in again] == \
+        [len(unbanked.points), len(banked_sweep.points)]
     assert cache.misses == before[1], "re-sweep must not recompile"
     assert cache.hits > before[0]
     print(f"cache after re-sweep: {cache.stats()}")

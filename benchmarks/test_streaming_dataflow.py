@@ -25,7 +25,6 @@ from repro.dataflow import (
     compile_pipeline,
     simulate_pipeline_machine,
     simulate_pipeline_reference,
-    sweep_channel_depths,
 )
 from repro.flow.cache import FlowCache
 from repro.sim.reference import SimulationError
@@ -71,36 +70,36 @@ def test_streaming_composition_verified_and_depth_shaped(
     # -- claims 3 + 4: the channel-depth axis --------------------------
     min_depth = composed.min_depths["s"]
     assert min_depth >= 1
-    depth_axis = [{"s": d} for d in
-                  (0, min_depth - 1, min_depth, min_depth + 2,
-                   min_depth + 6)
-                  if d >= 0]
-    points = sweep_channel_depths(
-        lambda: build_matmul_relu_stream(K, TRIP), lib,
-        depth_points=depth_axis, clocks_ps=(PAPER_CLOCK_PS,),
-        inputs=inputs, cache=cache)
-    by_depth = {p.depths["s"]: p for p in points}
+    by_depth = {}
+    for depth in sorted({0, min_depth - 1, min_depth, min_depth + 2,
+                         min_depth + 6}):
+        pipe = build_matmul_relu_stream(K, TRIP)
+        pipe.set_depth("s", depth)
+        point = compile_pipeline(pipe, lib, PAPER_CLOCK_PS, cache=cache)
+        try:
+            run = simulate_pipeline_machine(point, inputs)
+        except SimulationError:
+            run = None  # deadlock
+        by_depth[depth] = (point, run)
 
     banner("streaming dataflow: matmul_relu_stream channel-depth axis")
     print(composed.table())
     print(f"{'depth':>6} {'cycles':>8} {'stalled':>8}")
-    for depth in sorted(by_depth):
-        p = by_depth[depth]
-        print(f"{depth:>6} "
-              f"{'deadlock' if p.deadlocked else p.cycles:>8} "
-              f"{p.stalled_cycles:>8}")
+    for depth, (_, run) in sorted(by_depth.items()):
+        print(f"{depth:>6} {run.cycles if run else 'deadlock':>8} "
+              f"{run.stalled_cycles if run else 0:>8}")
 
-    at_min = by_depth[min_depth]
-    assert not at_min.deadlocked
+    at_min_point, at_min = by_depth[min_depth]
+    assert at_min is not None
     # deepening never improves II or cycle count
     for extra in (2, 6):
-        deeper = by_depth[min_depth + extra]
-        assert deeper.steady_state_ii == at_min.steady_state_ii
+        deeper_point, deeper = by_depth[min_depth + extra]
+        assert deeper_point.steady_state_ii == at_min_point.steady_state_ii
         assert deeper.cycles == at_min.cycles
     # shrinking below the minimum provably stalls
-    assert by_depth[0].deadlocked
-    if min_depth - 1 in by_depth and min_depth - 1 > 0:
-        shallow = by_depth[min_depth - 1]
+    assert by_depth[0][1] is None
+    shallow = by_depth[min_depth - 1][1]  # None when min_depth == 1
+    if min_depth - 1 > 0:
         assert shallow.cycles > at_min.cycles
         assert shallow.stalled_cycles > at_min.stalled_cycles
     # the producer itself never stalls at (or beyond) the minimum
@@ -111,10 +110,8 @@ def test_streaming_composition_verified_and_depth_shaped(
         "stage_iis": stage_iis,
         "min_depth_s": min_depth,
         "cycles_at_min_depth": at_min.cycles,
-        "cycles_below_min": by_depth.get(
-            min_depth - 1, by_depth[0]).cycles,
-        "stalled_below_min": by_depth.get(
-            min_depth - 1, by_depth[0]).stalled_cycles,
+        "cycles_below_min": shallow.cycles if shallow else 0,
+        "stalled_below_min": shallow.stalled_cycles if shallow else 0,
         "latency": composed.latency,
         "area": round(composed.area, 1),
         "cache_stats": cache.stats(),

@@ -228,12 +228,6 @@ class DFG:
         edge = self.in_edge(uid, port)
         return self._ops[edge.src] if edge is not None else None
 
-    def succs(self, uid: int, include_carried: bool = True) -> List[Operation]:
-        """Consumers of ``uid``'s result (optionally skipping carried edges)."""
-        edges = self._out_edges[uid]
-        return [self._ops[e.dst] for e in edges
-                if include_carried or e.distance == 0]
-
     # ------------------------------------------------------------------
     # graph algorithms
     # ------------------------------------------------------------------

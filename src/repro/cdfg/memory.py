@@ -21,10 +21,10 @@ may intersect (same iteration, or ``distance`` iterations apart).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
-from repro.cdfg.ops import MEMORY_KINDS, Operation, OpKind
+from repro.cdfg.ops import Operation, OpKind
 
 
 class MemoryError_(ValueError):
@@ -85,10 +85,6 @@ class MemoryDecl:
     def bits(self) -> int:
         """Total storage bits."""
         return self.depth * self.width
-
-    def with_banks(self, banks: int) -> "MemoryDecl":
-        """A copy at a different banking factor."""
-        return replace(self, banks=banks)
 
     def contents(self) -> Tuple[int, ...]:
         """Initial contents padded to ``depth`` words."""
@@ -226,28 +222,3 @@ def emit_dependence_edges(
                     count += 1
     return count
 
-
-def reemit_dependence_edges(region) -> int:
-    """Drop and re-derive every ordering edge of a region's DFG.
-
-    Used after structural transforms (unrolling) that change access
-    shapes: affine offsets/strides move, so the conflict set -- and the
-    banking relaxation -- must be recomputed from scratch.  Program
-    order is operation insertion order.
-    """
-    dfg = region.dfg
-    for op in dfg.ops:
-        for edge in list(dfg.in_edges(op.uid)):
-            if edge.order:
-                dfg.disconnect(edge)
-    by_mem: Dict[str, List[Tuple[Operation, bool]]] = {}
-    for op in dfg.ops:
-        if op.kind in MEMORY_KINDS:
-            dynamic = has_dynamic_address(
-                op, len(dfg.data_in_edges(op.uid)))
-            by_mem.setdefault(op.payload, []).append((op, dynamic))
-    count = 0
-    for name, accesses in by_mem.items():
-        count += emit_dependence_edges(
-            dfg, region.memories[name], accesses, region.is_loop)
-    return count

@@ -575,7 +575,10 @@ def cmd_submit(args: argparse.Namespace) -> int:
         return EXIT_FAILED
     except ServiceError as err:
         if err.status == 400:
-            raise CLIError(str(err), reason="rejected",
+            # the body's own slug (bad-clock, unknown-workload, ...)
+            body = err.payload.get("error")
+            reason = body.get("reason") if isinstance(body, dict) else None
+            raise CLIError(str(err), reason=reason or "rejected",
                            detail=err.payload)
         raise CLIError(f"service error HTTP {err.status}: {err}",
                        code=EXIT_SERVICE, reason="service-error",

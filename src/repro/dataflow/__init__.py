@@ -17,7 +17,6 @@ composition on top of the single-kernel engine:
   -- token-stream oracle and cycle-accurate FIFO execution.
 * :func:`generate_pipeline_verilog` -- per-stage modules wired by
   shift-register FIFOs with valid/ready handshakes.
-* :func:`sweep_channel_depths` -- the channel-depth exploration axis.
 
 Quickstart (see also ``examples/streaming_pipeline.py``)::
 
@@ -62,13 +61,11 @@ from repro.dataflow.sim import (
     simulate_pipeline_machine,
     simulate_pipeline_reference,
 )
-from repro.dataflow.sweep import DepthSweepPoint, sweep_channel_depths
 
 __all__ = [
     "Channel",
     "ComposedPipeline",
     "DataflowError",
-    "DepthSweepPoint",
     "Pipeline",
     "PipelineSimResult",
     "Stage",
@@ -84,5 +81,4 @@ __all__ = [
     "stage_offsets",
     "steady_intervals",
     "steady_state_ii",
-    "sweep_channel_depths",
 ]

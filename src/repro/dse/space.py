@@ -1,8 +1,8 @@
 """The parameter space of a tune: microarchitecture x clock.
 
 A :class:`DesignSpace` is the cross product of a microarchitecture list
-(latency/II points, optionally carrying banking overrides) and a
-clock-period axis; :func:`paper_space` is the Figure 10/11 grid.
+(latency/II points) and a clock-period axis; :func:`paper_space` is the
+Figure 10/11 grid.
 :func:`admissible_clocks` prunes a curve's clocks on the paper model's
 predicted delay before anything is synthesized.
 """

@@ -54,9 +54,9 @@ def candidate_key(region_fingerprint: str, library_name: str,
     """Content hash of one tuning configuration.
 
     Mirrors :func:`repro.flow.cache.compilation_key` but keys on the
-    *microarchitecture* (latency, II, banking, channel depths) instead
-    of a mutated region, so it can be computed without building the
-    candidate region -- which is what makes store lookups free.
+    *microarchitecture* (latency, II) instead of a mutated region, so
+    it can be computed without building the candidate region -- which
+    is what makes store lookups free.
     """
     payload = {
         "store": STORE_VERSION,
@@ -66,8 +66,6 @@ def candidate_key(region_fingerprint: str, library_name: str,
         "microarch": {
             "latency": microarch.latency,
             "ii": microarch.ii,
-            "banking": microarch.banking,
-            "channel_depths": microarch.channel_depths,
         },
         "clock_ps": repr(float(clock_ps)),
         "options": asdict(options) if options is not None

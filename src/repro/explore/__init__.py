@@ -9,7 +9,6 @@ from repro.explore.microarch import (
     Microarch,
     PAPER_CLOCKS_PS,
     PAPER_MICROARCHS,
-    banked_microarchs,
 )
 from repro.explore.pareto import DesignPoint, group_by_microarch, pareto_front
 
@@ -19,7 +18,6 @@ __all__ = [
     "Microarch",
     "PAPER_CLOCKS_PS",
     "PAPER_MICROARCHS",
-    "banked_microarchs",
     "group_by_microarch",
     "pareto_front",
 ]

@@ -8,8 +8,8 @@ included.  The engine picks the backend; callers only choose ``jobs``:
 
 ``context`` (``jobs <= 1``, or a single-core host)
     Serial traversal over a :class:`~repro.flow.sweepctx.SweepContext`:
-    each microarchitecture variant (factory + latency clamp + banking)
-    is built once, and all clocks of a variant share one scheduler
+    each microarchitecture variant (factory + latency clamp) is built
+    once, and all clocks of a variant share one scheduler
     carryover cache (timing statics, heights, priority orders,
     clock-keyed ASAP/ALAP skeletons).
 

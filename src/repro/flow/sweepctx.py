@@ -9,11 +9,11 @@ the region (the equivalence suite pins this), and the scheduler's
 carryover cache keys every clock-dependent entry by clock.
 
 :class:`SweepContext` therefore builds each microarchitecture *variant*
-(factory -> latency clamp -> banking) exactly once and pairs
-it with one scheduler carryover cache that serves every clock of that
-variant.  The process backend additionally asks the context for a
-pickled blob of the variant region, shipped to a worker once per point
-batch rather than once per point.  :meth:`SweepContext.variant` is the
+(factory -> latency clamp) exactly once and pairs it with one
+scheduler carryover cache that serves every clock of that variant.
+The process backend additionally asks the context for a pickled blob
+of the variant region, shipped to a worker once per point batch rather
+than once per point.  :meth:`SweepContext.variant` is the
 only place a variant is built: the single-point entry
 (:func:`~repro.flow.executor.synthesize_design_point`) is a one-point
 context of its own.
@@ -73,11 +73,10 @@ class SweepVariant:
 class SweepContext:
     """Build-variant-once state for one sweep.
 
-    The factory runs once per microarchitecture (banking mutates the
-    region's memories in place, so variants cannot share one build);
-    latency clamp and banking run once per variant too.  Points then
-    schedule against the shared variant region with the variant's
-    carryover cache.
+    The factory runs once per microarchitecture: the latency clamp
+    writes the region's latency bounds in place, so variants cannot
+    share one build.  Points then schedule against the shared variant
+    region with the variant's carryover cache.
     """
 
     def __init__(self, region_factory: Callable[[], Region],
@@ -94,7 +93,6 @@ class SweepContext:
             region = self._factory()
             region.min_latency = microarch.latency
             region.max_latency = microarch.latency
-            microarch.apply_banking(region)
             entry = SweepVariant(microarch, region, self.library)
             self._variants[microarch] = entry
         return entry

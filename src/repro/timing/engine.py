@@ -813,12 +813,6 @@ class TimingEngine:
         """Current slack of a committed binding against its budget."""
         return bound.cycles * self.clock_ps - bound.capture_ps
 
-    def worst_slack(self) -> float:
-        """Worst budget slack across all committed bindings."""
-        if not self._bound:
-            return self.clock_ps
-        return min(self.slack_of(b) for b in self._bound.values())
-
     # ------------------------------------------------------------------
     # commit / rollback with incremental re-propagation
     # ------------------------------------------------------------------

@@ -33,7 +33,6 @@ def test_memory_decl_validation():
     assert decl.bank_depth == 3
     assert decl.bits == 160
     assert decl.contents() == (7,) + (0,) * 9
-    assert decl.with_banks(2).banks == 2
 
 
 def test_array_redeclaration_rejected():

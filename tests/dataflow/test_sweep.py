@@ -1,48 +1,33 @@
-"""Channel-depth sweeps and the Microarch depth axis."""
+"""The channel-depth axis: one composition per depth, machine-simulated."""
 
-from repro.dataflow import sweep_channel_depths
-from repro.explore import Microarch
+from repro.dataflow import compile_pipeline, simulate_pipeline_machine
 from repro.flow.cache import FlowCache
+from repro.sim.reference import SimulationError
 from repro.workloads import (
     build_matmul_relu_stream,
     matmul_relu_inputs,
 )
 
 
-def test_with_channel_depth_labels_and_hashes():
-    base = Microarch("Pipelined 4", 4, ii=2)
-    micro = base.with_channel_depth({"s": 3, "t": 1})
-    assert micro.channel_depths == (("s", 3), ("t", 1))
-    assert "depth s=3,t=1" in micro.name
-    assert hash(micro) != hash(base)
-
-
-def test_apply_channel_depths_rewrites_pipeline():
-    micro = Microarch("m", 1).with_channel_depth({"s": 5})
-    pipe = build_matmul_relu_stream()
-    micro.apply_channel_depths(pipe)
-    assert pipe.channels["s"].depth == 5
-
-
 def test_depth_sweep_grid(lib):
     cache = FlowCache()
-    points = sweep_channel_depths(
-        build_matmul_relu_stream, lib,
-        depth_points=[{"s": 0}, {"s": 1}, {"s": 2}, {"s": 4}],
-        clocks_ps=(1600.0,),
-        inputs=matmul_relu_inputs(),
-        cache=cache)
-    assert len(points) == 4
-    by_depth = {p.depths["s"]: p for p in points}
-    assert by_depth[0].deadlocked
-    assert not by_depth[2].deadlocked
+    composed, runs = {}, {}
+    for depth in (0, 1, 2, 4):
+        pipe = build_matmul_relu_stream()
+        pipe.set_depth("s", depth)
+        composed[depth] = compile_pipeline(pipe, lib, 1600.0, cache=cache)
+        try:
+            runs[depth] = simulate_pipeline_machine(
+                composed[depth], matmul_relu_inputs())
+        except SimulationError:
+            runs[depth] = None  # deadlock
+    assert runs[0] is None
+    assert runs[2] is not None
     # below the minimum: stalls and extra cycles; beyond: no change
-    assert by_depth[1].cycles > by_depth[2].cycles
-    assert by_depth[1].stalled_cycles > by_depth[2].stalled_cycles
-    assert by_depth[4].cycles == by_depth[2].cycles
+    assert runs[1].cycles > runs[2].cycles
+    assert runs[1].stalled_cycles > runs[2].stalled_cycles
+    assert runs[4].cycles == runs[2].cycles
     # II is a composition property, independent of the depth axis
-    assert {p.steady_state_ii for p in points} == {1}
+    assert {c.steady_state_ii for c in composed.values()} == {1}
     # the stage schedules were computed once and served from cache
     assert cache.hits > 0
-    row = by_depth[0].row()
-    assert "deadlock" in row

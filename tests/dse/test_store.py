@@ -94,12 +94,6 @@ def test_candidate_key_covers_all_axes():
     assert base != candidate_key("fp", "artisan90",
                                  Microarch("m", 8), 1250.0)
     assert base != candidate_key(
-        "fp", "artisan90", Microarch("m", 8).with_banking({"a": 2}),
-        1600.0)
-    assert base != candidate_key(
-        "fp", "artisan90", Microarch("m", 8).with_channel_depth({"s": 2}),
-        1600.0)
-    assert base != candidate_key(
         "fp", "artisan90", Microarch("m", 8), 1600.0,
         SchedulerOptions(enable_scc_move=False))
 

@@ -220,19 +220,6 @@ def test_mutated_init_contents_change_fingerprint():
     assert region_fingerprint(base) != region_fingerprint(other)
 
 
-def test_swept_banking_matches_declared_banking():
-    """A banking sweep point is the *same* configuration as declaring
-    the banking directly: same dependence edges, same fingerprint."""
-    from repro.explore import Microarch
-    from repro.workloads import build_dot_product_mem
-
-    declared = build_dot_product_mem(banks=2)
-    swept = build_dot_product_mem(banks=1)
-    Microarch("p", 4, ii=2).with_banking(
-        {"a": 2, "b": 2}).apply_banking(swept)
-    assert region_fingerprint(swept) == region_fingerprint(declared)
-
-
 # ----------------------------------------------------------------------
 # peek/entries/absorb (the sweep workers' merge-back)
 # ----------------------------------------------------------------------

@@ -70,8 +70,19 @@ def test_submit_rejected_body_exits_three(service, capsys):
     assert main(["submit", "schedule", "unknown_name", "--url",
                  svc.url, "--json"]) == 3
     record = json.loads(capsys.readouterr().out)["error"]
-    assert record["reason"] == "rejected"
+    assert record["reason"] == "unknown-workload"
     assert "unknown workload" in record["message"]
+
+
+def test_submit_reports_the_service_error_reason(service, capsys):
+    """A 400's top-level reason is the service's slug, the same one
+    ``repro schedule`` reports for the same input."""
+    svc, _ = service
+    assert main(["submit", "schedule", "fir", "--clock", "inf", "--url",
+                 svc.url, "--json"]) == 3
+    record = json.loads(capsys.readouterr().out)["error"]
+    assert record["reason"] == "bad-clock"
+    assert record["detail"]["error"]["reason"] == "bad-clock"
 
 
 def test_submit_stream_kind(service, capsys):
